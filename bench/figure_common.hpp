@@ -21,7 +21,6 @@
 #include "common/table.hpp"
 #include "sim/campaign.hpp"
 #include "sim/figures.hpp"
-#include "sim/lane_engine.hpp"
 
 namespace snug::bench {
 
@@ -163,38 +162,6 @@ inline bool handle_grid_listings(CliArgs& args,
   if (dry_run) {
     for (const auto& spec : sweep) {
       std::fputs(sim::describe_grid(spec).c_str(), stdout);
-      // Resolved lane plan: how the scenario's `lanes=` knob packs the
-      // grid into lockstep lane groups (sim/lane_engine.hpp).  Groups
-      // are scheme-major — a group's lanes share the scheme and differ
-      // only in rotated workload variant — and a leftover single combo
-      // runs on the scalar path.
-      const std::uint32_t lanes = spec.scenario.scale.lanes;
-      if (lanes <= 1) {
-        std::printf("lane width: 1 (scalar engine; lanes= packs points "
-                    "into lockstep groups)\n");
-      } else {
-        const std::vector<trace::WorkloadCombo> combos = spec.combos();
-        const std::size_t n_schemes = spec.schemes.size();
-        const std::vector<sim::LaneGroupPlan> plans =
-            sim::plan_lane_groups(combos.size(), n_schemes, lanes);
-        std::size_t scalar_remainder = 0;
-        for (const auto& plan : plans) {
-          scalar_remainder += plan.tasks.size() == 1 ? 1 : 0;
-        }
-        std::printf("lane width: %u — %zu task(s) in %zu lane group(s), "
-                    "%zu scalar remainder point(s)\n",
-                    lanes, combos.size() * n_schemes, plans.size(),
-                    scalar_remainder);
-        for (std::size_t p = 0; p < plans.size(); ++p) {
-          std::string line = strf("  group %2zu [W=%zu]:", p,
-                                  plans[p].tasks.size());
-          for (const std::size_t task : plans[p].tasks) {
-            line += strf(" %s/%s", combos[task / n_schemes].name.c_str(),
-                         spec.schemes[task % n_schemes].id().c_str());
-          }
-          std::printf("%s\n", line.c_str());
-        }
-      }
       // Resolved warm-up plan: under warmup-mode=functional each campaign
       // point either restores its warm prefix from the warm-state bank
       // (hit) or warms functionally once and banks the checkpoint (miss).

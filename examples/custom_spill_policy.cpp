@@ -81,10 +81,11 @@ int main() {
     report("L2P", sys);
   }
   {
-    // A custom scheme: build the substrate pieces the factory would build,
-    // then drive the system through the same MemoryPort plumbing by
-    // comparing at scheme level (simplest: use CC's slot in the factory
-    // for the baseline and construct the ring scheme standalone).
+    // A custom scheme: build the substrate pieces the factory would build
+    // and drive the scheme directly through L2Scheme::access — the call
+    // CmpSystem makes on every L1 miss — rather than through a full
+    // machine (simplest: use CC's slot in the factory for the baseline
+    // and construct the ring scheme standalone).
     bus::SnoopBus bus(cfg.bus);
     dram::DramModel dram(cfg.dram);
     RingSpillScheme ring(cfg.scheme_ctx.priv, bus, dram);

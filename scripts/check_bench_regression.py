@@ -13,7 +13,7 @@ side, deliberately: CI runner hardware differs from the machine that
 produced the baseline, and gating against the pre numbers leaves that
 headroom while still catching real regressions.
 
-Two record kinds are recognised by shape:
+Three record kinds are recognised by shape:
 
   hot-path records (hot_path_bench): the end-to-end run tier — the
   number every campaign cycle actually pays —
@@ -30,18 +30,6 @@ Two record kinds are recognised by shape:
       speedup_bank_vs_cold          >= 1.6   (the ISSUE 6 acceptance bar)
       ipc_delta_functional_vs_cold  <= 0.25  (equivalence-test band)
       ipc_delta_bank_vs_functional  == 0.0   (restore is bit-identical)
-
-  lane records (lane_bench, detected by `speedup_w4`): gated on
-
-      lane_checksum_equal           == 1     (lane execution stays
-                                              bit-identical to scalar)
-      speedup_w4                    >= 0.75  (the W=4 lane tier must not
-                                              collapse; the recorded
-                                              BENCH_lanes.json measures
-                                              ~0.9-1.0x on the 1-core
-                                              dev host — see its notes
-                                              for the negative result
-                                              vs the 1.5x target)
 
   service records (service_bench, detected by `queries_per_sec_hit`):
   gated on
@@ -93,8 +81,6 @@ HOTPATH_KEYS = ("system_run_instr_per_sec", "system_run_l2p_instr_per_sec")
 
 WARMUP_MIN_BANK_SPEEDUP = 1.6
 WARMUP_MAX_FUNCTIONAL_IPC_DELTA = 0.25
-
-LANE_MIN_W4_SPEEDUP = 0.75
 
 SERVICE_MIN_HIT_QPS = 5.0
 SERVICE_MIN_RING_QPS = 1000.0
@@ -178,14 +164,6 @@ def gate_warmup(measured, measured_path):
     ), measured_path)
 
 
-def gate_lane(measured, measured_path):
-    return gate_fixed(measured, (
-        ("lane_checksum_equal", lambda v: v == 1, "== 1"),
-        ("speedup_w4", lambda v: v >= LANE_MIN_W4_SPEEDUP,
-         f">= {LANE_MIN_W4_SPEEDUP}"),
-    ), measured_path)
-
-
 def gate_service(measured, measured_path):
     return gate_fixed(measured, (
         ("hit_correct", lambda v: v == 1, "== 1"),
@@ -211,8 +189,6 @@ def run_pairs(files, min_ratio):
         print(f"-- {measured_path} vs {baseline_path}")
         if "speedup_bank_vs_cold" in measured:
             failures += gate_warmup(measured, measured_path)
-        elif "speedup_w4" in measured:
-            failures += gate_lane(measured, measured_path)
         elif "queries_per_sec_hit" in measured:
             failures += gate_service(measured, measured_path)
         else:
@@ -261,8 +237,6 @@ def self_check():
     warm = json.dumps({"speedup_bank_vs_cold": 2.0,
                        "ipc_delta_functional_vs_cold": 0.1,
                        "ipc_delta_bank_vs_functional": 0.0})
-    lane = json.dumps({"lane_checksum_equal": 1, "speedup_w4": 0.9})
-    lane_bad = json.dumps({"lane_checksum_equal": 0, "speedup_w4": 0.9})
     service_ok = {"queries_per_sec_hit": 2500.0,
                   "queries_per_sec_ring": 100000.0,
                   "ring_hit_p50_us": 7.0,
@@ -286,11 +260,6 @@ def self_check():
                       run_pairs([slow, hot_b], 0.9) == 1)
         warm_m = _write(d, "warm.json", warm)
         ok &= _expect("warmup pass", run_pairs([warm_m, warm_m], 0.9) == 0)
-        lane_m = _write(d, "lane.json", lane)
-        ok &= _expect("lane pass", run_pairs([lane_m, lane_m], 0.9) == 0)
-        lane_b = _write(d, "lane_bad.json", lane_bad)
-        ok &= _expect("lane regression",
-                      run_pairs([lane_b, lane_b], 0.9) == 1)
         svc_m = _write(d, "service.json", service)
         ok &= _expect("service pass", run_pairs([svc_m, svc_m], 0.9) == 0)
         svc_b = _write(d, "service_bad.json", service_bad)

@@ -8,22 +8,25 @@
 //   * back-pressure — when the oldest instruction is an outstanding miss
 //     and the ROB fills, retirement (and therefore dispatch) stalls.
 //
-// Memory timing is provided by a MemoryPort-shaped `Port` (implemented by
-// sim::CmpSystem) which performs all cache/bus/DRAM state updates
-// synchronously and returns the completion cycle.  Core is a template on
-// the port type: sealed against the final CmpSystem, every simulated load,
-// store and ifetch crosses the core/memory boundary as a direct (and
-// inlinable) call; the virtual MemoryPort interface remains for
-// polymorphic drivers and test doubles (CTAD picks the concrete port type
-// up from the constructor either way).
+// Memory timing is provided by a `Port` (sim::CmpSystem; a test double in
+// tests/cpu/core_test.cpp) split into a core-local L1 probe and a
+// shared-state miss half:
+//   bool  probe_data(core, addr, is_write)   L1D lookup, true on a hit
+//   Cycle miss_data(core, addr, is_write, now)  L1D miss: L2/bus/DRAM,
+//                                               returns completion > now
+//   bool  probe_inst(core, addr)             L1I lookup
+//   Cycle miss_inst(core, addr, now)         L1I miss
+// Core is a template on the port type, so every simulated load, store
+// and ifetch crosses the core/memory boundary as a direct (inlinable)
+// call; CTAD picks the port type up from the constructor.
 //
 // step() returns the next cycle at which the core can make progress, so a
 // driver may skip the cycles in between instead of re-entering a no-op
 // step() every cycle (sim::CmpSystem::run does).  Per-cycle stepping
-// (ignore the return value) remains exactly equivalent: a skipped cycle
-// is by construction one in which step() would change no state, and the
-// stall-cycle statistics are accounted lazily so both calling patterns
-// produce the same counters.
+// (step(t, t + 1) every cycle, ignoring the return value) remains exactly
+// equivalent: a skipped cycle is by construction one in which step()
+// would change no state, and the stall-cycle statistics are accounted
+// lazily so both calling patterns produce the same counters.
 #pragma once
 
 #include <algorithm>
@@ -66,21 +69,7 @@ struct CoreStats {
   std::uint64_t lsq_full_cycles = 0;
 };
 
-/// Interface to the memory system; one implementation per L2 scheme stack.
-class MemoryPort {
- public:
-  virtual ~MemoryPort() = default;
-
-  /// Performs a data access for `core`, updating all cache/bus/DRAM state,
-  /// and returns the completion cycle (>= now + 1).
-  virtual Cycle data_access(CoreId core, Addr addr, bool is_write,
-                            Cycle now) = 0;
-
-  /// Instruction fetch of the block containing `addr`.
-  virtual Cycle inst_fetch(CoreId core, Addr addr, Cycle now) = 0;
-};
-
-template <typename Port = MemoryPort>
+template <typename Port>
 class Core {
  public:
   Core(CoreId id, const CoreConfig& cfg, trace::InstrStream& stream,
@@ -95,41 +84,39 @@ class Core {
     code_base_ = code_base(id);
   }
 
-  /// Simulates one core clock cycle (retire, then fetch/dispatch) and
-  /// returns the earliest cycle > now at which this core can next change
-  /// state — the driver may skip straight to it.
-  Cycle step(Cycle now) { return step_impl(now); }
-
-  /// Free-running batch step for the lane engine (sim/lane_engine.hpp).
+  /// Simulates this core from global cycle `now` and returns the
+  /// earliest cycle at which it can next change state — the caller
+  /// wakes it there instead of stepping every cycle.
   ///
   /// Everything a core does between its own L1 *misses* is core-local:
   /// plain instructions, correctly predicted branches, L1-hit loads and
   /// stores, retirement, mispredict redirects, batch refills from the
-  /// (private) stream.  step_masked exploits that: called at global
-  /// cycle `now`, it simulates cycle after cycle privately — the same
-  /// per-cycle retire/dispatch/next-event bodies as step(), so the state
-  /// evolution is bit-identical — WITHOUT returning to the driver, until
-  /// it either
+  /// (private) stream.  step() therefore free-runs: it simulates cycle
+  /// after cycle (retire, then fetch/dispatch, then next-event) WITHOUT
+  /// returning to the caller, until it either
   ///   * reaches a shared-state event (an L1D or L1I miss, which books
   ///     bus/DRAM tenures and mutates the L2 scheme): if the event falls
   ///     at a cycle t beyond `now`, the core *parks* — records the
-  ///     half-dispatched instruction and returns t.  The driver resumes
-  ///     it via the normal wake machinery at exactly (cycle t, this
-  ///     core's sweep slot), so every shared-state access happens in the
-  ///     same global (cycle, core-index) order as under step() — the
-  ///     property all bus/DRAM/scheme bit-identity rests on.  At
-  ///     t == now (the core's own sweep slot) misses execute
-  ///     synchronously, scalar-style, no park.
-  ///   * runs out of window: cycles >= `limit` belong to the next run()
-  ///     call; the core returns its next-event cycle unparked.
+  ///     half-dispatched instruction and returns t.  The caller resumes
+  ///     it via its normal wake machinery at exactly (cycle t, this
+  ///     core's sweep slot), so every shared-state access happens in
+  ///     the same global (cycle, core-index) order as per-cycle
+  ///     stepping — the property all bus/DRAM/scheme bit-identity rests
+  ///     on.  At t == now (the core's own sweep slot) misses execute
+  ///     synchronously, no park.
+  ///   * runs out of window: cycles >= `limit` belong to the caller's
+  ///     next call; the core returns its next-event cycle unparked.
+  /// `limit = now + 1` simulates exactly one cycle and never parks.
   ///
   /// Epoch ticks and WBB drains stay on the driver's timeline; they
-  /// commute with the free-run because it touches no shared state.
-  /// A parked core must be resumed through step_masked before any
-  /// scalar step() call (CmpSystem::run_masked guarantees parks never
-  /// outlive a run window, so run()/run_masked() may still be
-  /// interleaved freely at window granularity).
-  Cycle step_masked(Cycle now, Cycle limit) {
+  /// commute with the free-run because it touches no shared state.  A
+  /// parked core must be resumed at the returned cycle before anything
+  /// else observes the shared state at that cycle (CmpSystem::run
+  /// guarantees parks never outlive a run window).
+  Cycle step(Cycle now, Cycle limit) {
+    // Hoisted configuration: the miss calls below reach the memory
+    // system, which the optimiser cannot see through, so member loads
+    // inside the loops would otherwise repeat after every instruction.
     const std::uint32_t issue_width = cfg_.issue_width;
     const std::uint32_t rob_entries = cfg_.rob_entries;
     const std::uint32_t lsq_entries = cfg_.lsq_entries;
@@ -160,8 +147,8 @@ class Core {
         const Cycle completion = mem_.miss_inst(id_, pending_addr_, t);
         const Cycle done = completion > t ? completion : t + 1;
         if (done > t + 1) fetch_stall_until_ = done;
-        // The instruction the fetch belonged to still dispatches at t
-        // (as in dispatch_one); a data miss inside it is synchronous.
+        // The instruction the fetch belonged to still dispatches at t;
+        // a data miss inside it is synchronous.
         const bool parked = dispatch_decode(t, t, rob, rob_entries);
         SNUG_ENSURE(!parked);
       }
@@ -192,7 +179,7 @@ class Core {
             observed_block = true;
             break;
           }
-          if (dispatch_one_masked(t, now, rob, rob_entries)) {
+          if (dispatch_one(t, now, rob, rob_entries)) {
             pending_dispatched_ = dispatched;
             pending_observed_block_ = observed_block;
             return t;
@@ -202,7 +189,14 @@ class Core {
         }
       }
 
-      // Next-event + pending-stall bookkeeping: verbatim step() epilogue.
+      // Next-event computation and pending-stall bookkeeping.  A stall
+      // span [from, retire_at) is recorded as *pending*: exactly the
+      // cycles per-cycle stepping would charge one by one (dispatch is
+      // attempted from fetch_stall_until_ on; cycle t counts only if
+      // this cycle's attempt reached the full check; the blockage
+      // cannot clear before the ROB head retires).  settle_stall()
+      // folds it in as simulated time reaches it, so the counters
+      // never cover cycles a run window did not execute.
       const bool rob_full = rob_size_ >= rob_entries;
       const bool lsq_full = lsq_used_ >= lsq_entries;
       const Cycle dispatch_at = (rob_full || lsq_full)
@@ -282,78 +276,6 @@ class Core {
   /// virtual dispatch amortised over the batch.
   static constexpr std::size_t kFetchBatch = 64;
 
-  Cycle step_impl(Cycle now) {
-    settle_stall(now);  // fold pending stall cycles < now into the stats
-
-    // Hoisted configuration: the calls below reach the memory system,
-    // which the optimiser cannot see through, so member loads inside the
-    // loops would otherwise repeat after every instruction.
-    const std::uint32_t issue_width = cfg_.issue_width;
-    const std::uint32_t rob_entries = cfg_.rob_entries;
-    const std::uint32_t lsq_entries = cfg_.lsq_entries;
-    RobEntry* const rob = rob_.data();
-
-    // ---- retire (in order, up to issue_width per cycle)
-    std::uint32_t retired_now = 0;
-    while (retired_now < issue_width && rob_size_ != 0 &&
-           rob[rob_head_].done_at <= now) {
-      lsq_used_ -= rob[rob_head_].is_mem;  // branchless: is_mem is 0/1
-      if (++rob_head_ == rob_entries) rob_head_ = 0;
-      --rob_size_;
-      ++retired_now;
-    }
-    stats_.retired += retired_now;  // batched per step, not per instr
-
-    // ---- fetch/dispatch
-    // `observed_block` mirrors the per-cycle loop's accounting: a stall
-    // cycle is charged only when a dispatch attempt actually saw the
-    // full ROB/LSQ (not when the loop ended at issue width or on a
-    // fetch stall).
-    bool observed_block = false;
-    if (now >= fetch_stall_until_) {
-      std::uint32_t dispatched = 0;
-      while (dispatched < issue_width) {
-        if (rob_size_ >= rob_entries || lsq_used_ >= lsq_entries) {
-          observed_block = true;
-          break;
-        }
-        dispatch_one(now, rob, rob_entries);
-        ++dispatched;
-        if (now < fetch_stall_until_) break;  // branch redirect / I-miss
-      }
-    }
-
-    // ---- next-event computation (and pending-stall bookkeeping)
-    const bool rob_full = rob_size_ >= rob_entries;
-    const bool lsq_full = lsq_used_ >= lsq_entries;
-    const Cycle dispatch_at = (rob_full || lsq_full)
-                                  ? kNever  // gated on retirement
-                                  : std::max(fetch_stall_until_, now + 1);
-    if (rob_size_ == 0) {
-      stall_from_ = stall_until_ = 0;  // no stall in flight
-      return dispatch_at;
-    }
-
-    const Cycle retire_at = std::max(rob_[rob_head_].done_at, now + 1);
-    if (rob_full || lsq_full) {
-      // Record the stall span [from, retire_at) as *pending*: exactly
-      // the cycles the per-cycle loop would charge one by one (dispatch
-      // is attempted from fetch_stall_until_ on; cycle `now` is included
-      // only if this step's attempt reached the full check; the blockage
-      // cannot clear before the ROB head retires).  Nothing is charged
-      // yet — settle_stall() folds the span in as simulated time
-      // actually reaches it, so the counters never cover cycles a run
-      // window did not execute.
-      stall_from_ = std::max(fetch_stall_until_,
-                             observed_block ? now : now + 1);
-      stall_until_ = retire_at;
-      stall_is_rob_ = rob_full;
-    } else {
-      stall_from_ = stall_until_ = 0;
-    }
-    return std::min(dispatch_at, retire_at);
-  }
-
   void append_rob(const RobEntry& entry, RobEntry* rob,
                   std::uint32_t rob_entries) noexcept {
     std::uint32_t tail = rob_head_ + rob_size_;
@@ -363,11 +285,16 @@ class Core {
   }
 
   /// Decode + execute of the instruction at ibuf_pos_ at cycle t — the
-  /// post-I-fetch tail of dispatch_one, with the shared-state access
-  /// split out for the free-run.  `global_now` is the driver's clock:
-  /// an L1D miss at t > global_now parks the core (returns true)
+  /// post-I-fetch tail of dispatch_one.  `global_now` is the caller's
+  /// clock: an L1D miss at t > global_now parks the core (returns true)
   /// instead of touching bus/DRAM/L2 ahead of the global event order;
-  /// at t == global_now it executes synchronously, scalar-style.
+  /// at t == global_now it executes synchronously.
+  ///
+  /// Branch-light: instruction kinds are uniformly random, so a 4-way
+  /// switch on them is a steady stream of branch mispredicts on the
+  /// host.  One memory-vs-not test (the only unpredictable branch) plus
+  /// flag arithmetic on the SoA batch code covers all four kinds; the
+  /// mispredict branch is rare enough to stay a branch.
   bool dispatch_decode(Cycle t, Cycle global_now, RobEntry* rob,
                        std::uint32_t rob_entries) {
     if (ibuf_pos_ == ibuf_len_) {
@@ -394,7 +321,13 @@ class Core {
           return true;
         }
         const Cycle completion = mem_.miss_data(id_, addr, is_write, t);
+        // Port contract (completion > t): a per-instruction hot-path
+        // precondition — checked in dev builds, compiled out in the
+        // measurement configurations (common/require.hpp).
         SNUG_REQUIRE(completion > t);
+        // Stores update cache state and consume bandwidth but commit
+        // without waiting for the line (store-buffer semantics); loads
+        // occupy their ROB entry until the data arrives.
         if (!is_write) entry.done_at = completion;
       }
       // L1D hit: completion is t + 1 — entry.done_at is already right.
@@ -410,17 +343,17 @@ class Core {
     return false;
   }
 
-  /// dispatch_one for the free-run: identical state evolution, but L1I
-  /// and L1D misses beyond the driver's clock park the core (see
-  /// step_masked).  Returns true when parked.
-  bool dispatch_one_masked(Cycle t, Cycle global_now, RobEntry* rob,
+  /// Per-block instruction fetch (one L1I access per fetched line), then
+  /// dispatch_decode.  L1I and L1D misses beyond the caller's clock park
+  /// the core (see step).  Returns true when parked.
+  bool dispatch_one(Cycle t, Cycle global_now, RobEntry* rob,
                            std::uint32_t rob_entries) {
     if (--ifetch_countdown_ == 0) {
       ifetch_countdown_ = cfg_.line_bytes / cfg_.instr_bytes;
       const Addr ifetch_addr =
           code_base_ + code_block_cursor_ * cfg_.line_bytes;
       if (++code_block_cursor_ == cfg_.code_blocks) {
-        code_block_cursor_ = 0;
+        code_block_cursor_ = 0;  // cyclic I-footprint, division-free
       }
       ++stats_.ifetch_blocks;
       if (!mem_.probe_inst(id_, ifetch_addr)) {  // L1I miss: shared
@@ -436,67 +369,6 @@ class Core {
       // L1I hit: done == t + 1, no fetch stall.
     }
     return dispatch_decode(t, global_now, rob, rob_entries);
-  }
-
-  // `rob`/`rob_entries` arrive pre-hoisted from step(): the memory-port
-  // call below is opaque to the optimiser, which would otherwise reload
-  // the members on every instruction.
-  void dispatch_one(Cycle now, RobEntry* rob, std::uint32_t rob_entries) {
-    // Per-block instruction fetch: one L1I access per fetched line.
-    if (--ifetch_countdown_ == 0) {
-      ifetch_countdown_ = cfg_.line_bytes / cfg_.instr_bytes;
-      const Addr ifetch_addr =
-          code_base_ + code_block_cursor_ * cfg_.line_bytes;
-      if (++code_block_cursor_ == cfg_.code_blocks) {
-        code_block_cursor_ = 0;  // cyclic I-footprint, division-free
-      }
-      ++stats_.ifetch_blocks;
-      const Cycle done = mem_.inst_fetch(id_, ifetch_addr, now);
-      if (done > now + 1) fetch_stall_until_ = done;  // I-miss stall
-    }
-
-    // Branch-light dispatch: instruction kinds are uniformly random, so
-    // a 4-way switch on them is a steady stream of branch mispredicts on
-    // the host.  One memory-vs-not test (the only unpredictable branch)
-    // plus flag arithmetic on the SoA batch code covers all four kinds;
-    // the mispredict branch is rare enough to stay a branch.
-    if (ibuf_pos_ == ibuf_len_) {
-      ibuf_len_ = static_cast<std::uint32_t>(
-          stream_.fill_batch(icode_.data(), iaddr_.data(), kFetchBatch));
-      SNUG_ENSURE(ibuf_len_ > 0 && ibuf_len_ <= kFetchBatch);
-      ibuf_pos_ = 0;
-    }
-    const std::uint8_t code = icode_[ibuf_pos_];
-    RobEntry entry;
-    entry.done_at = now + 1;
-    if ((code >> 1) == 1) {  // kLoad or kStore
-      const bool is_write = code & 1;
-      stats_.loads += !is_write;
-      stats_.stores += is_write;
-      entry.is_mem = true;
-      ++lsq_used_;
-      const Cycle completion =
-          mem_.data_access(id_, iaddr_[ibuf_pos_], is_write, now);
-      // Port contract (completion > now): a per-instruction hot-path
-      // precondition — checked in dev builds, compiled out in the
-      // measurement configurations (common/require.hpp).
-      SNUG_REQUIRE(completion > now);
-      // Stores update cache state and consume bandwidth but commit
-      // without waiting for the line (store-buffer semantics); loads
-      // occupy their ROB entry until the data arrives.
-      if (!is_write) entry.done_at = completion;
-    } else {
-      stats_.branches += (code & 7) == 1;
-      if (code & trace::kInstrMispredictBit) {
-        ++stats_.mispredicts;
-        fetch_stall_until_ = now + cfg_.branch_penalty;
-      }
-    }
-    ++ibuf_pos_;
-    std::uint32_t tail = rob_head_ + rob_size_;
-    if (tail >= rob_entries) tail -= rob_entries;
-    rob[tail] = entry;
-    ++rob_size_;
   }
 
   CoreId id_;
@@ -524,7 +396,7 @@ class Core {
   std::uint32_t ibuf_pos_ = 0;
   std::uint32_t ibuf_len_ = 0;
 
-  // Parked shared-state event (see step_masked): the half-dispatched
+  // Parked shared-state event (see step): the half-dispatched
   // instruction waiting for its (cycle, core) sweep slot.
   enum class Pending : std::uint8_t { kNone, kData, kIfetch };
   Pending pending_ = Pending::kNone;

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/str.hpp"
 #include "sim/journal.hpp"
-#include "sim/lane_engine.hpp"
 
 namespace snug::sim {
 
@@ -129,9 +128,8 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   std::size_t done = 0;
 
   // Shared post-result bookkeeping: journal checkpoint, progress hook,
-  // per-combo countdown, combo-completion hook.  Identical for the
-  // scalar and lane paths so the two engines are interchangeable
-  // downstream.
+  // per-combo countdown, combo-completion hook — for simulated and
+  // journal-replayed cells alike.
   const auto finish_task = [&](std::size_t i) {
     const std::size_t c = i / n_schemes;
     const auto& combo = combos[c];
@@ -207,67 +205,20 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     ~LabelGuard() { exec.task_label = nullptr; }
   } label_guard{exec_};
 
-  if (const std::uint32_t lanes = runner_.scale().lanes; lanes > 1) {
-    // Lane-parallel path: the executor's work items are lane-group
-    // plans, each running its points in lockstep through one
-    // LaneGroup (sim/lane_engine.hpp).  plan_lane_groups chunks
-    // scheme-major — a group's lanes share the scheme and differ only
-    // in workload combo (seed / rotated variant) — and plans carry the
-    // same combo-major task indices as the scalar path, so slot
-    // layout, progress accounting and per-combo completion are
-    // untouched.
-    const std::vector<LaneGroupPlan> plans =
-        plan_lane_groups(combos.size(), n_schemes, lanes);
-    exec_.task_label = [&](std::size_t p) {
-      std::string label = strf("(group of %zu:", plans[p].tasks.size());
-      for (const std::size_t i : plans[p].tasks) {
-        // Appended in two steps: GCC 12's -O3 restrict checker flags
-        // the `" " + cell_label(i)` temporary as a false positive.
-        label += ' ';
-        label += cell_label(i);
-      }
-      label += ')';
-      return label;
-    };
-    exec_.run_indexed(plans.size(), [&](std::size_t p) {
-      const LaneGroupPlan& plan = plans[p];
-      // Journal-replayed cells drop out of the group; shrinking a group
-      // cannot change results (lane ≡ scalar is pinned bit-identical).
-      std::vector<std::size_t> tasks;
-      tasks.reserve(plan.tasks.size());
-      for (const std::size_t i : plan.tasks) {
-        if (pending[i]) tasks.push_back(i);
-      }
-      if (tasks.empty()) return;
-      std::vector<ExperimentRunner::GroupPoint> points;
-      points.reserve(tasks.size());
-      for (const std::size_t i : tasks) {
-        points.push_back(
-            {combos[i / n_schemes], spec.schemes[i % n_schemes]});
-      }
-      std::vector<RunResult> group;
-      with_retry([&] { group = runner_.run_group(points); });
-      for (std::size_t l = 0; l < tasks.size(); ++l) {
-        slots[tasks[l]] = std::move(group[l]);
-        finish_task(tasks[l]);
-      }
-    });
-  } else {
-    std::vector<std::size_t> todo;
-    todo.reserve(n_tasks);
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      if (pending[i]) todo.push_back(i);
-    }
-    exec_.task_label = [&](std::size_t t) { return cell_label(todo[t]); };
-    exec_.run_indexed(todo.size(), [&](std::size_t t) {
-      const std::size_t i = todo[t];
-      with_retry([&] {
-        slots[i] = runner_.run(combos[i / n_schemes],
-                               spec.schemes[i % n_schemes]);
-      });
-      finish_task(i);
-    });
+  std::vector<std::size_t> todo;
+  todo.reserve(n_tasks);
+  for (std::size_t i = 0; i < n_tasks; ++i) {
+    if (pending[i]) todo.push_back(i);
   }
+  exec_.task_label = [&](std::size_t t) { return cell_label(todo[t]); };
+  exec_.run_indexed(todo.size(), [&](std::size_t t) {
+    const std::size_t i = todo[t];
+    with_retry([&] {
+      slots[i] = runner_.run(combos[i / n_schemes],
+                             spec.schemes[i % n_schemes]);
+    });
+    finish_task(i);
+  });
   stats_.retries = retries.load(std::memory_order_relaxed);
   stats_.watchdog_flags = exec_.watchdog_flagged() - flags_before;
   if (journal) {

@@ -122,14 +122,6 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
   if (scale.warmup_mode == WarmupMode::kFunctional) {
     descriptor += "|wmode=f";
   }
-  // Lane width: W > 1 is proven bit-identical to scalar (lane
-  // equivalence tests), but the suffix keeps non-default widths in a
-  // separate cache lineage so a regression in that proof can never
-  // silently poison results cached by the scalar engine.  lanes=1 keeps
-  // the pre-knob fingerprint (golden fig9 hashes included).
-  if (scale.lanes != 1) {
-    descriptor += strf("|lanes=%u", scale.lanes);
-  }
   return Rng::derive_seed(descriptor);
 }
 

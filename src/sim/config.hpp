@@ -55,19 +55,9 @@ struct RunScale {
   Cycle measure_cycles = 7'500'000;
   std::uint64_t phase_period_refs = 80'000;
   WarmupMode warmup_mode = WarmupMode::kTiming;
-  /// Lane width for the lane-parallel campaign engine (scenario knob
-  /// `lanes=`, accepted widths {1, 2, 4, 8}).  1 (default) is the scalar
-  /// engine and keeps fingerprints — and therefore eval-cache entries
-  /// and the golden figure hashes — unchanged; W > 1 packs W campaign
-  /// points per worker through the masked stepping path
-  /// (sim/lane_engine.hpp).  Lane results are bit-identical to scalar
-  /// runs, but the fingerprint still covers non-default widths so a
-  /// regression in that guarantee can never silently poison a shared
-  /// cache.
-  std::uint32_t lanes = 1;
 
   /// Multiplies every time-like length by `factor` (used for
-  /// --full-scale); the lane width is not a length and is untouched.
+  /// --full-scale).
   void scale_by(std::uint64_t factor);
 };
 

@@ -90,7 +90,9 @@ void ParallelExecutor::watchdog_scan() {
     if (i == WorkerClaim::kIdle) continue;
     const std::uint64_t start =
         claims_[w].start_ns.load(std::memory_order_relaxed);
-    if (now - start < deadline_ns) continue;
+    // A claim made after `now` was read is fresh, not wedged (and would
+    // underflow the age below).
+    if (start > now || now - start < deadline_ns) continue;
     if (flagged_start_[w] == start) continue;  // already dumped this claim
     flagged_start_[w] = start;
     watchdog_flagged_.fetch_add(1, std::memory_order_relaxed);

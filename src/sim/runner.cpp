@@ -10,7 +10,6 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/str.hpp"
-#include "sim/lane_engine.hpp"
 #include "sim/store_recovery.hpp"
 
 namespace snug::sim {
@@ -289,84 +288,6 @@ RunResult ExperimentRunner::run(const trace::WorkloadCombo& combo,
 
   cache_.store(key, fp, result.ipc);
   return result;
-}
-
-std::vector<RunResult> ExperimentRunner::run_group(
-    const std::vector<GroupPoint>& points) {
-  SNUG_REQUIRE(!points.empty());
-  std::vector<RunResult> results(points.size());
-  if (points.size() == 1) {
-    results[0] = run(points[0].combo, points[0].spec);
-    return results;
-  }
-
-  // Serve cache-resident points first; only misses become lanes.
-  std::vector<std::size_t> live;
-  std::vector<std::uint64_t> fps(points.size());
-  std::vector<std::string> keys(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    fps[i] = run_fingerprint(cfg_, scale_, points[i].combo, points[i].spec);
-    keys[i] = cache_key(points[i].combo, points[i].spec, fps[i]);
-    if (cache_.load(keys[i], fps[i], results[i].ipc)) {
-      results[i].cached = true;
-    } else {
-      live.push_back(i);
-    }
-    if (on_progress) {
-      const std::lock_guard<std::mutex> lock(progress_mu_);
-      on_progress(points[i].combo.name, points[i].spec.id(),
-                  results[i].cached);
-    }
-  }
-  if (live.empty()) return results;
-  for (const std::size_t i : live) {
-    fault::maybe_fail_task(points[i].combo.name + "/" +
-                           points[i].spec.id());
-  }
-
-  // Build the surviving points as lanes.  A group shrunk to one live
-  // lane still goes through the (width-1) lane path: step_masked is
-  // bit-identical to step, so the result cannot differ — only the
-  // scheduling bookkeeping would.
-  LaneGroup group;
-  for (const std::size_t i : live) {
-    group.add_lane(std::make_unique<CmpSystem>(cfg_, points[i].spec,
-                                               points[i].combo, scale_));
-  }
-
-  // Warm-up: the functional path is inherently per-lane (bank probe,
-  // fast-forward, bank store — same sequence as run()); the timing path
-  // warms the whole group through the lane engine.
-  if (scale_.warmup_mode == WarmupMode::kFunctional) {
-    for (std::size_t l = 0; l < live.size(); ++l) {
-      const GroupPoint& pt = points[live[l]];
-      const std::uint64_t wfp =
-          warm_fingerprint(cfg_, scale_, pt.combo, pt.spec);
-      const std::string wkey = warm_key(pt.combo, pt.spec, wfp);
-      std::vector<std::byte> blob;
-      if (warm_bank_.load(wkey, wfp, blob)) {
-        group.lane(l).load_warm_state(blob);
-        results[live[l]].warm_banked = true;
-      } else {
-        group.lane(l).warm_functional(scale_.warmup_cycles);
-        warm_bank_.store(wkey, wfp, group.lane(l).save_warm_state());
-      }
-    }
-  } else {
-    group.run(scale_.warmup_cycles);
-  }
-
-  for (std::size_t l = 0; l < live.size(); ++l) {
-    group.lane(l).begin_measurement();
-  }
-  group.run(scale_.measure_cycles);
-  for (std::size_t l = 0; l < live.size(); ++l) {
-    const std::size_t i = live[l];
-    results[i].ipc = group.lane(l).measured_ipc();
-    for (const double v : results[i].ipc) SNUG_ENSURE(v > 0.0);
-    cache_.store(keys[i], fps[i], results[i].ipc);
-  }
-  return results;
 }
 
 void ExperimentRunner::seed_cache(const trace::WorkloadCombo& combo,

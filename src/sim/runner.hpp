@@ -184,22 +184,6 @@ class ExperimentRunner {
   RunResult run(const trace::WorkloadCombo& combo,
                 const schemes::SchemeSpec& spec);
 
-  /// One lane-group point: a (combo, scheme) task.
-  struct GroupPoint {
-    trace::WorkloadCombo combo;
-    schemes::SchemeSpec spec;
-  };
-
-  /// Runs several points as one lane group (sim/lane_engine.hpp):
-  /// cache-resident points are served immediately, the remaining points
-  /// are built as independent lanes of one LaneGroup and advanced in
-  /// lockstep through the masked stepping path.  Results — IPC vectors,
-  /// cache entries, warm-bank traffic — are bit-identical to calling
-  /// run() per point (lane equivalence is pinned per scheme by
-  /// tests/sim/lane_equivalence_test.cpp); only host throughput
-  /// differs.  Thread-safe like run().
-  std::vector<RunResult> run_group(const std::vector<GroupPoint>& points);
-
   /// Re-publishes a known-good result into the eval cache — the exact
   /// store run() would have performed.  Used by campaign journal replay
   /// (sim/journal.hpp) so a resumed campaign reproduces the

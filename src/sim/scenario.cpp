@@ -198,11 +198,6 @@ std::string ScenarioSpec::validate() const {
     return strf("monitor-sample=%u is out of range (1..%u)", monitor_sample,
                 1U << 20);
   }
-  if (scale.lanes != 1 && scale.lanes != 2 && scale.lanes != 4 &&
-      scale.lanes != 8) {
-    return strf("lanes=%u is not a supported lane width (1, 2, 4 or 8)",
-                scale.lanes);
-  }
   if (scale.warmup_cycles == 0 || scale.measure_cycles == 0 ||
       scale.phase_period_refs == 0) {
     return "warmup-cycles, measure-cycles and phase-refs must be >= 1";
@@ -318,9 +313,6 @@ std::string ScenarioSpec::spec_string() const {
   if (monitor_sample != 1) {
     out += strf(" monitor-sample=%u", monitor_sample);
   }
-  if (scale.lanes != 1) {
-    out += strf(" lanes=%u", scale.lanes);
-  }
   if (workload.kind == WorkloadSpec::Kind::kPattern) {
     out += strf(" variants=%u", workload.variants);
   }
@@ -406,8 +398,6 @@ bool parse_scenario(const std::string& text, const ScenarioSpec& base,
       if (!set_u64(spec.dram_latency)) return false;
     } else if (key == "monitor-sample") {
       if (!set_u32(spec.monitor_sample)) return false;
-    } else if (key == "lanes") {
-      if (!set_u32(spec.scale.lanes)) return false;
     } else if (key == "workload") {
       // Directives are order free: a variants= seen before workload=
       // must survive the workload reset.

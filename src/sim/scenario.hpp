@@ -24,11 +24,6 @@
 //   dram-latency=<cycles>
 //   monitor-sample=<n>    1-in-N SNUG/DSR monitor event sampling
 //                         (default 1 = exact)
-//   lanes=<w>             lane-parallel campaign width, 1|2|4|8 (default
-//                         1 = scalar engine; W > 1 packs W points per
-//                         campaign worker through the masked stepping
-//                         path — bit-identical results, see
-//                         sim/lane_engine.hpp)
 //   workload=paper        all 21 Table-8 combos (4-core only)
 //   workload=class<1..6>  one Table-8 class (4-core only)
 //   workload=<pattern>    generated mix, e.g. 2A+1B+1C (any core count

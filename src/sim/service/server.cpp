@@ -656,21 +656,32 @@ void CampaignServer::handle_ring_op(RingOp* op) {
     tq.parts.push_back(build_part(item, /*allow_refresh=*/true));
   }
   parts_total_.fetch_add(op->query.items.size(), std::memory_order_relaxed);
+  // The op needs the backlog when a cell of an answerable part missed
+  // the index — even if a worker finishes that cell before the collect
+  // below, so the ring counters never depend on thread timing.
+  bool needs_backlog = false;
   for (const TrackedPart& part : tq.parts) {
     if (part.status == AnswerStatus::kError) {
       parts_rejected_.fetch_add(1, std::memory_order_relaxed);
     } else if (part.status == AnswerStatus::kRetryAfter) {
       parts_shed_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      for (const TrackedCell& cell : part.cells) {
+        needs_backlog |= !cell.resolved;
+      }
     }
   }
   // The warm path: everything resolved from the index — complete in
-  // memory right here, microseconds after the push.
+  // memory right here, microseconds after the push.  Ring counters are
+  // bumped before the op can complete: its client may read stats() the
+  // moment it wakes, and this thread is never joined by request_stop().
+  std::atomic<std::uint64_t>& tier =
+      needs_backlog ? ring_backlogged_ : ring_inline_answers_;
   ServiceBatchAnswer a;
   if (collect_answer(tq, a)) {
-    if (finish_tracked(tq, a)) {
-      ring_inline_answers_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    tier.fetch_add(1, std::memory_order_relaxed);
+    if (finish_tracked(tq, a)) return;
+    tier.fetch_sub(1, std::memory_order_relaxed);
     // op->publish answer file failed (fault plan): fall through to
     // tracking — the publish() pass retries under a fresh temp.
   }
@@ -680,9 +691,9 @@ void CampaignServer::handle_ring_op(RingOp* op) {
       fail_ring_op(op, "duplicate query id already in flight");
       return;
     }
+    ring_backlogged_.fetch_add(1, std::memory_order_relaxed);
     tracked_[tq.id] = std::move(tq);
   }
-  ring_backlogged_.fetch_add(1, std::memory_order_relaxed);
   wake_cv_.notify_all();
 }
 
@@ -731,12 +742,15 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
       (void)lease_.heartbeat(cell.fp, wid, now_ms());
       const RunResult r = item.runner->run(item.combo, item.scheme);
       (void)lease_.heartbeat(cell.fp, wid, now_ms());
+      // Keep the index warm without waiting for an epoch rescan.  It
+      // goes in before complete() makes the cell answerable, so a client
+      // repeating a just-answered query always finds it resident (a
+      // straggler's insert is a no-op: same fp, same IPCs).
+      index_.insert(cell.fp, r.ipc);
       // complete() is the dedup point: a straggler whose lease expired
       // mid-run may land after its replacement — only the first sticks.
-      if (backlog_.complete(cell.fp, r.ipc)) {
-        cells_simulated_.fetch_add(1, std::memory_order_relaxed);
-        // Keep the index warm without waiting for an epoch rescan.
-        index_.insert(cell.fp, r.ipc);
+      if (backlog_.complete(cell.fp, r.ipc) && cfg_.on_cell_completed) {
+        cfg_.on_cell_completed();
       }
       return;
     } catch (const fault::TransientError& e) {
@@ -764,12 +778,15 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
   s.queries_shed = queries_shed_.load(std::memory_order_relaxed);
   s.cells_from_cache = cells_from_cache_.load(std::memory_order_relaxed);
-  s.cells_simulated = cells_simulated_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.leases_expired = leases_expired_.load(std::memory_order_relaxed);
   s.reassignments = reassignments_.load(std::memory_order_relaxed);
   s.publish_failures = publish_failures_.load(std::memory_order_relaxed);
   s.backlog = backlog_.counters();
+  // Workers complete cells only after simulating them, and the backlog
+  // counts a completion under the same lock that makes the cell
+  // answerable — so a client holding an answer always sees its cell.
+  s.cells_simulated = s.backlog.completed;
   s.leases = lease_.counters();
   s.journal_replayed = backlog_.journal_replayed();
   s.journal_stale_reaped = backlog_.journal_stale_reaped();

@@ -59,6 +59,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -93,6 +94,11 @@ struct ServiceConfig {
   std::size_t ring_capacity = 1024;    ///< SubmitRing slots (power of two)
   RetryPolicy retry;                ///< TransientError retry/backoff
   bool verbose = false;             ///< supervision log lines to stderr
+  /// Test seam: runs on the worker thread right after a simulated cell
+  /// is completed and journaled, before the worker claims its next
+  /// cell.  Lets a test stop a server at an exact backlog position
+  /// instead of sleep-polling its stats.  Unset in production.
+  std::function<void()> on_cell_completed;
 };
 
 /// Bound on retained answer files: on open, acked answers (no matching
@@ -108,7 +114,7 @@ class CampaignServer {
     std::uint64_t queries_rejected = 0;  ///< malformed — status=error
     std::uint64_t queries_shed = 0;      ///< admission — status=retry-after
     std::uint64_t cells_from_cache = 0;  ///< index hit path, no simulation
-    std::uint64_t cells_simulated = 0;
+    std::uint64_t cells_simulated = 0;   ///< == backlog.completed
     std::uint64_t retries = 0;           ///< TransientError re-attempts
     std::uint64_t leases_expired = 0;
     std::uint64_t reassignments = 0;     ///< expiries requeued
@@ -127,8 +133,8 @@ class CampaignServer {
     std::uint64_t parts_rejected = 0;    ///< per-part status=error at ingest
     std::uint64_t parts_shed = 0;        ///< per-part admission sheds
     std::uint64_t ring_submits = 0;      ///< ops popped off the ring
-    std::uint64_t ring_inline_answers = 0;  ///< completed at drain, no backlog
-    std::uint64_t ring_backlogged = 0;   ///< ring ops that needed simulation
+    std::uint64_t ring_inline_answers = 0;  ///< every cell from the index
+    std::uint64_t ring_backlogged = 0;   ///< a cell missed the index
     std::uint64_t answers_reaped = 0;       ///< acked answers GC'd at open
     std::uint64_t answer_temps_reaped = 0;  ///< dead writers' answer temps
     std::uint64_t submit_scans_skipped = 0;  ///< epoch-gated poller skips
@@ -282,7 +288,6 @@ class CampaignServer {
   bool submit_force_rescan_ = false;
 
   std::atomic<std::uint64_t> cells_from_cache_{0};
-  std::atomic<std::uint64_t> cells_simulated_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> leases_expired_{0};
   std::atomic<std::uint64_t> reassignments_{0};

@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include <array>
+#include <type_traits>
 
 #include "common/require.hpp"
 #include "common/state_io.hpp"
@@ -63,12 +64,7 @@ void CmpSystem::build(const schemes::SchemeSpec& spec,
   core_wake_.assign(cfg.num_cores, 0);
 }
 
-void CmpSystem::run(Cycle cycles) { run_impl<false>(cycles); }
-
-void CmpSystem::run_masked(Cycle cycles) { run_impl<true>(cycles); }
-
-template <bool kMasked>
-void CmpSystem::run_impl(Cycle cycles) {
+void CmpSystem::run(Cycle cycles) {
   // Event-skipping loop: a core is stepped only at cycles where it can
   // change state (Core::step returns the next such cycle), the scheme's
   // tick is consulted only when it declares periodic work, and the
@@ -77,8 +73,11 @@ void CmpSystem::run_impl(Cycle cycles) {
   // to the earliest pending event, clamped to the next scheme epoch
   // boundary and the next WBB drain so boundary callbacks and drains
   // fire at exactly the same cycles as under per-cycle stepping — the
-  // simulated behaviour is identical to the former for(;;++now_) loop,
-  // cycle for cycle.
+  // simulated behaviour is identical to a for(;;++now_) loop that steps
+  // every core every cycle, cycle for cycle.  Each core free-runs up to
+  // `end` (see Core::step); a core parked at a shared-state event wakes
+  // at that event's cycle like any other, so no park outlives the
+  // window.
   const Cycle end = now_ + cycles;
   schemes::L2Scheme* const scheme = scheme_.get();
   Cycle boundary = scheme->has_periodic_work()
@@ -94,51 +93,22 @@ void CmpSystem::run_impl(Cycle cycles) {
   for (const auto& c : cores_) core_ptrs.push_back(c.get());
   cpu::Core<CmpSystem>* const* const cores = core_ptrs.data();
   Cycle* const wake = core_wake_.data();
-  // The per-core "due?" test is taken with each core's own sleep/burst
-  // pattern; fully unrolling the scan for the common power-of-two core
-  // counts gives every core a distinct branch site (predicted on its own
-  // history) instead of one shared, constantly-mispredicting slot.
-  const auto sweep = [&]<std::size_t kCores>(
-                         std::integral_constant<std::size_t, kCores>) {
+  // `count` is a std::integral_constant for the common power-of-two
+  // core counts and a plain std::size_t otherwise.  The per-core "due?"
+  // test is taken with each core's own sleep/burst pattern; a
+  // compile-time count lets the scan unroll fully, giving every core a
+  // distinct branch site (predicted on its own history) instead of one
+  // shared, constantly-mispredicting slot.
+  const auto sweep = [&](auto count) {
+    const std::size_t n = count;
     while (now_ < end) {
       // Retire due write-back-buffer entries before any core observes
-      // the buffers at this cycle (the pre-event-horizon code ticked
-      // them at the top of every scheme access instead).
+      // the buffers at this cycle.
       if (now_ >= scheme->next_drain_cycle()) scheme->drain(now_);
       Cycle next = end;
 #pragma GCC unroll 16
-      for (std::size_t c = 0; c < kCores; ++c) {
-        if (wake[c] <= now_) {
-          if constexpr (kMasked) {
-            wake[c] = cores[c]->step_masked(now_, end);
-          } else {
-            wake[c] = cores[c]->step(now_);
-          }
-        }
-        next = wake[c] < next ? wake[c] : next;
-      }
-      if (now_ >= boundary) {
-        scheme->tick(now_);
-        boundary = scheme->next_tick_cycle();
-      }
-      if (boundary < next) next = boundary;
-      const Cycle drain = scheme->next_drain_cycle();
-      if (drain < next) next = drain;
-      now_ = next > now_ ? next : now_ + 1;
-    }
-  };
-  const auto sweep_dynamic = [&](std::size_t n) {
-    while (now_ < end) {
-      if (now_ >= scheme->next_drain_cycle()) scheme->drain(now_);
-      Cycle next = end;
       for (std::size_t c = 0; c < n; ++c) {
-        if (wake[c] <= now_) {
-          if constexpr (kMasked) {
-            wake[c] = cores[c]->step_masked(now_, end);
-          } else {
-            wake[c] = cores[c]->step(now_);
-          }
-        }
+        if (wake[c] <= now_) wake[c] = cores[c]->step(now_, end);
         next = wake[c] < next ? wake[c] : next;
       }
       if (now_ >= boundary) {
@@ -165,7 +135,7 @@ void CmpSystem::run_impl(Cycle cycles) {
       sweep(std::integral_constant<std::size_t, 16>{});
       break;
     default:
-      sweep_dynamic(num_cores);
+      sweep(num_cores);
       break;
   }
   // Close the window for the stall statistics: cores that slept through

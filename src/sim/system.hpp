@@ -1,6 +1,6 @@
 // CmpSystem — the assembled N-core machine: cores, private L1I/L1D, an
 // L2 organisation (scheme), the snoop bus and DRAM, driven by synthetic
-// instruction streams.  Implements cpu::MemoryPort: every L1 miss is
+// instruction streams.  It is the cores' memory port: every L1 miss is
 // routed through the scheme, which updates all state synchronously and
 // returns the completion cycle.
 #pragma once
@@ -17,7 +17,7 @@
 
 namespace snug::sim {
 
-class CmpSystem final : public cpu::MemoryPort {
+class CmpSystem final {
  public:
   CmpSystem(const SystemConfig& cfg, const schemes::SchemeSpec& spec,
             const trace::WorkloadCombo& combo, const RunScale& scale);
@@ -26,19 +26,13 @@ class CmpSystem final : public cpu::MemoryPort {
   CmpSystem(const ScenarioSpec& scenario, const schemes::SchemeSpec& spec,
             const trace::WorkloadCombo& combo);
 
-  /// Advances the machine by `cycles` core cycles.
+  /// Advances the machine by `cycles` core cycles.  Cores free-run
+  /// (cpu::Core::step): each simulates ahead through its core-local work
+  /// — plain instructions, L1 hits, retirement — in one call, parking at
+  /// shared-state events (L1 misses) so those still execute in exact
+  /// global (cycle, core) order.  Resumable: no park survives a window,
+  /// so run(a) + run(b) is bit-identical to run(a + b).
   void run(Cycle cycles);
-
-  /// run() with free-running cores (cpu::Core::step_masked): each core
-  /// simulates ahead through its core-local work — plain instructions,
-  /// L1 hits, retirement — in one call, parking at shared-state events
-  /// (L1 misses) so those still execute in exact global (cycle, core)
-  /// order.  The simulated state evolution is bit-identical to run();
-  /// only the host-side scheduling differs.  The lane engine
-  /// (sim/lane_engine.hpp) uses this for its lane quanta; run() and
-  /// run_masked() may be interleaved freely on one machine (no park
-  /// survives a run window).
-  void run_masked(Cycle cycles);
 
   /// Functional fast-forward warm-up (warmup-mode=functional): drives
   /// the same instruction streams through the same L1/L2/scheme *state*
@@ -75,15 +69,15 @@ class CmpSystem final : public cpu::MemoryPort {
   /// pipeline (stats/counters.hpp).
   [[nodiscard]] stats::CounterReport counter_report() const;
 
-  // cpu::MemoryPort, split into a core-local probe and a shared-state
-  // miss half.  The split serves the free-running lane path
-  // (cpu::Core::step_masked): the probe touches only the calling core's
+  // The cores' memory port, split into a core-local probe and a
+  // shared-state miss half.  The split serves the free-running core
+  // step (cpu::Core::step): the probe touches only the calling core's
   // L1 — rank updates, dirty marks, hit/miss counters — so a core may
   // issue it while running ahead of the global clock, and park before
   // the miss half, which reaches the scheme/bus/DRAM and must happen in
   // global (cycle, core) order.  data_access/inst_fetch compose the two
-  // halves verbatim, so the scalar path is bit-identical by
-  // construction.  All defined inline: these calls are the boundary
+  // halves for callers outside the core model (functional warm-up,
+  // hot-path bench).  All defined inline: these calls are the boundary
   // between the core model and the memory hierarchy — every simulated
   // load, store and ifetch crosses it, and the L1-hit fast path below
   // must fold into the caller rather than pay a cross-TU call.
@@ -117,13 +111,12 @@ class CmpSystem final : public cpu::MemoryPort {
     return completion > now ? completion : now + 1;
   }
 
-  Cycle data_access(CoreId core, Addr addr, bool is_write,
-                    Cycle now) override {
+  Cycle data_access(CoreId core, Addr addr, bool is_write, Cycle now) {
     if (probe_data(core, addr, is_write)) return now + 1;
     return miss_data(core, addr, is_write, now);
   }
 
-  Cycle inst_fetch(CoreId core, Addr addr, Cycle now) override {
+  Cycle inst_fetch(CoreId core, Addr addr, Cycle now) {
     if (probe_inst(core, addr)) return now + 1;
     return miss_inst(core, addr, now);
   }
@@ -142,9 +135,6 @@ class CmpSystem final : public cpu::MemoryPort {
   void build(const schemes::SchemeSpec& spec,
              const trace::WorkloadCombo& combo, const RunScale& scale);
 
-  template <bool kMasked>
-  void run_impl(Cycle cycles);
-
   SystemConfig cfg_;
   std::unique_ptr<bus::SnoopBus> bus_;
   std::unique_ptr<dram::DramModel> dram_;
@@ -154,8 +144,8 @@ class CmpSystem final : public cpu::MemoryPort {
   std::vector<cache::SetAssocCache> l1i_;
   std::vector<cache::SetAssocCache> l1d_;
   std::vector<std::unique_ptr<trace::SyntheticStream>> streams_;
-  // Cores are sealed against this (final) system: the per-instruction
-  // data_access/inst_fetch calls devirtualise and inline.
+  // Cores are templated on this system: the per-instruction probe/miss
+  // calls are direct and inline.
   std::vector<std::unique_ptr<cpu::Core<CmpSystem>>> cores_;
   // Per-core next-event cycle: run() skips a core while now_ is below its
   // wake cycle instead of re-entering a no-op step() every cycle.

@@ -162,8 +162,6 @@ std::uint64_t warm_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   //     shadow DRAM and never inserts into a write-back buffer
   //     (PrivateSchemeBase, save_warm_state asserts the WBBs are empty);
   //   * measure_cycles — the prefix ends at the measurement boundary;
-  //   * the lane width — lanes are host-side scheduling of bit-identical
-  //     state evolution, and the functional path is per-lane anyway;
   //   * the core's LSQ depth — the functional cursor replays ROB
   //     back-pressure only;
   //   * another scheme's knobs — SNUG's monitor/epoch/flip block and

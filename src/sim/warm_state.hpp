@@ -105,8 +105,8 @@ class WarmStateBank {
 /// phase_period_refs, warmup_mode, the workload combo and the scheme
 /// spec — salted with the bank format version.  Knobs the warm-up
 /// provably never consults stay out: measure_cycles, the WBB config
-/// (functional warm-up keeps the buffers empty), the lane width, and
-/// other schemes' ablation knobs — so e.g. every CC(x%) point shares
+/// (functional warm-up keeps the buffers empty), and other schemes'
+/// ablation knobs — so e.g. every CC(x%) point shares
 /// its checkpoint across `monitor-sample=` or measurement-length
 /// changes, while L2P/L2S/SNUG/DSR and distinct CC thresholds stay
 /// distinct (the scheme id is part of the key, and different spill

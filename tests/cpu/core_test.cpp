@@ -27,16 +27,20 @@ class ScriptedStream final : public trace::InstrStream {
   std::size_t pos_ = 0;
 };
 
-/// Memory with a programmable flat latency; records requests.
-class FlatMemory final : public MemoryPort {
+/// Memory with a programmable flat latency; records requests.  Every
+/// L1 probe misses, so each access takes the shared-state miss half —
+/// the path a free-running core parks at.
+class FlatMemory {
  public:
   explicit FlatMemory(Cycle latency) : latency_(latency) {}
 
-  Cycle data_access(CoreId, Addr addr, bool is_write, Cycle now) override {
+  bool probe_data(CoreId, Addr, bool) { return false; }
+  Cycle miss_data(CoreId, Addr addr, bool is_write, Cycle now) {
     data_reqs.push_back({addr, is_write, now});
     return now + latency_;
   }
-  Cycle inst_fetch(CoreId, Addr addr, Cycle now) override {
+  bool probe_inst(CoreId, Addr) { return false; }
+  Cycle miss_inst(CoreId, Addr addr, Cycle now) {
     ifetches.push_back({addr, false, now});
     return now + ifetch_latency;
   }
@@ -71,7 +75,7 @@ TEST(Core, ComputeOnlyReachesIssueWidth) {
   ScriptedStream stream({});
   FlatMemory mem(1);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 1000; ++t) core.step(t);
+  for (Cycle t = 0; t < 1000; ++t) core.step(t, t + 1);
   // 2-wide core on pure compute: IPC ~ 2.
   EXPECT_NEAR(core.ipc(1000), 2.0, 0.1);
 }
@@ -83,7 +87,7 @@ TEST(Core, LongLoadStallsWhenRobFills) {
   ScriptedStream stream(script);
   FlatMemory mem(300);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 400; ++t) core.step(t);
+  for (Cycle t = 0; t < 400; ++t) core.step(t, t + 1);
   // Retired at most: before the load there were no instrs; the load
   // completes around cycle ~300; 8-entry ROB caps progress before that.
   EXPECT_LE(core.stats().retired, 8U + 200U);
@@ -97,7 +101,7 @@ TEST(Core, IndependentMissesOverlap) {
   ScriptedStream stream(script);
   FlatMemory mem(100);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 130; ++t) core.step(t);
+  for (Cycle t = 0; t < 130; ++t) core.step(t, t + 1);
   // Both loads issued in the first cycles and completed by ~t=110.
   ASSERT_EQ(mem.data_reqs.size(), 2U);
   EXPECT_LE(mem.data_reqs[1].at, 2U);
@@ -110,7 +114,7 @@ TEST(Core, StoresDoNotBlockRetirement) {
   ScriptedStream stream(script);
   FlatMemory mem(300);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 50; ++t) core.step(t);
+  for (Cycle t = 0; t < 50; ++t) core.step(t, t + 1);
   // The store retired long before its 300-cycle memory time.
   EXPECT_GT(core.stats().retired, 40U);
   EXPECT_EQ(core.stats().stores, 1U);
@@ -124,7 +128,7 @@ TEST(Core, MispredictStallsFetch) {
   ScriptedStream stream(mispredicts);
   FlatMemory mem(1);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 200; ++t) core.step(t);
+  for (Cycle t = 0; t < 200; ++t) core.step(t, t + 1);
   // Every mispredict costs the 3-cycle penalty: ~1 branch per 3 cycles.
   EXPECT_EQ(core.stats().mispredicts, 50U);
   EXPECT_GE(core.stats().branches, 50U);
@@ -135,7 +139,7 @@ TEST(Core, InstructionFetchPerBlock) {
   FlatMemory mem(1);
   CoreConfig cfg = small_cfg();
   Core core(0, cfg, stream, mem);
-  for (Cycle t = 0; t < 100; ++t) core.step(t);
+  for (Cycle t = 0; t < 100; ++t) core.step(t, t + 1);
   // One ifetch per 16 retired instructions (64 B / 4 B).
   const std::uint64_t expected = core.stats().retired / 16;
   EXPECT_NEAR(static_cast<double>(mem.ifetches.size()),
@@ -151,18 +155,20 @@ TEST(Core, SlowIfetchThrottlesDispatch) {
   Core fast(0, small_cfg(), fast_stream, fast_mem);
   Core slow(0, small_cfg(), slow_stream, slow_mem);
   for (Cycle t = 0; t < 500; ++t) {
-    fast.step(t);
-    slow.step(t);
+    fast.step(t, t + 1);
+    slow.step(t, t + 1);
   }
   EXPECT_LT(slow.stats().retired, fast.stats().retired / 2);
 }
 
 TEST(Core, EventSkipEquivalentToPerCycleStepping) {
-  // The contract behind CmpSystem::run's event skipping: stepping a core
-  // only at the wake cycles step() returns must produce exactly the same
-  // retirement, memory-request trace and stall statistics as stepping it
-  // every cycle.  The script mixes long loads (ROB/LSQ back-pressure),
-  // stores, mispredicting branches (fetch stalls) and computes.
+  // The contract behind CmpSystem::run: a core free-running to the end
+  // of its window — step(t, end), called only at the wake cycles it
+  // returns, parking at every miss — must produce exactly the same
+  // retirement, memory-request trace and stall statistics as stepping
+  // it one cycle at a time with step(t, t + 1).  The script mixes long
+  // loads (ROB/LSQ back-pressure), stores, mispredicting branches
+  // (fetch stalls) and computes.
   Rng rng(Rng::derive_seed("core-skip-equiv"));
   std::vector<trace::Instr> script;
   for (int i = 0; i < 20'000; ++i) {
@@ -201,9 +207,11 @@ TEST(Core, EventSkipEquivalentToPerCycleStepping) {
       ref.reset_stats(kReset);
       skip.reset_stats(kReset);
     }
-    ref.step(t);  // per-cycle reference: ignore the wake hint
+    ref.step(t, t + 1);  // per-cycle reference: ignore the wake hint
     if (wake <= t) {
-      wake = skip.step(t);
+      // Free-run to the end of the current window, as CmpSystem::run
+      // does: the reset splits the run into two windows.
+      wake = skip.step(t, t < kReset ? kReset : kWindow);
       ASSERT_GT(wake, t);
       ++skip_steps;
     }
@@ -252,7 +260,7 @@ TEST(Core, ResetStatsClearsCounts) {
   ScriptedStream stream({});
   FlatMemory mem(1);
   Core core(0, small_cfg(), stream, mem);
-  for (Cycle t = 0; t < 10; ++t) core.step(t);
+  for (Cycle t = 0; t < 10; ++t) core.step(t, t + 1);
   core.reset_stats();
   EXPECT_EQ(core.stats().retired, 0U);
 }

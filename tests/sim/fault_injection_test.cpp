@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -364,14 +363,23 @@ TEST(FaultInjection, RetryGivesUpAfterMaxAttempts) {
 
 // ---- executor watchdog -------------------------------------------------
 
+// The wedged task in these tests stays wedged until the watchdog has
+// flagged it — an event, not a guessed sleep — so the flag can never be
+// missed however the host schedules the monitor thread.  The deadline
+// is long enough that the trivial second task cannot plausibly hold its
+// claim past it.
+constexpr std::uint64_t kWatchdogTestMs = 250;
+
+void wedge_until_flagged(const sim::ParallelExecutor& exec) {
+  while (exec.watchdog_flagged() == 0) std::this_thread::yield();
+}
+
 TEST(Watchdog, FlagsButNeverKillsAWedgedWorker) {
   sim::ParallelExecutor exec(2);
-  exec.watchdog_ms = 30;
+  exec.watchdog_ms = kWatchdogTestMs;
   std::atomic<int> completed{0};
   exec.run_indexed(2, [&](std::size_t i) {
-    if (i == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
+    if (i == 0) wedge_until_flagged(exec);
     completed.fetch_add(1);
   });
   // The slow task was flagged (possibly more than once is impossible:
@@ -382,15 +390,13 @@ TEST(Watchdog, FlagsButNeverKillsAWedgedWorker) {
 
 TEST(Watchdog, FlagLineNamesTheWedgedTask) {
   sim::ParallelExecutor exec(2);
-  exec.watchdog_ms = 30;
+  exec.watchdog_ms = kWatchdogTestMs;
   exec.task_label = [](std::size_t i) {
     return i == 0 ? std::string("mixB/CC(50%)") : std::string("fast");
   };
   testing::internal::CaptureStderr();
   exec.run_indexed(2, [&](std::size_t i) {
-    if (i == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
+    if (i == 0) wedge_until_flagged(exec);
   });
   const std::string err = testing::internal::GetCapturedStderr();
   // An operator reading the flag must learn WHICH cell wedged and for

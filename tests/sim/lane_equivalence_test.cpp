@@ -1,157 +1,107 @@
-// Lane-engine equivalence pins (ISSUE 7 acceptance): lane 0 of a
-// W-wide LaneGroup must be bit-identical to a scalar run of the same
-// point, for every scheme of the paper grid at 2/4/8 cores.  The
-// guarantee is structural — lanes share no state, CmpSystem::run is
-// resumable across window splits, and cpu::Core::step_masked performs
-// the exact state evolution of step — so these tests compare with ==,
-// no epsilon.
-#include "sim/lane_engine.hpp"
-
+// Engine-equivalence pins: CmpSystem::run has one engine — cores free-run
+// through cpu::Core::step to the end of the window, parking at L1 misses
+// so shared state is touched in global (cycle, core) order.  A window of
+// one cycle can free-run nowhere, so N calls of run(1) are the per-cycle
+// reference; run(N) must land in exactly the same machine state, for
+// every scheme of the paper grid, at every sweep shape (2/4/8/16 cores
+// take the unrolled sweep, 32 the runtime-count one).  The guarantee is
+// structural, so these tests compare with ==, no epsilon.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/str.hpp"
 #include "schemes/factory.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
+#include "stats/counters.hpp"
 
 namespace snug::sim {
 namespace {
 
-// Four rotated variants of one class mix: the replicated-evaluation
-// shape lane groups are built for (same scenario, shifted benchmark
-// assignment per lane).
-ScenarioSpec lane_scenario(std::uint32_t cores) {
+ScenarioSpec tiny_scenario(std::uint32_t cores) {
   ScenarioSpec spec;
   std::string error;
   const std::string text = strf(
-      "name=lane%uc cores=%u workload=1A+1C variants=4 "
-      "warmup-cycles=40000 measure-cycles=90000 phase-refs=50000",
+      "name=eq%uc cores=%u workload=1A+1C l2-kb=64 "
+      "warmup-cycles=12000 measure-cycles=18000 phase-refs=5000",
       cores, cores);
   EXPECT_TRUE(parse_scenario(text, spec, error)) << error;
   return spec;
 }
 
-std::vector<double> scalar_point(const ScenarioSpec& scn,
-                                 const schemes::SchemeSpec& scheme,
-                                 const trace::WorkloadCombo& combo) {
-  CmpSystem sys(scn, scheme, combo);
-  sys.run(scn.scale.warmup_cycles);
+/// The scenario's machine with SNUG/DSR epochs short enough that both
+/// windows cross several epoch boundaries (the sweep's tick clamp).
+CmpSystem build(const ScenarioSpec& scn, const schemes::SchemeSpec& scheme) {
+  SystemConfig cfg = scn.system_config();
+  cfg.scheme_ctx.snug.epochs = core::EpochConfig{4'000, 9'000};
+  cfg.scheme_ctx.dsr.epochs = cfg.scheme_ctx.snug.epochs;
+  return CmpSystem(cfg, scheme, scn.combos().front(), scn.scale);
+}
+
+struct Outcome {
+  Cycle now = 0;
+  std::vector<double> ipc;
+  std::string counters;
+};
+
+/// Warm-up window, measurement reset, measurement window — each window
+/// either in one run() call or one cycle per call.
+Outcome simulate(const ScenarioSpec& scn, const schemes::SchemeSpec& scheme,
+                 bool cycle_per_call) {
+  CmpSystem sys = build(scn, scheme);
+  const auto advance = [&](Cycle cycles) {
+    if (cycle_per_call) {
+      for (Cycle c = 0; c < cycles; ++c) sys.run(1);
+    } else {
+      sys.run(cycles);
+    }
+  };
+  advance(scn.scale.warmup_cycles);
   sys.begin_measurement();
-  sys.run(scn.scale.measure_cycles);
-  return sys.measured_ipc();
+  advance(scn.scale.measure_cycles);
+  return {sys.now(), sys.measured_ipc(),
+          stats::render_counter_report(sys.counter_report())};
 }
 
-std::vector<std::vector<double>> lane_group_point(
-    const ScenarioSpec& scn, const schemes::SchemeSpec& scheme,
-    const std::vector<trace::WorkloadCombo>& combos) {
-  LaneGroup group;
-  for (const auto& combo : combos) {
-    group.add_lane(std::make_unique<CmpSystem>(scn, scheme, combo));
-  }
-  group.run(scn.scale.warmup_cycles);
-  for (std::size_t l = 0; l < group.width(); ++l) {
-    group.lane(l).begin_measurement();
-  }
-  group.run(scn.scale.measure_cycles);
-  std::vector<std::vector<double>> out;
-  for (std::size_t l = 0; l < group.width(); ++l) {
-    out.push_back(group.lane(l).measured_ipc());
-  }
-  return out;
-}
-
-TEST(LaneEquivalence, Lane0BitIdenticalToScalarEverySchemeAndTopology) {
-  for (const std::uint32_t cores : {2U, 4U, 8U}) {
-    const ScenarioSpec scn = lane_scenario(cores);
-    const std::vector<trace::WorkloadCombo> combos = scn.combos();
-    ASSERT_EQ(combos.size(), 4U);
+TEST(EngineEquivalence, WholeWindowMatchesCyclePerCallEverySchemeAndTopology) {
+  for (const std::uint32_t cores : {2U, 4U, 8U, 16U, 32U}) {
+    const ScenarioSpec scn = tiny_scenario(cores);
     for (const auto& scheme : schemes::paper_scheme_grid()) {
       SCOPED_TRACE(strf("%uc / %s", cores, scheme.id().c_str()));
-      const std::vector<double> scalar =
-          scalar_point(scn, scheme, combos[0]);
-      const auto lanes = lane_group_point(scn, scheme, combos);
-      ASSERT_EQ(lanes[0].size(), scalar.size());
-      for (std::size_t i = 0; i < scalar.size(); ++i) {
-        EXPECT_EQ(lanes[0][i], scalar[i]) << "core " << i;
+      const Outcome window = simulate(scn, scheme, false);
+      const Outcome per_cycle = simulate(scn, scheme, true);
+      EXPECT_EQ(window.now, per_cycle.now);
+      ASSERT_EQ(window.ipc.size(), cores);
+      ASSERT_EQ(per_cycle.ipc.size(), cores);
+      for (std::size_t i = 0; i < cores; ++i) {
+        EXPECT_EQ(window.ipc[i], per_cycle.ipc[i]) << "core " << i;
       }
+      EXPECT_EQ(window.counters, per_cycle.counters);
     }
   }
 }
 
-// Stronger pin on one scheme: *every* lane — not just lane 0 — matches
-// its own scalar run (lanes are symmetric; lane 0 is not special).
-TEST(LaneEquivalence, EveryLaneMatchesItsScalarRun) {
-  const ScenarioSpec scn = lane_scenario(4);
-  const std::vector<trace::WorkloadCombo> combos = scn.combos();
-  const schemes::SchemeSpec snug{schemes::SchemeKind::kSNUG, 0.0};
-  const auto lanes = lane_group_point(scn, snug, combos);
-  for (std::size_t l = 0; l < combos.size(); ++l) {
-    const std::vector<double> scalar = scalar_point(scn, snug, combos[l]);
-    ASSERT_EQ(lanes[l].size(), scalar.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(lanes[l][i], scalar[i]) << "lane " << l << " core " << i;
-    }
-  }
-}
-
-// Interleaving run() and run_masked() on one machine — including window
-// splits that are not quantum-aligned — lands in the same state as one
-// scalar run: no park survives a run window, and run() is resumable
-// across arbitrary splits.
-TEST(LaneEquivalence, MixedScalarAndMaskedSteppingIsResumable) {
-  const ScenarioSpec scn = lane_scenario(4);
-  const trace::WorkloadCombo combo = scn.combos()[0];
+// Window splits that line up with nothing (10k windows against 4k/9k
+// epochs) land in the same state as one long run: no park survives a
+// run window, and run() is resumable across arbitrary splits.
+TEST(EngineEquivalence, OddWindowSplitsAreResumable) {
+  const ScenarioSpec scn = tiny_scenario(4);
   const schemes::SchemeSpec snug{schemes::SchemeKind::kSNUG, 0.0};
 
-  CmpSystem reference(scn, snug, combo);
+  CmpSystem reference = build(scn, snug);
   reference.run(130'000);
 
-  CmpSystem mixed(scn, snug, combo);
-  bool masked = false;
-  for (int i = 0; i < 13; ++i) {  // 10k windows, odd vs LaneGroup::kQuantum
-    if (masked) {
-      mixed.run_masked(10'000);
-    } else {
-      mixed.run(10'000);
-    }
-    masked = !masked;
-  }
+  CmpSystem split = build(scn, snug);
+  for (int i = 0; i < 13; ++i) split.run(10'000);
 
-  ASSERT_EQ(mixed.now(), reference.now());
-  const std::vector<double> a = mixed.measured_ipc();
+  ASSERT_EQ(split.now(), reference.now());
+  const std::vector<double> a = split.measured_ipc();
   const std::vector<double> b = reference.measured_ipc();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(LanePlanning, ScalarWidthYieldsOnePlanPerTask) {
-  const auto plans = plan_lane_groups(3, 2, 1);
-  ASSERT_EQ(plans.size(), 6U);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    ASSERT_EQ(plans[i].tasks.size(), 1U);
-    EXPECT_EQ(plans[i].tasks[0], i);
-  }
-}
-
-TEST(LanePlanning, SchemeMajorChunkingWithPartialAndScalarRemainder) {
-  // 7 combos x 2 schemes at W=4: per scheme, one full group of 4, one
-  // partial group of 3; task indices stay combo-major.
-  const auto plans = plan_lane_groups(7, 2, 4);
-  ASSERT_EQ(plans.size(), 4U);
-  EXPECT_EQ(plans[0].tasks, (std::vector<std::size_t>{0, 2, 4, 6}));
-  EXPECT_EQ(plans[1].tasks, (std::vector<std::size_t>{8, 10, 12}));
-  EXPECT_EQ(plans[2].tasks, (std::vector<std::size_t>{1, 3, 5, 7}));
-  EXPECT_EQ(plans[3].tasks, (std::vector<std::size_t>{9, 11, 13}));
-
-  // 5 combos at W=4 leaves a single leftover combo per scheme — a
-  // width-1 plan, which the runner executes on the scalar path.
-  const auto leftover = plan_lane_groups(5, 1, 4);
-  ASSERT_EQ(leftover.size(), 2U);
-  EXPECT_EQ(leftover[0].tasks, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(leftover[1].tasks, (std::vector<std::size_t>{4}));
+  EXPECT_EQ(stats::render_counter_report(split.counter_report()),
+            stats::render_counter_report(reference.counter_report()));
 }
 
 }  // namespace

@@ -292,43 +292,13 @@ TEST(Scenario, MonitorSampleKnob) {
   EXPECT_NE(error.find("monitor-sample"), std::string::npos);
 }
 
-TEST(Scenario, LanesKnob) {
-  // ISSUE 7: widths {1, 2, 4, 8} parse; anything else is rejected with
-  // a message naming the knob and the supported set.
+TEST(Scenario, LanesKnobIsGone) {
+  // The lane packer and its `lanes=` knob were removed; a stale spec
+  // naming it must fail loudly, not parse into a silent no-op.
   ScenarioSpec spec;
   std::string error;
-  for (const std::uint32_t w : {1U, 2U, 4U, 8U}) {
-    ASSERT_TRUE(parse_scenario(strf("lanes=%u", w), spec, error)) << error;
-    EXPECT_EQ(spec.scale.lanes, w);
-  }
-  for (const char* bad : {"lanes=0", "lanes=3", "lanes=16", "lanes=7"}) {
-    EXPECT_FALSE(parse_scenario(bad, spec, error)) << bad;
-    EXPECT_NE(error.find("lanes"), std::string::npos) << error;
-    EXPECT_NE(error.find("1, 2, 4 or 8"), std::string::npos) << error;
-  }
-
-  // The knob round-trips through the canonical spec string when
-  // non-default...
-  ASSERT_TRUE(parse_scenario("lanes=4", spec, error)) << error;
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(parse_scenario(spec.spec_string(), reparsed, error)) << error;
-  EXPECT_EQ(reparsed.scale.lanes, 4U);
-  // ...and is absent from default spec strings (golden round-trip pins).
-  EXPECT_EQ(ScenarioSpec::paper().spec_string().find("lanes"),
-            std::string::npos);
-
-  // Fingerprint: lanes=1 is the scalar engine and keeps the pre-knob
-  // fingerprint (eval-cache entries and golden figure hashes stay
-  // valid); any wider width gets its own cache lineage.
-  ASSERT_TRUE(parse_scenario("lanes=1", spec, error)) << error;
-  EXPECT_EQ(scenario_fingerprint(spec),
-            scenario_fingerprint(ScenarioSpec::paper()));
-  std::set<std::uint64_t> fps{scenario_fingerprint(ScenarioSpec::paper())};
-  for (const std::uint32_t w : {2U, 4U, 8U}) {
-    ASSERT_TRUE(parse_scenario(strf("lanes=%u", w), spec, error)) << error;
-    fps.insert(scenario_fingerprint(spec));
-  }
-  EXPECT_EQ(fps.size(), 4U);  // 1, 2, 4, 8 all distinct lineages
+  EXPECT_FALSE(parse_scenario("lanes=4", spec, error));
+  EXPECT_NE(error.find("unknown scenario key"), std::string::npos) << error;
 }
 
 TEST(Scenario, SummaryMentionsTopologyAndWorkload) {

@@ -12,9 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -185,13 +186,15 @@ TEST(CampaignServerTest, FullBacklogShedsWithRetryAfter) {
   cfg.retry_after_ms = 123;
   CampaignServer server(cfg);
   ServiceClient client(cfg.root);
+  // The test runs the first two poller passes itself, so the slow query
+  // is admitted strictly before the burst is ingested; the stall keeps
+  // its cell in the backlog far longer than the two statements between.
+  ASSERT_TRUE(submit(cfg.root, "slow", kScenarioA, "SNUG"));
+  ASSERT_GT(server.poll_once(), 0u);
+  ASSERT_TRUE(submit(cfg.root, "burst", kScenarioB, "SNUG"));
+  ASSERT_GT(server.poll_once(), 0u);
   std::jthread serving(
       [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
-
-  ASSERT_TRUE(submit(cfg.root, "slow", kScenarioA, "SNUG"));
-  // Let the slow query occupy the backlog before the burst arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(submit(cfg.root, "burst", kScenarioB, "SNUG"));
 
   ServiceAnswer shed;
   ASSERT_TRUE(client.wait("burst", shed, /*timeout_ms=*/10'000));
@@ -288,40 +291,43 @@ TEST(CampaignServerTest, KilledMidBacklogResumesByteIdentically) {
   // Victim: same query, one worker, destroyed after the first cells
   // complete but before the answer exists — the in-process equivalent
   // of kill -9 mid-backlog (completed cells are journaled, the answer
-  // is not published, the submit file survives).
-  const ServiceConfig cfg = [&] {
+  // is not published, the submit file survives).  The test drives the
+  // victim's poller itself: one pass ingests the query, and no later
+  // pass runs, so the answer can never be published however fast the
+  // worker is.  The stop point is the worker's second completion.
+  const ServiceConfig victim_cfg = [&] {
     ServiceConfig c = small_config(tmp);
     c.workers = 1;
     return c;
   }();
   {
-    CampaignServer victim(cfg);
-    ASSERT_TRUE(submit(cfg.root, "big",
+    std::promise<void> two_done;
+    std::atomic<int> done{0};
+    ServiceConfig c = victim_cfg;
+    c.on_cell_completed = [&] {
+      if (done.fetch_add(1) + 1 == 2) two_done.set_value();
+    };
+    CampaignServer victim(c);
+    ASSERT_TRUE(submit(c.root, "big",
                        "cores=4 workload=1A+1C variants=4 "
                        "warmup-cycles=10000 measure-cycles=40000",
                        "SNUG"));
-    std::jthread serving([&victim] { victim.serve(0, 1); });
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (victim.stats().backlog.completed < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    ASSERT_GT(victim.poll_once(), 0u) << "the query must be ingested";
+    two_done.get_future().wait();
     ASSERT_GE(victim.stats().backlog.completed, 2u);
-    victim.request_stop();
-    serving.join();
-    ASSERT_FALSE(fs::exists(answer_path(cfg.root, "big")))
+    ASSERT_FALSE(fs::exists(answer_path(c.root, "big")))
         << "the victim must die before publishing";
-    ASSERT_TRUE(fs::exists(query_path(cfg.root, "big")))
+    ASSERT_TRUE(fs::exists(query_path(c.root, "big")))
         << "the submit file is the durable record of the query";
-  }
+  }  // ~CampaignServer: the worker stops at its next claim
 
   // Restart: same directories.  The journal replays the completed
   // cells, the submit file re-supplies the query, only the missing
   // cells simulate — and the answer is byte-identical to the clean
   // run's.
-  CampaignServer resumed(cfg);
-  const ServiceAnswer a = serve_until_answered(resumed, cfg.root, "big");
+  CampaignServer resumed(victim_cfg);
+  const ServiceAnswer a =
+      serve_until_answered(resumed, victim_cfg.root, "big");
   ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
   EXPECT_EQ(encode_answer(a), clean_bytes);
   const CampaignServer::Stats s = resumed.stats();

@@ -315,7 +315,7 @@ TEST(WarmFingerprint, SensitiveToWarmupPrefixInputs) {
 TEST(WarmFingerprint, IgnoresKnobsTheWarmupNeverReads) {
   // The w2 descriptor keys warm-relevant state only: knobs the
   // functional warm-up provably never consults — measurement length,
-  // lane width, WBB shape, another scheme's ablation block — must not
+  // WBB shape, another scheme's ablation block — must not
   // split checkpoints.
   const SystemConfig cfg = paper_system_config();
   const trace::WorkloadCombo combo{"t", 5, {"gzip", "mesa", "gzip", "mesa"}};
@@ -327,10 +327,6 @@ TEST(WarmFingerprint, IgnoresKnobsTheWarmupNeverReads) {
   RunScale longer = scale;
   longer.measure_cycles *= 3;
   EXPECT_EQ(fp, warm_fingerprint(cfg, longer, combo, cc));
-
-  RunScale wide = scale;
-  wide.lanes = 4;
-  EXPECT_EQ(fp, warm_fingerprint(cfg, wide, combo, cc));
 
   SystemConfig wbb = cfg;
   wbb.scheme_ctx.priv.wbb.entries *= 2;
