@@ -1,5 +1,6 @@
 #include "common/str.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 namespace snug {
@@ -18,6 +19,14 @@ std::string strf(const char* fmt, ...) {
   }
   va_end(args);
   return out;
+}
+
+void append_g17(std::string& out, double v) {
+  // "-" + 17 digits + "." + "e-308" is 24 chars at most.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {

@@ -11,6 +11,12 @@ namespace snug {
 /// snprintf into a std::string.
 [[gnu::format(printf, 1, 2)]] std::string strf(const char* fmt, ...);
 
+/// Appends `v` exactly as printf("%.17g") prints it in the C locale —
+/// 17 significant digits, which round-trip every IEEE double — through
+/// std::to_chars: locale-independent and allocation-free.  Answer files
+/// and cell CSVs use it, so their bytes can be diffed across runs.
+void append_g17(std::string& out, double v);
+
 /// Splits on a single character, keeping empty fields.
 std::vector<std::string> split(const std::string& s, char sep);
 

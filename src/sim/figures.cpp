@@ -98,7 +98,7 @@ std::string render_cell_csv(const CampaignResults& results) {
       out += scheme;
       for (const double ipc : result.ipc) {
         out += ',';
-        out += strf("%.17g", ipc);
+        append_g17(out, ipc);
       }
       out += '\n';
     }

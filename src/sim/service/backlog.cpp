@@ -33,17 +33,13 @@ bool BacklogScheduler::admit(const std::vector<BacklogCell>& cells,
   // the work is already done and durable; remembering it is free.
   std::vector<const BacklogCell*> fresh;
   for (const BacklogCell& cell : cells) {
-    const auto it = entries_.find(cell.fp);
-    if (it != entries_.end()) {
+    if (known_locked(cell.fp)) {
       ++counters_.deduplicated;
       continue;
     }
     std::vector<double> ipc;
     if (journal_->lookup(cell.fp, ipc)) {
-      Entry& e = entries_[cell.fp];
-      e.state = State::kDone;
-      e.cell = cell;
-      e.ipc = std::move(ipc);
+      done_.emplace(cell.fp, std::move(ipc));
       ++counters_.journal_hits;
       continue;
     }
@@ -68,11 +64,8 @@ bool BacklogScheduler::admit(const std::vector<BacklogCell>& cells,
 void BacklogScheduler::inject_done(const BacklogCell& cell,
                                    const std::vector<double>& ipc) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(cell.fp) != 0) return;
-  Entry& e = entries_[cell.fp];
-  e.state = State::kDone;
-  e.cell = cell;
-  e.ipc = ipc;
+  if (known_locked(cell.fp)) return;
+  done_.emplace(cell.fp, ipc);
   journal_append_locked(cell.fp, ipc);
 }
 
@@ -102,15 +95,16 @@ bool BacklogScheduler::complete(std::uint64_t fp,
                                 const std::vector<double>& ipc) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(fp);
-  if (it == entries_.end()) return false;
-  Entry& e = it->second;
-  if (e.state == State::kDone || e.state == State::kPoisoned) {
-    // A reassigned straggler finished after its replacement: ignore it
-    // so a cell can never be answered twice with different provenance.
-    ++counters_.duplicate_completions;
+  if (it == entries_.end() || it->second.state == State::kPoisoned) {
+    // A reassigned straggler finished after its replacement (or after
+    // the cell was poisoned): ignore it so a cell can never be
+    // answered twice with different provenance.
+    if (it != entries_.end() || done_.count(fp) != 0) {
+      ++counters_.duplicate_completions;
+    }
     return false;
   }
-  if (e.state == State::kLeased) {
+  if (it->second.state == State::kLeased) {
     --leased_;
   } else {
     // Completed without a pop (shouldn't happen, but keep the queue
@@ -122,8 +116,8 @@ bool BacklogScheduler::complete(std::uint64_t fp,
       }
     }
   }
-  e.state = State::kDone;
-  e.ipc = ipc;
+  entries_.erase(it);
+  done_.emplace(fp, ipc);
   journal_append_locked(fp, ipc);
   ++counters_.completed;
   return true;
@@ -134,7 +128,7 @@ void BacklogScheduler::poison(std::uint64_t fp, const std::string& error) {
   const auto it = entries_.find(fp);
   if (it == entries_.end()) return;
   Entry& e = it->second;
-  if (e.state == State::kDone || e.state == State::kPoisoned) return;
+  if (e.state == State::kPoisoned) return;
   if (e.state == State::kLeased) {
     --leased_;
   } else {
@@ -146,12 +140,14 @@ void BacklogScheduler::poison(std::uint64_t fp, const std::string& error) {
     }
   }
   e.state = State::kPoisoned;
+  e.cell = BacklogCell{};
   e.error = error;
   ++counters_.poisoned;
 }
 
 BacklogScheduler::State BacklogScheduler::state(std::uint64_t fp) const {
   const std::lock_guard<std::mutex> lock(mu_);
+  if (done_.count(fp) != 0) return State::kDone;
   const auto it = entries_.find(fp);
   return it == entries_.end() ? State::kUnknown : it->second.state;
 }
@@ -159,11 +155,9 @@ BacklogScheduler::State BacklogScheduler::state(std::uint64_t fp) const {
 bool BacklogScheduler::result(std::uint64_t fp,
                               std::vector<double>& ipc) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(fp);
-  if (it == entries_.end() || it->second.state != State::kDone) {
-    return false;
-  }
-  ipc = it->second.ipc;
+  const auto it = done_.find(fp);
+  if (it == done_.end()) return false;
+  ipc = it->second;
   return true;
 }
 

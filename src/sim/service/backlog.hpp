@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace snug::sim {
@@ -130,15 +131,18 @@ class BacklogScheduler {
   [[nodiscard]] std::size_t journal_replayed() const;
 
  private:
+  /// A cell that is not done: pending, leased or poisoned.
   struct Entry {
     State state = State::kUnknown;
-    BacklogCell cell;
-    std::vector<double> ipc;  ///< kDone
-    std::string error;        ///< kPoisoned
+    BacklogCell cell;   ///< kPending / kLeased (cleared when poisoned)
+    std::string error;  ///< kPoisoned
   };
 
   void journal_append_locked(std::uint64_t fp,
                              const std::vector<double>& ipc);
+  [[nodiscard]] bool known_locked(std::uint64_t fp) const {
+    return done_.count(fp) != 0 || entries_.count(fp) != 0;
+  }
   [[nodiscard]] std::size_t backlog_unlocked() const {
     return queue_.size() + leased_;
   }
@@ -148,6 +152,10 @@ class BacklogScheduler {
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, Entry> entries_;
+  /// Completed cells keep only fp -> IPCs: a long-lived server finishes
+  /// one cell per miss it serves, and nothing reads a done cell's
+  /// label, combo or scheme again.
+  std::unordered_map<std::uint64_t, std::vector<double>> done_;
   std::deque<std::uint64_t> queue_;  ///< pending fps, FIFO
   std::size_t leased_ = 0;           ///< cells currently in State::kLeased
   Counters counters_;

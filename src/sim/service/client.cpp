@@ -1,6 +1,7 @@
 #include "sim/service/client.hpp"
 
 #include <thread>
+#include <utility>
 
 namespace snug::sim::service {
 
@@ -21,7 +22,7 @@ bool RingClient::query(const ServiceBatchQuery& query,
       // Once pushed the server owns the op until it completes — and it
       // completes every accepted op, even at shutdown.
       op.wait();
-      out = op.answer;
+      out = std::move(op.answer);
       ++ring_queries_;
       return true;
     }

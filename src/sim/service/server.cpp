@@ -12,10 +12,6 @@
 namespace snug::sim::service {
 namespace {
 
-/// Bound on the (scenario, scheme) resolve memo; overflow clears the
-/// map wholesale (the memo is pure gain, never a correctness input).
-constexpr std::size_t kResolveMemoCap = 4096;
-
 ServiceConfig normalize(ServiceConfig cfg) {
   if (cfg.journal.empty()) cfg.journal = cfg.root + "/backlog.journal";
   if (cfg.workers == 0) cfg.workers = 1;
@@ -220,21 +216,32 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item,
       cell.scheme = scheme_id;
       cell.label = cell.combo + "/" + scheme_id;
       cell.runner_key = r->runner_key;
-      {
-        // Workers resolve cells through work_, so it must be populated
-        // before any cell of this part can be claimed.
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        work_.emplace(cell.fp, WorkItem{r->combos[i], r->scheme, &runner});
-      }
       fresh.push_back(std::move(cell));
     }
-    if (!backlog_.admit(fresh, nullptr)) {
-      // Admission control, part-granular: nothing was enqueued and the
-      // part keeps NO cells (not even its hits) — a shed part is whole.
-      TrackedPart shed;
-      shed.status = AnswerStatus::kRetryAfter;
-      shed.retry_after_ms = cfg_.retry_after_ms;
-      return shed;
+    std::vector<std::uint64_t> admitted;
+    {
+      // Workers resolve cells through work_.  Admitting under state_mu_
+      // means a worker that claims a fresh cell waits here for its
+      // entry, and only cells this call really enqueued get one — each
+      // entry is added once and erased once, when its cell finishes.
+      const std::lock_guard<std::mutex> lock(state_mu_);
+      if (!backlog_.admit(fresh, &admitted)) {
+        // Admission control, part-granular: nothing was enqueued and
+        // the part keeps NO cells (not even its hits) — a shed part is
+        // whole.
+        TrackedPart shed;
+        shed.status = AnswerStatus::kRetryAfter;
+        shed.retry_after_ms = cfg_.retry_after_ms;
+        return shed;
+      }
+      // `admitted` lists the enqueued fps in `missing` order.
+      std::size_t k = 0;
+      for (const std::size_t i : missing) {
+        if (k < admitted.size() && admitted[k] == r->fps[i]) {
+          work_.emplace(r->fps[i], WorkItem{r->combos[i], r->scheme, &runner});
+          ++k;
+        }
+      }
     }
     wake_cv_.notify_all();
   }
@@ -302,28 +309,32 @@ bool CampaignServer::publish_text(const std::string& id,
 }
 
 bool CampaignServer::finish_tracked(const TrackedQuery& tq,
-                                    const ServiceBatchAnswer& answer) {
-  std::string text;
-  if (tq.batch) {
-    text = encode_batch_answer(answer);
-  } else {
-    // v1 queries answer v1 bytes, byte-identical to the pre-batch
-    // server (the compat pin in tests/sim/service_wire_test.cpp).
-    ServiceAnswer v1;
-    v1.id = answer.id;
-    if (!answer.parts.empty()) {
-      const BatchPart& part = answer.parts.front();
-      v1.status = part.status;
-      v1.error = part.error;
-      v1.retry_after_ms = part.retry_after_ms;
-      v1.cells = part.cells;
-    }
-    text = encode_answer(v1);
-  }
+                                    ServiceBatchAnswer&& answer) {
+  // Text is built only for a file: a ring op without publish completes
+  // with the in-memory answer and never touches the codec.
   const bool need_file = tq.ring == nullptr || tq.ring->publish;
-  if (need_file && !publish_text(tq.id, text)) return false;
+  if (need_file) {
+    std::string text;
+    if (tq.batch) {
+      text = encode_batch_answer(answer);
+    } else {
+      // v1 queries answer v1 bytes, byte-identical to the pre-batch
+      // server (the compat pin in tests/sim/service_wire_test.cpp).
+      ServiceAnswer v1;
+      v1.id = answer.id;
+      if (!answer.parts.empty()) {
+        const BatchPart& part = answer.parts.front();
+        v1.status = part.status;
+        v1.error = part.error;
+        v1.retry_after_ms = part.retry_after_ms;
+        v1.cells = part.cells;
+      }
+      text = encode_answer(v1);
+    }
+    if (!publish_text(tq.id, text)) return false;
+  }
   if (tq.ring != nullptr) {
-    tq.ring->answer = answer;
+    tq.ring->answer = std::move(answer);
     tq.ring->complete();
   } else {
     // Only AFTER a successful publish is the submit file removed — the
@@ -460,7 +471,7 @@ std::size_t CampaignServer::ingest() {
     // ingest — no tracking pass, no extra poll of latency.
     ServiceBatchAnswer a;
     if (collect_answer(tq, a)) {
-      if (!finish_tracked(tq, a)) {
+      if (!finish_tracked(tq, std::move(a))) {
         submit_force_rescan_ = true;  // publish failed; retry next pass
         continue;
       }
@@ -507,6 +518,7 @@ std::size_t CampaignServer::supervise() {
                      e.label.c_str(), e.holds, e.worker,
                      static_cast<unsigned long long>(e.held_ms),
                      static_cast<unsigned long long>(lease_.lease_ms())));
+      forget_work(e.fp);
       std::fprintf(stderr,
                    "snug: campaignd: poisoning %s fp=%016llx after %u "
                    "lease grants (worker %u held %llu ms)\n",
@@ -542,7 +554,7 @@ std::size_t CampaignServer::publish() {
   for (const TrackedQuery& tq : snapshot) {
     ServiceBatchAnswer a;
     if (!collect_answer(tq, a)) continue;
-    if (!finish_tracked(tq, a)) continue;  // retried next pass
+    if (!finish_tracked(tq, std::move(a))) continue;  // retried next pass
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
       tracked_.erase(tq.id);
@@ -680,7 +692,7 @@ void CampaignServer::handle_ring_op(RingOp* op) {
   ServiceBatchAnswer a;
   if (collect_answer(tq, a)) {
     tier.fetch_add(1, std::memory_order_relaxed);
-    if (finish_tracked(tq, a)) return;
+    if (finish_tracked(tq, std::move(a))) return;
     tier.fetch_sub(1, std::memory_order_relaxed);
     // op->publish answer file failed (fault plan): fall through to
     // tracking — the publish() pass retries under a fresh temp.
@@ -749,15 +761,16 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
       index_.insert(cell.fp, r.ipc);
       // complete() is the dedup point: a straggler whose lease expired
       // mid-run may land after its replacement — only the first sticks.
-      if (backlog_.complete(cell.fp, r.ipc) && cfg_.on_cell_completed) {
-        cfg_.on_cell_completed();
-      }
+      const bool first = backlog_.complete(cell.fp, r.ipc);
+      forget_work(cell.fp);
+      if (first && cfg_.on_cell_completed) cfg_.on_cell_completed();
       return;
     } catch (const fault::TransientError& e) {
       if (a >= max_attempts) {
         backlog_.poison(cell.fp,
                         strf("%s: %s (gave up after %u attempts)",
                              cell.label.c_str(), e.what(), a));
+        forget_work(cell.fp);
         return;
       }
       retries_.fetch_add(1, std::memory_order_relaxed);
@@ -766,9 +779,17 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
           cfg_.retry.backoff_ms << (a - 1)));
     } catch (const std::exception& e) {
       backlog_.poison(cell.fp, cell.label + ": " + e.what());
+      forget_work(cell.fp);
       return;
     }
   }
+}
+
+void CampaignServer::forget_work(std::uint64_t fp) {
+  // Erased only once the cell is terminal (done or poisoned), so no
+  // worker can claim it again; a straggler still running holds a copy.
+  const std::lock_guard<std::mutex> lock(state_mu_);
+  work_.erase(fp);
 }
 
 CampaignServer::Stats CampaignServer::stats() const {
@@ -806,6 +827,14 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.submit_scans_skipped =
       submit_scans_skipped_.load(std::memory_order_relaxed);
   s.index = index_.counters();
+  {
+    const std::lock_guard<std::mutex> lock(resolve_mu_);
+    s.resolve_memo_entries = resolve_memo_.size();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    s.work_items = work_.size();
+  }
   {
     const std::lock_guard<std::mutex> lock(runners_mu_);
     if (!runners_.empty()) {

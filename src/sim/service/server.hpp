@@ -106,6 +106,12 @@ struct ServiceConfig {
 /// pattern as the stores' quarantine bound (kQuarantineCap).
 inline constexpr std::size_t kAnswerKeepCap = 256;
 
+/// Bound on the (scenario, scheme) resolve memo.  Every never-seen item
+/// adds an entry (~1 KB), so the cap bounds per-miss memory; overflow
+/// clears the map wholesale (the memo is pure gain, never a correctness
+/// input — a sweep's items are re-resolved once after a clear).
+inline constexpr std::size_t kResolveMemoCap = 256;
+
 class CampaignServer {
  public:
   struct Stats {
@@ -139,6 +145,8 @@ class CampaignServer {
     std::uint64_t answer_temps_reaped = 0;  ///< dead writers' answer temps
     std::uint64_t submit_scans_skipped = 0;  ///< epoch-gated poller skips
     AnswerIndex::Counters index;
+    std::uint64_t resolve_memo_entries = 0;  ///< <= kResolveMemoCap
+    std::uint64_t work_items = 0;  ///< runnable cells not yet finished
   };
 
   explicit CampaignServer(ServiceConfig cfg);
@@ -250,11 +258,14 @@ class CampaignServer {
                                     ServiceBatchAnswer& out);
   /// Publishes/completes a fully collected answer: wire queries get
   /// their answer file + submit retirement; ring ops complete in
-  /// memory (file first when op->publish).  False on a failed publish
-  /// (retried next pass).
+  /// memory (file first when op->publish; the answer is moved into the
+  /// op, and text is encoded only for a file).  False on a failed
+  /// publish (retried next pass; `answer` is then left untouched).
   [[nodiscard]] bool finish_tracked(const TrackedQuery& tq,
-                                    const ServiceBatchAnswer& answer);
+                                    ServiceBatchAnswer&& answer);
   bool publish_text(const std::string& id, const std::string& text);
+  /// Drops a terminal (done or poisoned) cell's work_ entry.
+  void forget_work(std::uint64_t fp);
   /// Open-time answer-directory GC (see kAnswerKeepCap).
   void gc_answers();
 
@@ -270,12 +281,14 @@ class CampaignServer {
   mutable std::mutex runners_mu_;
   std::map<std::uint64_t, std::unique_ptr<ExperimentRunner>> runners_;
 
-  std::mutex resolve_mu_;
+  mutable std::mutex resolve_mu_;
   std::unordered_map<std::string, std::shared_ptr<const ResolvedItem>>
       resolve_memo_;
 
   mutable std::mutex state_mu_;
-  std::map<std::uint64_t, WorkItem> work_;      ///< fp -> how to run it
+  /// fp -> how to run it; an entry lives from admission until its cell
+  /// completes or is poisoned.
+  std::map<std::uint64_t, WorkItem> work_;
   std::map<std::string, TrackedQuery> tracked_;  ///< id -> open query
   std::map<std::string, bool> answered_;         ///< ids already answered
 

@@ -3,9 +3,10 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,10 +15,10 @@
 namespace snug::sim::service {
 namespace {
 
-constexpr const char* kQueryMagic = "query-v1";
-constexpr const char* kAnswerMagic = "answer-v1";
-constexpr const char* kBatchQueryMagic = "query-v2";
-constexpr const char* kBatchAnswerMagic = "answer-v2";
+constexpr std::string_view kQueryMagic = "query-v1";
+constexpr std::string_view kAnswerMagic = "answer-v1";
+constexpr std::string_view kBatchQueryMagic = "query-v2";
+constexpr std::string_view kBatchAnswerMagic = "answer-v2";
 
 const char* status_name(AnswerStatus status) {
   switch (status) {
@@ -28,7 +29,7 @@ const char* status_name(AnswerStatus status) {
   return "?";
 }
 
-bool status_from_name(const std::string& s, AnswerStatus& status) {
+bool status_from_name(std::string_view s, AnswerStatus& status) {
   for (const AnswerStatus st : {AnswerStatus::kOk, AnswerStatus::kError,
                                 AnswerStatus::kRetryAfter}) {
     if (s == status_name(st)) {
@@ -39,26 +40,84 @@ bool status_from_name(const std::string& s, AnswerStatus& status) {
   return false;
 }
 
+/// Pops the next non-empty '\n'-separated line off `rest`, as a view
+/// into the message — no per-line copies.
+bool next_line(std::string_view& rest, std::string_view& line) {
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+    if (!line.empty()) return true;
+  }
+  return false;
+}
+
 /// Splits "key=value"; false when the line has no '='.
-bool split_kv(const std::string& line, std::string& key,
-              std::string& value) {
+bool split_kv(std::string_view line, std::string_view& key,
+              std::string_view& value) {
   const std::size_t eq = line.find('=');
-  if (eq == std::string::npos) return false;
+  if (eq == std::string_view::npos) return false;
   key = line.substr(0, eq);
   value = line.substr(eq + 1);
   return true;
 }
 
-bool parse_ipc_list(const std::string& text, std::vector<double>& out) {
+/// Reads all of `s` as one unsigned decimal number.
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
+/// Reads "<decimal index><sep>" off the front of `s`.
+bool take_index(std::string_view& s, char sep, std::uint64_t& out) {
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, out);
+  if (r.ec != std::errc() || r.ptr == end || *r.ptr != sep) return false;
+  s.remove_prefix(static_cast<std::size_t>(r.ptr - s.data()) + 1);
+  return true;
+}
+
+bool parse_ipc_list(std::string_view text, std::vector<double>& out) {
   out.clear();
-  for (const std::string& tok : split(text, ',')) {
-    if (tok.empty()) return false;
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') return false;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (;;) {
+    double v = 0;
+    const std::from_chars_result r = std::from_chars(p, end, v);
+    if (r.ec != std::errc()) return false;
     out.push_back(v);
+    if (r.ptr == end) return true;
+    if (*r.ptr != ',') return false;
+    p = r.ptr + 1;
   }
-  return !out.empty();
+}
+
+/// "<combo> ipc=<v>,<v>,..." — the tail of every cell line.
+bool parse_cell(std::string_view text, AnswerCell& cell) {
+  const std::size_t sep = text.find(" ipc=");
+  if (sep == std::string_view::npos || sep == 0 ||
+      !parse_ipc_list(text.substr(sep + 5), cell.ipc)) {
+    return false;
+  }
+  cell.combo = text.substr(0, sep);
+  return true;
+}
+
+void append_ipc_list(std::string& out, const std::vector<double>& ipc) {
+  for (std::size_t i = 0; i < ipc.size(); ++i) {
+    if (i > 0) out += ',';
+    append_g17(out, ipc[i]);
+  }
+}
+
+/// "<what> '<text>'" — a diagnostic naming the offending input.
+std::string quoted(const char* what, std::string_view text) {
+  std::string out = what;
+  out += " '";
+  out += text;
+  out += '\'';
+  return out;
 }
 
 }  // namespace
@@ -85,7 +144,7 @@ std::string answer_path(const std::string& root, const std::string& id) {
 }
 
 std::string encode_query(const ServiceQuery& query) {
-  std::string out = kQueryMagic;
+  std::string out(kQueryMagic);
   out += "\nid=" + query.id;
   out += "\nscenario=" + query.scenario_text;
   out += "\nscheme=" + query.scheme_id;
@@ -99,20 +158,21 @@ bool parse_query(const std::string& text, ServiceQuery& out,
   bool saw_magic = false;
   bool saw_scenario = false;
   bool saw_scheme = false;
-  for (const std::string& line : split(text, '\n')) {
-    if (line.empty()) continue;
+  std::string_view rest = text;
+  std::string_view line;
+  while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kQueryMagic) {
-        error = strf("query does not start with '%s'", kQueryMagic);
+        error = quoted("query does not start with", kQueryMagic);
         return false;
       }
       saw_magic = true;
       continue;
     }
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     if (!split_kv(line, key, value)) {
-      error = "bad query line '" + line + "'";
+      error = quoted("bad query line", line);
       return false;
     }
     if (key == "id") {
@@ -124,7 +184,7 @@ bool parse_query(const std::string& text, ServiceQuery& out,
       q.scheme_id = value;
       saw_scheme = true;
     } else {
-      error = "unknown query key '" + key + "'";
+      error = quoted("unknown query key", key);
       return false;
     }
   }
@@ -145,23 +205,19 @@ bool parse_query(const std::string& text, ServiceQuery& out,
 }
 
 std::string encode_answer(const ServiceAnswer& answer) {
-  std::string out = kAnswerMagic;
+  std::string out(kAnswerMagic);
   out += "\nid=" + answer.id;
-  out += strf("\nstatus=%s", status_name(answer.status));
+  out += "\nstatus=";
+  out += status_name(answer.status);
   if (answer.status == AnswerStatus::kError) {
     out += "\nerror=" + answer.error;
   }
   if (answer.status == AnswerStatus::kRetryAfter) {
-    out += strf("\nretry-after-ms=%llu",
-                static_cast<unsigned long long>(answer.retry_after_ms));
+    out += "\nretry-after-ms=" + std::to_string(answer.retry_after_ms);
   }
   for (const AnswerCell& cell : answer.cells) {
     out += "\ncell=" + cell.combo + " ipc=";
-    for (std::size_t i = 0; i < cell.ipc.size(); ++i) {
-      // %.17g round-trips an IEEE double exactly: resumed-server answers
-      // byte-compare against an uninterrupted run's.
-      out += strf(i == 0 ? "%.17g" : ",%.17g", cell.ipc[i]);
-    }
+    append_ipc_list(out, cell.ipc);
   }
   out += '\n';
   return out;
@@ -172,51 +228,47 @@ bool parse_answer(const std::string& text, ServiceAnswer& out,
   ServiceAnswer a;
   bool saw_magic = false;
   bool saw_status = false;
-  for (const std::string& line : split(text, '\n')) {
-    if (line.empty()) continue;
+  std::string_view rest = text;
+  std::string_view line;
+  while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kAnswerMagic) {
-        error = strf("answer does not start with '%s'", kAnswerMagic);
+        error = quoted("answer does not start with", kAnswerMagic);
         return false;
       }
       saw_magic = true;
       continue;
     }
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     if (!split_kv(line, key, value)) {
-      error = "bad answer line '" + line + "'";
+      error = quoted("bad answer line", line);
       return false;
     }
     if (key == "id") {
       a.id = value;
     } else if (key == "status") {
       if (!status_from_name(value, a.status)) {
-        error = "unknown status '" + value + "'";
+        error = quoted("unknown status", value);
         return false;
       }
       saw_status = true;
     } else if (key == "error") {
       a.error = value;
     } else if (key == "retry-after-ms") {
-      char* end = nullptr;
-      a.retry_after_ms = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        error = "bad retry-after-ms '" + value + "'";
+      if (!parse_u64(value, a.retry_after_ms)) {
+        error = quoted("bad retry-after-ms", value);
         return false;
       }
     } else if (key == "cell") {
-      const std::size_t sep = value.find(" ipc=");
       AnswerCell cell;
-      if (sep == std::string::npos || sep == 0 ||
-          !parse_ipc_list(value.substr(sep + 5), cell.ipc)) {
-        error = "bad cell line '" + line + "'";
+      if (!parse_cell(value, cell)) {
+        error = quoted("bad cell line", line);
         return false;
       }
-      cell.combo = value.substr(0, sep);
       a.cells.push_back(std::move(cell));
     } else {
-      error = "unknown answer key '" + key + "'";
+      error = quoted("unknown answer key", key);
       return false;
     }
   }
@@ -229,14 +281,14 @@ bool parse_answer(const std::string& text, ServiceAnswer& out,
 }
 
 bool is_batch_query(const std::string& text) {
-  const std::size_t magic_len = std::strlen(kBatchQueryMagic);
+  const std::size_t magic_len = kBatchQueryMagic.size();
   return text.size() > magic_len &&
-         text.compare(0, magic_len, kBatchQueryMagic) == 0 &&
+         std::string_view(text).substr(0, magic_len) == kBatchQueryMagic &&
          text[magic_len] == '\n';
 }
 
 std::string encode_batch_query(const ServiceBatchQuery& query) {
-  std::string out = kBatchQueryMagic;
+  std::string out(kBatchQueryMagic);
   out += "\nid=" + query.id;
   for (const BatchItem& item : query.items) {
     out += "\nquery=" + item.scheme_id + "|" + item.scenario_text;
@@ -249,31 +301,31 @@ bool parse_batch_query(const std::string& text, ServiceBatchQuery& out,
                        std::string& error) {
   ServiceBatchQuery q;
   bool saw_magic = false;
-  for (const std::string& line : split(text, '\n')) {
-    if (line.empty()) continue;
+  std::string_view rest = text;
+  std::string_view line;
+  while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kBatchQueryMagic) {
-        error = strf("batch query does not start with '%s'",
-                     kBatchQueryMagic);
+        error = quoted("batch query does not start with", kBatchQueryMagic);
         return false;
       }
       saw_magic = true;
       continue;
     }
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     if (!split_kv(line, key, value)) {
-      error = "bad batch query line '" + line + "'";
+      error = quoted("bad batch query line", line);
       return false;
     }
     if (key == "id") {
       q.id = value;
     } else if (key == "query") {
       const std::size_t sep = value.find('|');
-      if (sep == std::string::npos || sep == 0 ||
+      if (sep == std::string_view::npos || sep == 0 ||
           sep + 1 == value.size()) {
-        error = "bad batch item '" + line +
-                "' (want query=<scheme>|<scenario>)";
+        error = quoted("bad batch item", line) +
+                " (want query=<scheme>|<scenario>)";
         return false;
       }
       if (q.items.size() >= kMaxBatchItems) {
@@ -285,7 +337,7 @@ bool parse_batch_query(const std::string& text, ServiceBatchQuery& out,
       item.scenario_text = value.substr(sep + 1);
       q.items.push_back(std::move(item));
     } else {
-      error = "unknown batch query key '" + key + "'";
+      error = quoted("unknown batch query key", key);
       return false;
     }
   }
@@ -306,27 +358,27 @@ bool parse_batch_query(const std::string& text, ServiceBatchQuery& out,
 }
 
 std::string encode_batch_answer(const ServiceBatchAnswer& answer) {
-  std::string out = kBatchAnswerMagic;
+  std::string out(kBatchAnswerMagic);
   out += "\nid=" + answer.id;
-  out += strf("\nparts=%zu", answer.parts.size());
+  out += "\nparts=" + std::to_string(answer.parts.size());
   for (std::size_t i = 0; i < answer.parts.size(); ++i) {
     const BatchPart& part = answer.parts[i];
-    out += strf("\npart=%zu status=%s", i, status_name(part.status));
+    out += "\npart=" + std::to_string(i) + " status=";
+    out += status_name(part.status);
     if (part.status == AnswerStatus::kError) {
       out += " error=" + part.error;
     }
     if (part.status == AnswerStatus::kRetryAfter) {
-      out += strf(" retry-after-ms=%llu",
-                  static_cast<unsigned long long>(part.retry_after_ms));
+      out += " retry-after-ms=" + std::to_string(part.retry_after_ms);
     }
   }
   for (std::size_t i = 0; i < answer.parts.size(); ++i) {
+    const std::string prefix = "\ncell=" + std::to_string(i) + "/";
     for (const AnswerCell& cell : answer.parts[i].cells) {
-      out += strf("\ncell=%zu/", i);
-      out += cell.combo + " ipc=";
-      for (std::size_t v = 0; v < cell.ipc.size(); ++v) {
-        out += strf(v == 0 ? "%.17g" : ",%.17g", cell.ipc[v]);
-      }
+      out += prefix;
+      out += cell.combo;
+      out += " ipc=";
+      append_ipc_list(out, cell.ipc);
     }
   }
   out += '\n';
@@ -339,30 +391,29 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
   bool saw_magic = false;
   bool saw_parts = false;
   std::vector<bool> part_seen;
-  for (const std::string& line : split(text, '\n')) {
-    if (line.empty()) continue;
+  std::string_view rest = text;
+  std::string_view line;
+  while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kBatchAnswerMagic) {
-        error = strf("batch answer does not start with '%s'",
-                     kBatchAnswerMagic);
+        error = quoted("batch answer does not start with", kBatchAnswerMagic);
         return false;
       }
       saw_magic = true;
       continue;
     }
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     if (!split_kv(line, key, value)) {
-      error = "bad batch answer line '" + line + "'";
+      error = quoted("bad batch answer line", line);
       return false;
     }
     if (key == "id") {
       a.id = value;
     } else if (key == "parts") {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0 || n > kMaxBatchItems) {
-        error = "bad parts count '" + value + "'";
+      std::uint64_t n = 0;
+      if (!parse_u64(value, n) || n == 0 || n > kMaxBatchItems) {
+        error = quoted("bad parts count", value);
         return false;
       }
       a.parts.resize(static_cast<std::size_t>(n));
@@ -375,60 +426,55 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
         error = "part= line before parts=";
         return false;
       }
-      char* end = nullptr;
-      const unsigned long long i = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != ' ' || i >= a.parts.size()) {
-        error = "bad part line '" + line + "'";
+      std::uint64_t i = 0;
+      if (!take_index(value, ' ', i) || i >= a.parts.size()) {
+        error = quoted("bad part line", line);
         return false;
       }
       if (part_seen[static_cast<std::size_t>(i)]) {
-        error = strf("duplicate part %llu", i);
+        error = strf("duplicate part %llu",
+                     static_cast<unsigned long long>(i));
         return false;
       }
       part_seen[static_cast<std::size_t>(i)] = true;
       BatchPart& part = a.parts[static_cast<std::size_t>(i)];
-      const std::string rest(end + 1);
-      std::string skey;
-      std::string sval;
-      if (!split_kv(rest, skey, sval) || skey != "status") {
-        error = "bad part line '" + line + "'";
+      std::string_view skey;
+      std::string_view sval;
+      if (!split_kv(value, skey, sval) || skey != "status") {
+        error = quoted("bad part line", line);
         return false;
       }
       // The status value runs to the first space; what follows is the
       // optional error=/retry-after-ms= payload.
       const std::size_t sp = sval.find(' ');
-      const std::string status_tok =
-          sp == std::string::npos ? sval : sval.substr(0, sp);
-      const std::string payload =
-          sp == std::string::npos ? std::string() : sval.substr(sp + 1);
+      const std::string_view status_tok = sval.substr(0, sp);
+      const std::string_view payload =
+          sp == std::string_view::npos ? std::string_view()
+                                       : sval.substr(sp + 1);
       if (!status_from_name(status_tok, part.status)) {
-        error = "unknown status '" + status_tok + "'";
+        error = quoted("unknown status", status_tok);
         return false;
       }
+      std::string_view pkey;
+      std::string_view pval;
       if (part.status == AnswerStatus::kError) {
-        std::string pkey;
-        std::string pval;
         if (!split_kv(payload, pkey, pval) || pkey != "error") {
-          error = "error part without error= in '" + line + "'";
+          error = quoted("error part without error= in", line);
           return false;
         }
         part.error = pval;
       } else if (part.status == AnswerStatus::kRetryAfter) {
-        std::string pkey;
-        std::string pval;
-        char* pend = nullptr;
         if (!split_kv(payload, pkey, pval) || pkey != "retry-after-ms") {
-          error = "retry-after part without retry-after-ms= in '" + line +
-                  "'";
+          error = quoted("retry-after part without retry-after-ms= in",
+                         line);
           return false;
         }
-        part.retry_after_ms = std::strtoull(pval.c_str(), &pend, 10);
-        if (pend == nullptr || *pend != '\0') {
-          error = "bad retry-after-ms '" + pval + "'";
+        if (!parse_u64(pval, part.retry_after_ms)) {
+          error = quoted("bad retry-after-ms", pval);
           return false;
         }
       } else if (!payload.empty()) {
-        error = "unexpected payload on ok part '" + line + "'";
+        error = quoted("unexpected payload on ok part", line);
         return false;
       }
     } else if (key == "cell") {
@@ -436,24 +482,16 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
         error = "cell= line before parts=";
         return false;
       }
-      char* end = nullptr;
-      const unsigned long long i = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '/' || i >= a.parts.size()) {
-        error = "bad cell line '" + line + "'";
-        return false;
-      }
-      const std::string rest(end + 1);
-      const std::size_t sep = rest.find(" ipc=");
+      std::uint64_t i = 0;
       AnswerCell cell;
-      if (sep == std::string::npos || sep == 0 ||
-          !parse_ipc_list(rest.substr(sep + 5), cell.ipc)) {
-        error = "bad cell line '" + line + "'";
+      if (!take_index(value, '/', i) || i >= a.parts.size() ||
+          !parse_cell(value, cell)) {
+        error = quoted("bad cell line", line);
         return false;
       }
-      cell.combo = rest.substr(0, sep);
       a.parts[static_cast<std::size_t>(i)].cells.push_back(std::move(cell));
     } else {
-      error = "unknown batch answer key '" + key + "'";
+      error = quoted("unknown batch answer key", key);
       return false;
     }
   }

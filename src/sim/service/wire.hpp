@@ -22,9 +22,21 @@
 //   error=<one-line diagnostic>            (status=error only)
 //   retry-after-ms=<n>                     (status=retry-after only)
 //   cell=<combo name> ipc=<v>,<v>,...      (one line per workload combo)
-// IPC values are printed with %.17g, which round-trips an IEEE double
-// exactly — a resumed server's answers can be byte-compared ("diff")
-// against an uninterrupted run's.
+// An IPC value is the text printf("%.17g") prints in the C locale,
+// produced by std::to_chars (snug::append_g17): 17 significant digits
+// round-trip an IEEE double exactly, so a resumed server's answers can
+// be byte-compared ("diff") against an uninterrupted run's.  The bytes
+// are pinned literally in tests/sim/service_wire_test.cpp.
+//
+// Parsers read every line as a view and every number with
+// std::from_chars.  They are strict: a number with leading whitespace,
+// a '+' sign, hex digits or a value outside double range is rejected,
+// as are empty list entries ("ipc=1,,2", "ipc=1.0,").  The encoders
+// never emit any of these.
+//
+// Same-process ring clients (sim/service/client.hpp) get their answer
+// as a ServiceBatchAnswer moved across the ring: no text is encoded
+// for them unless they ask for the durable file (publish=true).
 //
 // Batched sweep queries (ISSUE 10): a figure-style sweep used to cost
 // one wire round-trip per (scenario, scheme) point — 21 messages for a

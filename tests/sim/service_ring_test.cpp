@@ -3,15 +3,20 @@
 // checksummed end to end, full-ring backpressure exercised — plus the
 // RingOp completion protocol and the ring-tier client path against a
 // real CampaignServer (warm batches answer in memory; misses ride the
-// journaled backlog; shutdown completes every accepted op).  The fuzz
-// is the TSan target wired into CI: run it under SNUG_SANITIZE=thread.
+// journaled backlog; an unpublished op leaves no answer file and
+// matches the file wire bit for bit; shutdown completes every accepted
+// op).  The fuzz is the TSan target wired into CI: run it under
+// SNUG_SANITIZE=thread.
 #include "sim/service/ring.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,11 +244,77 @@ TEST(RingClientTest, PublishWritesTheDurableAnswerFile) {
 
   ASSERT_TRUE(fs::exists(answer_path(cfg.root, "soak-batch")))
       << "publish=true must leave the durable answer file";
-  // And the file parses back to exactly the in-memory answer.
+  // The file holds exactly the encoding of the in-memory answer...
+  std::ifstream in(answer_path(cfg.root, "soak-batch"), std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(raw, encode_batch_answer(a));
+  // ...and parses back to it.
   ServiceClient wire(cfg.root);
   ServiceBatchAnswer from_file;
   ASSERT_TRUE(wire.try_poll_batch("soak-batch", from_file));
   EXPECT_EQ(encode_batch_answer(from_file), encode_batch_answer(a));
+}
+
+/// Status, combos and every IPC's bits equal (ids may differ).
+void expect_bit_equal(const ServiceBatchAnswer& got,
+                      const ServiceBatchAnswer& want) {
+  ASSERT_EQ(got.parts.size(), want.parts.size());
+  for (std::size_t p = 0; p < want.parts.size(); ++p) {
+    const BatchPart& g = got.parts[p];
+    const BatchPart& w = want.parts[p];
+    EXPECT_EQ(g.status, w.status) << p;
+    EXPECT_EQ(g.error, w.error) << p;
+    ASSERT_EQ(g.cells.size(), w.cells.size()) << p;
+    for (std::size_t c = 0; c < w.cells.size(); ++c) {
+      EXPECT_EQ(g.cells[c].combo, w.cells[c].combo);
+      ASSERT_EQ(g.cells[c].ipc.size(), w.cells[c].ipc.size());
+      for (std::size_t i = 0; i < w.cells[c].ipc.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.cells[c].ipc[i]),
+                  std::bit_cast<std::uint64_t>(w.cells[c].ipc[i]))
+            << g.cells[c].combo << " core " << i;
+      }
+    }
+  }
+}
+
+TEST(RingClientTest, UnpublishedSweepWritesNoFileAndMatchesTheFileWire) {
+  TempDir tmp("snug_ring_unpublished");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  std::jthread serving([&server] { server.serve(0, 1); });
+
+  RingClient client(server);
+  ServiceBatchQuery q;
+  q.id = "sweep-ring";
+  q.items.push_back(BatchItem{kScenario, "SNUG"});
+  q.items.push_back(BatchItem{kScenario, "L2P"});
+  q.items.push_back(BatchItem{kScenario, "NOPE"});
+  ServiceBatchAnswer cold;
+  std::string error;
+  ASSERT_TRUE(client.query(q, cold, /*publish=*/false, &error)) << error;
+  // Warm: every cell from the index, answered in memory.
+  ServiceBatchAnswer ring;
+  ASSERT_TRUE(client.query(q, ring, /*publish=*/false, &error)) << error;
+  EXPECT_EQ(ring.id, "sweep-ring");
+  ASSERT_EQ(ring.parts.size(), 3u);
+  EXPECT_EQ(ring.parts[0].status, AnswerStatus::kOk) << ring.parts[0].error;
+  EXPECT_EQ(ring.parts[2].status, AnswerStatus::kError);
+  for (const auto& e : fs::directory_iterator(answer_dir(cfg.root))) {
+    ADD_FAILURE() << "publish=false left " << e.path();
+  }
+
+  // The same sweep over the file wire answers the same bits.
+  ServiceClient wire(cfg.root);
+  q.id = "sweep-file";
+  ASSERT_TRUE(wire.submit_batch(q, &error)) << error;
+  ServiceBatchAnswer from_file;
+  ASSERT_TRUE(wire.wait_batch("sweep-file", from_file, /*timeout_ms=*/30'000));
+  server.request_stop();
+  serving.join();
+  expect_bit_equal(ring, from_file);
+  expect_bit_equal(cold, ring);
+  EXPECT_EQ(server.stats().ring_inline_answers, 1u);
 }
 
 TEST(RingClientTest, ServerShutdownCompletesOutstandingOpsWithError) {

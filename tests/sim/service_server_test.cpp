@@ -6,8 +6,9 @@
 // poisons into a status=error answer instead of hanging; an expired
 // lease reassigns the cell and the answer is still exact; a server
 // destroyed mid-backlog resumes — journal + surviving submit files —
-// into byte-identical answers; and a corrupt cache entry degrades to
-// recompute-and-heal, never a wrong answer.
+// into byte-identical answers; a corrupt cache entry degrades to
+// recompute-and-heal, never a wrong answer; and finished misses leave
+// no per-miss state behind.
 #include "sim/service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +26,9 @@
 #include "common/fault.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
+#include "sim/service/client.hpp"
 #include "sim/service/wire.hpp"
+#include "trace/profile.hpp"
 
 namespace snug::sim::service {
 namespace {
@@ -505,6 +508,65 @@ TEST(CampaignServerBatchTest, V1ClientsStillGetByteIdenticalV1Answers) {
   std::string raw2((std::istreambuf_iterator<char>(in2)),
                    std::istreambuf_iterator<char>());
   EXPECT_EQ(raw2.rfind("answer-v2\n", 0), 0u) << raw2;
+}
+
+// A long-lived server must not keep per-miss state: once every cell
+// of 300 never-seen single-cell queries has finished, no work item is
+// left and the resolve memo sits at or below its cap.
+TEST(CampaignServerTest, DistinctMissesLeaveNoPerMissState) {
+  TempDir tmp("snug_service_miss_state");
+  ServiceConfig cfg = small_config(tmp);
+  std::atomic<int> finished{0};
+  cfg.on_cell_completed = [&finished] {
+    finished.fetch_add(1);
+    finished.notify_all();
+  };
+  CampaignServer server(cfg);
+  std::jthread serving(
+      [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
+
+  // 300 distinct four-benchmark workloads, three 100-part batches.
+  std::vector<std::string> benches;
+  for (const char cls : {'A', 'B', 'C', 'D'}) {
+    for (const std::string& b : trace::benchmarks_in_class(cls)) {
+      benches.push_back(b);
+    }
+  }
+  ASSERT_GE(benches.size(), 5u);
+  constexpr int kMisses = 300;
+  RingClient client(server);
+  for (int batch = 0; batch < 3; ++batch) {
+    ServiceBatchQuery q;
+    q.id = "misses-" + std::to_string(batch);
+    for (int i = batch * 100; i < (batch + 1) * 100; ++i) {
+      std::string list;
+      for (int c = 0, n = i; c < 4; ++c, n /= 5) {
+        if (c > 0) list += '+';
+        list += benches[static_cast<std::size_t>(n % 5)];
+      }
+      q.items.push_back(BatchItem{"cores=4 workload=" + list +
+                                      " warmup-cycles=1000 "
+                                      "measure-cycles=2000",
+                                  "SNUG"});
+    }
+    ServiceBatchAnswer a;
+    std::string error;
+    ASSERT_TRUE(client.query(q, a, /*publish=*/false, &error)) << error;
+    for (const BatchPart& part : a.parts) {
+      ASSERT_EQ(part.status, AnswerStatus::kOk) << part.error;
+      ASSERT_EQ(part.cells.size(), 1u);
+    }
+  }
+  // The completion hook runs after the worker has dropped its item.
+  for (int n = finished.load(); n < kMisses; n = finished.load()) {
+    finished.wait(n);
+  }
+  server.request_stop();
+  serving.join();
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.cells_simulated, static_cast<std::uint64_t>(kMisses));
+  EXPECT_EQ(s.work_items, 0u);
+  EXPECT_LE(s.resolve_memo_entries, kResolveMemoCap);
 }
 
 TEST(CampaignServerTest, OpenReapsAckedAnswersOverTheRetentionCap) {

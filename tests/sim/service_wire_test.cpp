@@ -1,19 +1,26 @@
 // Campaign-service wire protocol tests (ISSUE 9): query/answer encode
 // and parse round trips, malformed-input rejection with diagnostics,
 // query-id hygiene (ids become file names — no traversal, no
-// separators), exact %.17g IPC round-tripping, and the ServiceClient's
-// atomic submit / poll behaviour.
+// separators), exact %.17g IPC round-tripping, literal pins of the
+// answer bytes, and the ServiceClient's atomic submit / poll behaviour.
 #include "sim/service/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/str.hpp"
 
 namespace snug::sim::service {
 namespace {
@@ -93,6 +100,112 @@ TEST(ServiceWire, AnswerRoundTripsIpcDoublesExactly) {
   EXPECT_EQ(encode_answer(back), encode_answer(a));
 }
 
+// The answer bytes themselves, captured from the printf("%.17g")
+// encoder.  Round trips alone would let a shortest-round-trip formatter
+// through while every answer file changed; these pins would not.
+TEST(ServiceWire, AnswerBytesArePinned) {
+  ServiceAnswer a;
+  a.id = "pin";
+  a.cells.push_back({"mixA", {1.0 / 3.0, 0.1234567890123456789, 2.0}});
+  a.cells.push_back({"mixB", {1e-300, 3.0000000000000004, 0.0, -0.0}});
+  a.cells.push_back({"mixC",
+                     {4.9e-324, 1e21, std::numeric_limits<double>::max(),
+                      -1.5, 123456789.0, 1e16, 0.5, 1e-5,
+                      2.2250738585072014e-308}});
+  EXPECT_EQ(encode_answer(a),
+            "answer-v1\n"
+            "id=pin\n"
+            "status=ok\n"
+            "cell=mixA ipc=0.33333333333333331,0.12345678901234568,2\n"
+            "cell=mixB ipc=1e-300,3.0000000000000004,0,-0\n"
+            "cell=mixC ipc=4.9406564584124654e-324,1e+21,"
+            "1.7976931348623157e+308,-1.5,123456789,10000000000000000,0.5,"
+            "1.0000000000000001e-05,2.2250738585072014e-308\n");
+}
+
+TEST(ServiceWireBatch, BatchAnswerBytesArePinned) {
+  ServiceBatchAnswer b;
+  b.id = "pin-batch";
+  b.parts.resize(4);
+  b.parts[0].cells.push_back({"mixA", {1.0 / 3.0, 0.1234567890123456789, 2.0}});
+  b.parts[0].cells.push_back({"mixB", {1e-300, 3.0000000000000004, 0.0, -0.0}});
+  b.parts[1].status = AnswerStatus::kRetryAfter;
+  b.parts[1].retry_after_ms = 250;
+  b.parts[2].status = AnswerStatus::kError;
+  b.parts[2].error = "unknown scheme 'WAT'";
+  b.parts[3].cells.push_back({"mixC", {4.9e-324, 1e21, 1e16, 1e-5}});
+  EXPECT_EQ(encode_batch_answer(b),
+            "answer-v2\n"
+            "id=pin-batch\n"
+            "parts=4\n"
+            "part=0 status=ok\n"
+            "part=1 status=retry-after retry-after-ms=250\n"
+            "part=2 status=error error=unknown scheme 'WAT'\n"
+            "part=3 status=ok\n"
+            "cell=0/mixA ipc=0.33333333333333331,0.12345678901234568,2\n"
+            "cell=0/mixB ipc=1e-300,3.0000000000000004,0,-0\n"
+            "cell=3/mixC ipc=4.9406564584124654e-324,1e+21,"
+            "10000000000000000,1.0000000000000001e-05\n");
+}
+
+// append_g17 must print what printf("%.17g") prints, byte for byte, and
+// from_chars must read every printed value back to the same bits.
+TEST(ServiceWire, G17FormatterMatchesPrintfOnRandomDoubles) {
+  std::mt19937_64 rng(20101015);
+  std::uniform_real_distribution<double> ipc_like(0.0, 4.0);
+  const double extremes[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::lowest(),
+                             std::numeric_limits<double>::epsilon(),
+                             9007199254740992.0,  // 2^53
+                             1e21,
+                             1e-5};
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    double v = 0;
+    switch (i % 5) {
+      case 0:  // any finite bit pattern, every exponent
+        do {
+          v = std::bit_cast<double>(rng());
+        } while (!std::isfinite(v));
+        break;
+      case 1:  // subnormals
+        v = std::bit_cast<double>(rng() & 0x800F'FFFF'FFFF'FFFFull);
+        break;
+      case 2:  // integers, small and past 2^53
+        v = static_cast<double>(static_cast<std::int64_t>(rng()) >>
+                                (rng() % 64));
+        break;
+      case 3:  // the values answers actually carry
+        v = ipc_like(rng);
+        break;
+      default:
+        v = extremes[(i / 5) % std::size(extremes)];
+        if (rng() & 1) v = -v;
+        break;
+    }
+    std::string got;
+    append_g17(got, v);
+    char want[64];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    double back = 1.0;
+    const std::from_chars_result r =
+        std::from_chars(got.data(), got.data() + got.size(), back);
+    const bool ok = got == want && r.ec == std::errc() &&
+                    r.ptr == got.data() + got.size() &&
+                    std::bit_cast<std::uint64_t>(back) ==
+                        std::bit_cast<std::uint64_t>(v);
+    if (!ok && ++mismatches <= 5) {
+      ADD_FAILURE() << "append_g17 '" << got << "' vs printf '" << want
+                    << "' (bits " << std::bit_cast<std::uint64_t>(v) << ")";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(ServiceWire, AnswerCarriesStatusErrorAndRetryAfter) {
   ServiceAnswer err;
   err.id = "q2";
@@ -124,6 +237,21 @@ TEST(ServiceWire, AnswerParseRejectsMalformedInput) {
       "answer-v1\nid=a\nstatus=ok\ncell=mixA ipc=1.0,nope", out, error));
   EXPECT_FALSE(parse_answer(
       "answer-v1\nid=a\nstatus=ok\ncell=mixA-no-ipc-field", out, error));
+  // Empty list entries, trailing junk and numbers the encoder never
+  // writes (leading whitespace, '+', hex, out of range).
+  for (const char* ipc : {"ipc=1,,2", "ipc=1.0,", "ipc=1.0x", "ipc=",
+                          "ipc=,1", "ipc= 1.0", "ipc=+1.0", "ipc=0x1p3",
+                          "ipc=1e400", "ipc=1.0 "}) {
+    EXPECT_FALSE(parse_answer(
+        std::string("answer-v1\nid=a\nstatus=ok\ncell=mixA ") + ipc, out,
+        error))
+        << ipc;
+  }
+  EXPECT_FALSE(parse_answer(
+      "answer-v1\nid=a\nstatus=retry-after\nretry-after-ms=+5", out,
+      error));
+  EXPECT_FALSE(parse_answer(
+      "answer-v1\nid=a\nstatus=retry-after\nretry-after-ms=", out, error));
 }
 
 TEST(ServiceClientTest, SubmitPublishesAtomicallyAndPollsAnswers) {
@@ -324,6 +452,29 @@ TEST(ServiceWireBatch, BatchAnswerParseRejectsMalformedInput) {
       "answer-v2\nid=a\nparts=1\npart=0 status=ok\ncell=9/m ipc=1.0",
       out, error))
       << "a cell pointing past parts= must be rejected";
+  for (const char* ipc : {"ipc=1,,2", "ipc=1.0,", "ipc=1.0x", "ipc=",
+                          "ipc= 1.0", "ipc=+1.0"}) {
+    EXPECT_FALSE(parse_batch_answer(
+        std::string("answer-v2\nid=a\nparts=1\npart=0 status=ok\n"
+                    "cell=0/m ") + ipc,
+        out, error))
+        << ipc;
+  }
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts=1\npart=0 status=ok\ncell=0/m", out, error))
+      << "a cell without ipc= must be rejected";
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts=1\npart=0 status=ok\ncell=0/ ipc=1", out,
+      error))
+      << "a cell without a combo must be rejected";
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts=1\npart=+0 status=ok", out, error));
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts= 1\npart=0 status=ok", out, error));
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts=1\npart=0 status=retry-after "
+      "retry-after-ms=-1",
+      out, error));
 }
 
 TEST(ServiceClientTest, BatchSubmitPollsAndFoldsV1Rejections) {
