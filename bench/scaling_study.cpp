@@ -110,11 +110,13 @@ int main(int argc, char** argv) {
     std::string error;
     // 16-core topologies run the 1-in-8 sampled capacity monitors: at
     // that scale the exact monitors dominate the per-access cost while
-    // the measured IPC is unchanged (the sensitivity table recorded in
-    // BENCH_warmup.json shows a zero per-core delta — the counters
-    // saturate long before harvest either way).  --scenario overrides
-    // still win: `extra` is appended after, and later keys take
-    // precedence.
+    // the measured IPC is unchanged: the retired sensitivity record
+    // (`git show 4f7d399:BENCH_warmup.json`) shows a zero per-core delta
+    // on all six classes, and tests/core/monitor_sampling_test.cpp pins
+    // that sampling leaves the harvested G/T decisions unchanged — the
+    // counters saturate long before harvest either way.  --scenario
+    // overrides still win: `extra` is appended after, and later keys
+    // take precedence.
     const std::string sampling =
         cores == "16" ? "monitor-sample=8 " : "";
     const std::string directives =

@@ -3,9 +3,10 @@
 // checksummed end to end, full-ring backpressure exercised — plus the
 // RingOp completion protocol and the ring-tier client path against a
 // real CampaignServer (warm batches answer in memory; misses ride the
-// journaled backlog; an unpublished op leaves no answer file and
-// matches the file wire bit for bit; shutdown completes every accepted
-// op).  The fuzz is the TSan target wired into CI: run it under
+// journaled backlog; cold and warm ring answers bit-equal direct
+// simulation; an unpublished op leaves no answer file and matches the
+// file wire bit for bit; shutdown completes every accepted op).  The
+// fuzz is the TSan target wired into CI: run it under
 // SNUG_SANITIZE=thread.
 #include "sim/service/ring.hpp"
 
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "service_test_util.hpp"
 #include "sim/service/client.hpp"
 #include "sim/service/server.hpp"
 
@@ -215,6 +217,11 @@ TEST(RingClientTest, MissSimulatesThenWarmBatchAnswersInMemory) {
   ASSERT_TRUE(client.query(q, warm, /*publish=*/false, &error)) << error;
   ASSERT_EQ(warm.parts.size(), 1u);
   EXPECT_EQ(warm.parts[0].cells[0].ipc, cold.parts[0].cells[0].ipc);
+  // Both ring answers bit-equal the same cell simulated with no service.
+  const std::vector<AnswerCell> direct =
+      testutil::direct_cells(kScenario, "SNUG");
+  testutil::expect_cells_equal(cold.parts[0].cells, direct);
+  testutil::expect_cells_equal(warm.parts[0].cells, direct);
 
   server.request_stop();
   serving.join();

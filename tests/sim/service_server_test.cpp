@@ -24,8 +24,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "sim/runner.hpp"
-#include "sim/scenario.hpp"
+#include "service_test_util.hpp"
 #include "sim/service/client.hpp"
 #include "sim/service/wire.hpp"
 #include "trace/profile.hpp"
@@ -34,6 +33,8 @@ namespace snug::sim::service {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::direct_cells;
+using testutil::expect_cells_equal;
 
 constexpr const char* kScenarioA =
     "cores=4 workload=gzip+mesa+gzip+mesa warmup-cycles=10000 "
@@ -76,33 +77,6 @@ ServiceAnswer serve_until_answered(CampaignServer& server,
   serving.join();
   EXPECT_TRUE(got) << "no answer for " << id << " within 30 s";
   return answer;
-}
-
-/// The reference: the same scenario x scheme run directly, no service.
-std::vector<AnswerCell> direct_cells(const std::string& scenario_text,
-                                     const std::string& scheme_id) {
-  ScenarioSpec spec;
-  std::string error;
-  EXPECT_TRUE(parse_scenario(scenario_text, spec, error)) << error;
-  schemes::SchemeSpec scheme;
-  EXPECT_TRUE(schemes::parse_scheme_id(scheme_id, scheme));
-  ExperimentRunner runner(spec, /*cache_dir=*/"", /*warm_bank_dir=*/"");
-  std::vector<AnswerCell> cells;
-  for (const trace::WorkloadCombo& combo : spec.combos()) {
-    const RunResult r = runner.run(combo, scheme);
-    cells.push_back({combo.name, r.ipc});
-  }
-  return cells;
-}
-
-void expect_cells_equal(const std::vector<AnswerCell>& got,
-                        const std::vector<AnswerCell>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].combo, want[i].combo);
-    EXPECT_EQ(got[i].ipc, want[i].ipc)
-        << got[i].combo << ": service and direct IPCs must be bit-equal";
-  }
 }
 
 bool submit(const std::string& root, const std::string& id,

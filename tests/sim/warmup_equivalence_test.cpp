@@ -223,8 +223,9 @@ TEST_F(WarmupEquivalence, ImpliedTakerClassificationAgrees) {
 // End to end: measuring after a functional warm-up lands close to
 // measuring after a timing warm-up.  Loose by design — the functional
 // machine starts the window with empty WBBs and an idle bus (transient,
-// re-filled within the window), so this is a sanity band, not a pin; the
-// per-point deltas are reported properly by bench/warmup_bench.
+// re-filled within the window), so this is a sanity band, not a pin.
+// The bit-exact contracts live elsewhere: a bank restore must reproduce
+// the functional warm-up exactly (FunctionalWarmup, WarmBankRunner).
 TEST_F(WarmupEquivalence, MeasuredIpcIsClose) {
   timing_->begin_measurement();
   timing_->run(kMeasureCycles);
