@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   cfg.retry_after_ms = static_cast<std::uint64_t>(args.get_int(
       "retry-after-ms", 250, "backoff hint sent with shed queries"));
   const std::int64_t poll_ms =
-      args.get_int("poll-ms", 20, "serving-loop poll interval");
+      args.get_int("poll-ms", 20,
+                   "file-wire and lease poll interval (a finished cell "
+                   "wakes the serving loop at once)");
   const std::int64_t idle_exit = args.get_int(
       "idle-exit-polls", 0,
       "exit after this many consecutive idle polls — no new queries, "
@@ -225,8 +227,8 @@ int main(int argc, char** argv) {
         stderr,
         "campaignd: ring %llu submit(s) (%llu inline, %llu backlogged); "
         "batches %llu (%llu part(s): %llu rejected, %llu shed); index "
-        "%llu entr(ies), %llu hit(s) / %llu miss(es), %llu rescan(s) "
-        "over %llu epoch check(s); %llu submit scan(s) skipped; answers "
+        "%llu entr(ies), %llu hit(s) / %llu miss(es); cache %llu "
+        "probe(s), %llu hit(s); %llu submit scan(s) skipped; answers "
         "%llu reaped, %llu orphaned temp(s)\n",
         static_cast<unsigned long long>(s.ring_submits),
         static_cast<unsigned long long>(s.ring_inline_answers),
@@ -238,8 +240,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.index.entries),
         static_cast<unsigned long long>(s.index.hits),
         static_cast<unsigned long long>(s.index.misses),
-        static_cast<unsigned long long>(s.index.rescans),
-        static_cast<unsigned long long>(s.index.epoch_checks),
+        static_cast<unsigned long long>(s.cache_probes),
+        static_cast<unsigned long long>(s.cache_probe_hits),
         static_cast<unsigned long long>(s.submit_scans_skipped),
         static_cast<unsigned long long>(s.answers_reaped),
         static_cast<unsigned long long>(s.answer_temps_reaped));

@@ -2,10 +2,10 @@
 //
 // Every store and wire publish in this codebase lands by atomic rename
 // INTO a directory, which perturbs the directory's (mtime, size)
-// signature.  Pollers (the campaign service's submit poller, the
-// AnswerIndex, EvalCache::refresh) can therefore skip their directory
-// listing whenever the signature is unchanged — one metadata syscall
-// instead of a scan.
+// signature.  Its two pollers (the campaign service's submit poller and
+// EvalCache::refresh) can therefore skip their directory listing
+// whenever the signature is unchanged — one metadata syscall instead of
+// a scan.
 //
 // The racy-mtime rule: Linux file timestamps tick on a coarse clock
 // (1-4 ms granularity), so two renames inside one tick can leave the

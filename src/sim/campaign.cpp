@@ -73,10 +73,11 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   // The scenario must describe the machine this engine's runner was
   // built from, or cached results would be attributed to the wrong
   // topology.
+  const std::uint64_t config_fp =
+      config_fingerprint(runner_.config(), runner_.scale());
   SNUG_REQUIRE_MSG(
       config_fingerprint(spec.scenario.system_config(),
-                         spec.scenario.scale) ==
-          config_fingerprint(runner_.config(), runner_.scale()),
+                         spec.scenario.scale) == config_fp,
       "campaign scenario '%s' does not match the runner's machine — "
       "construct the ExperimentRunner from the same ScenarioSpec",
       spec.scenario.name.c_str());
@@ -92,8 +93,7 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   // that affects the simulated IPCs.
   std::vector<std::uint64_t> fps(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
-    fps[i] = run_fingerprint(runner_.config(), runner_.scale(),
-                             combos[i / n_schemes],
+    fps[i] = run_fingerprint(config_fp, combos[i / n_schemes],
                              spec.schemes[i % n_schemes]);
   }
 
@@ -102,9 +102,8 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   // journal from a different campaign is moved aside, not replayed.
   std::unique_ptr<CampaignJournal> journal;
   if (!journal_path.empty()) {
-    std::uint64_t cfp = Rng::derive_seed(
-        "campaign-journal",
-        config_fingerprint(runner_.config(), runner_.scale()), n_tasks);
+    std::uint64_t cfp =
+        Rng::derive_seed("campaign-journal", config_fp, n_tasks);
     for (const std::uint64_t fp : fps) {
       cfp = Rng::derive_seed("cell", cfp, fp);
     }

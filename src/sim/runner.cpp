@@ -172,6 +172,12 @@ std::string default_cache_dir() {
 std::uint64_t run_fingerprint(const SystemConfig& cfg, const RunScale& scale,
                               const trace::WorkloadCombo& combo,
                               const schemes::SchemeSpec& spec) {
+  return run_fingerprint(config_fingerprint(cfg, scale), combo, spec);
+}
+
+std::uint64_t run_fingerprint(std::uint64_t config_fp,
+                              const trace::WorkloadCombo& combo,
+                              const schemes::SchemeSpec& spec) {
   std::string tag = combo.name;
   for (const auto& bench : combo.benchmarks) {
     tag += '|';
@@ -179,8 +185,7 @@ std::uint64_t run_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   }
   tag += '|';
   tag += spec.id();
-  return Rng::derive_seed(tag, config_fingerprint(cfg, scale),
-                          EvalCache::kVersion);
+  return Rng::derive_seed(tag, config_fp, EvalCache::kVersion);
 }
 
 ExperimentRunner::ExperimentRunner(const SystemConfig& cfg,

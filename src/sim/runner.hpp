@@ -166,6 +166,12 @@ class EvalCache {
                                             const trace::WorkloadCombo& combo,
                                             const schemes::SchemeSpec& spec);
 
+/// The same fingerprint from a precomputed config_fingerprint(cfg,
+/// scale), for callers that fingerprint many cells of one machine.
+[[nodiscard]] std::uint64_t run_fingerprint(std::uint64_t config_fp,
+                                            const trace::WorkloadCombo& combo,
+                                            const schemes::SchemeSpec& spec);
+
 class ExperimentRunner {
  public:
   ExperimentRunner(const SystemConfig& cfg, const RunScale& scale,
@@ -194,9 +200,10 @@ class ExperimentRunner {
                   const std::vector<double>& ipc);
 
   /// Direct cache probe: loads this task's published IPCs without
-  /// simulating on a miss (and without firing on_progress).  The
-  /// campaign service's hit path — a cache-resident query is answered
-  /// from here in microseconds; only misses enter the backlog.
+  /// simulating on a miss (and without firing on_progress).  One read
+  /// of the task's own entry file, never a directory listing: the
+  /// campaign service probes each cell its answer index misses, and
+  /// only cells missing here too enter the backlog.
   [[nodiscard]] bool cached_ipc(const trace::WorkloadCombo& combo,
                                 const schemes::SchemeSpec& spec,
                                 std::vector<double>& ipc) const;

@@ -1,7 +1,5 @@
 #include "sim/service/index.hpp"
 
-#include <sys/stat.h>
-
 #include <cstring>
 
 #include "common/crc32.hpp"
@@ -35,8 +33,7 @@ AnswerIndex::AnswerIndex(std::string cache_dir)
   slots_.resize(kInitialSlots);
   if (dir_.empty()) return;
   const std::unique_lock<std::shared_mutex> lock(mu_);
-  epoch_ = dir_epoch(dir_);
-  rescan_locked();
+  scan_locked();
 }
 
 bool AnswerIndex::lookup(std::uint64_t fp, std::vector<double>& ipc) {
@@ -102,9 +99,9 @@ void AnswerIndex::grow_locked() {
   }
 }
 
-bool AnswerIndex::index_file_locked(const std::string& name) {
+void AnswerIndex::index_file_locked(const std::string& name) {
   std::vector<std::byte> raw;
-  if (!env_->read_file(dir_ + "/" + name, raw)) return false;
+  if (!env_->read_file(dir_ + "/" + name, raw)) return;
 
   const auto corrupt = [&] {
     // Same discipline as EvalCache::load: structurally damaged files
@@ -115,7 +112,6 @@ bool AnswerIndex::index_file_locked(const std::string& name) {
       ++counters_.quarantined;
     }
     ++counters_.files_rejected;
-    return false;
   };
 
   if (raw.size() < sizeof(CacheHeader)) return corrupt();
@@ -124,7 +120,7 @@ bool AnswerIndex::index_file_locked(const std::string& name) {
   if (hdr.magic != EvalCache::kMagic) return corrupt();
   if (hdr.version != EvalCache::kVersion) {
     ++counters_.files_rejected;  // stale, not corrupt — leave in place
-    return false;
+    return;
   }
   if (hdr.count == 0 || hdr.count > EvalCache::kMaxEntries) {
     return corrupt();
@@ -138,30 +134,12 @@ bool AnswerIndex::index_file_locked(const std::string& name) {
   std::memcpy(ipc.data(), raw.data() + sizeof hdr, payload_bytes);
   insert_locked(hdr.fingerprint, ipc.data(), hdr.count);
   ++counters_.files_indexed;
-  return true;
 }
 
-void AnswerIndex::rescan_locked() {
-  ++counters_.rescans;
+void AnswerIndex::scan_locked() {
   for (const std::string& name : env_->list_dir(dir_)) {
-    if (!is_entry_name(name)) continue;
-    if (known_.count(name) != 0) continue;
-    // Only successfully indexed names are remembered: a corrupt or
-    // stale file is re-probed on the next epoch change, so a heal
-    // (same name, good bytes) is picked up.
-    if (index_file_locked(name)) known_.insert(name);
+    if (is_entry_name(name)) index_file_locked(name);
   }
-}
-
-bool AnswerIndex::maybe_refresh(bool force) {
-  if (dir_.empty()) return false;
-  const std::unique_lock<std::shared_mutex> lock(mu_);
-  ++counters_.epoch_checks;
-  const DirEpoch now = dir_epoch(dir_);
-  if (!force && epoch_unchanged(now, epoch_)) return false;
-  epoch_ = now;
-  rescan_locked();
-  return true;
 }
 
 AnswerIndex::Counters AnswerIndex::counters() const {

@@ -11,35 +11,30 @@
 // couple of L1-resident probes — zero directory scans, zero file
 // reads, zero journal traffic.
 //
-// Freshness without rescans: other processes publish entries by atomic
-// rename into the cache directory, which bumps the directory's mtime
-// and link count.  maybe_refresh() stats the directory (one cheap
-// metadata syscall — deliberately NOT through the fault seam: the
-// epoch is a pure optimisation, never a durability decision) and only
-// rescans when the (mtime_ns, entry count) epoch moved; the rescan
-// itself is incremental — only file names not yet indexed are read.
-// Same-process completions skip even that: the server insert()s each
-// result as it stores it.
+// Freshness without rescans: the directory is listed once, at open.
+// Same-process completions are insert()ed as the server stores them.
+// An entry another process publishes later is found by name: a cell
+// that misses the index and is not already queued probes its own cache
+// file (ExperimentRunner::cached_ipc — one open(), no listing) and the
+// server insert()s a hit (CampaignServer::build_part).  Nothing on the
+// serving path lists the directory, so the exclusive lock is only ever
+// held for an insert.
 //
-// Safety: the index can only ever DECLINE a hit it should have served
-// (a store racing the epoch check) — the cell then re-simulates to the
-// identical result and heals on the next refresh.  It can never serve
-// a wrong answer: entries are CRC-validated on the way in, and an
-// entry name embeds its fingerprint, so a name is never re-bound to
-// different bytes (heals replace corrupt files, which were never
-// indexed).  Corrupt entries found during a scan are quarantined with
-// the stores' shared never-delete discipline (sim/store_recovery.hpp).
+// Safety: the index can never serve a wrong answer: entries are
+// CRC-validated on the way in, and an entry name embeds its
+// fingerprint, so a name is never re-bound to different bytes (heals
+// replace corrupt files, which were never indexed).  Corrupt entries
+// found during the open scan are quarantined with the stores' shared
+// never-delete discipline (sim/store_recovery.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <shared_mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/fault.hpp"
-#include "common/fsepoch.hpp"
 
 namespace snug::sim::service {
 
@@ -49,15 +44,13 @@ class AnswerIndex {
     std::uint64_t entries = 0;      ///< fingerprints currently indexed
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t rescans = 0;      ///< epoch moved -> incremental scan
-    std::uint64_t epoch_checks = 0; ///< maybe_refresh() stat probes
     std::uint64_t files_indexed = 0;
-    std::uint64_t files_rejected = 0;  ///< corrupt/stale at scan time
+    std::uint64_t files_rejected = 0;  ///< corrupt/stale at the open scan
     std::uint64_t quarantined = 0;     ///< corrupt entries moved aside
   };
 
   /// Opens over `cache_dir` ("" disables: every lookup misses) and runs
-  /// the initial full scan.
+  /// the one full scan.
   explicit AnswerIndex(std::string cache_dir);
 
   AnswerIndex(const AnswerIndex&) = delete;
@@ -67,18 +60,10 @@ class AnswerIndex {
   /// only — no syscalls.  Thread-safe (shared lock).
   [[nodiscard]] bool lookup(std::uint64_t fp, std::vector<double>& ipc);
 
-  /// Records a result this process just stored (or computed): the index
-  /// stays warm without waiting for an epoch rescan.  No-op for ipc
-  /// empty/oversized or when the same fp is already indexed.
+  /// Records a result this process just stored, computed or found by a
+  /// by-name cache probe.  No-op for ipc empty/oversized or when the
+  /// same fp is already indexed.
   void insert(std::uint64_t fp, const std::vector<double>& ipc);
-
-  /// Epoch check: stat the directory; when its (mtime_ns, size)
-  /// signature moved since the last scan — or is too young to trust
-  /// (the racy-mtime rule, common/fsepoch.hpp) — incrementally index
-  /// the file names not yet known.  Returns true when a rescan
-  /// happened.  `force` skips the epoch short-circuit (tests; server
-  /// open already scans).
-  bool maybe_refresh(bool force = false);
 
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
@@ -90,12 +75,12 @@ class AnswerIndex {
     std::uint32_t count = 0;
   };
 
-  // All three _locked helpers require mu_ held exclusively.
-  void rescan_locked();
+  // The _locked helpers require mu_ held exclusively.
+  void scan_locked();
   void insert_locked(std::uint64_t fp, const double* ipc,
                      std::uint32_t count);
   void grow_locked();
-  [[nodiscard]] bool index_file_locked(const std::string& name);
+  void index_file_locked(const std::string& name);
 
   const fault::Env* env_;
   std::string dir_;
@@ -104,8 +89,6 @@ class AnswerIndex {
   std::vector<Slot> slots_;     ///< open addressing, power-of-two size
   std::vector<double> pool_;    ///< slot payloads, appended on insert
   std::size_t used_ = 0;
-  std::unordered_set<std::string> known_;  ///< successfully indexed names
-  DirEpoch epoch_;  ///< racy-mtime-guarded (common/fsepoch.hpp)
   Counters counters_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

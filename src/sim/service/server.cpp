@@ -1,8 +1,11 @@
 #include "sim/service/server.hpp"
 
+#include <semaphore.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <utility>
 
@@ -43,6 +46,7 @@ CampaignServer::CampaignServer(ServiceConfig cfg)
       lease_(cfg_.lease_ms, cfg_.max_holds),
       index_(cfg_.cache_dir),
       ring_(cfg_.ring_capacity) {
+  ::sem_init(&publish_wake_, /*pshared=*/0, /*value=*/0);
   env_->create_directories(submit_dir(cfg_.root));
   env_->create_directories(answer_dir(cfg_.root));
   gc_answers();
@@ -75,6 +79,7 @@ CampaignServer::~CampaignServer() {
       fail_ring_op(tq.ring, "server shut down before the answer resolved");
     }
   }
+  ::sem_destroy(&publish_wake_);
 }
 
 std::uint64_t CampaignServer::now_ms() const {
@@ -155,12 +160,11 @@ CampaignServer::resolve_item(const BatchItem& item) {
   } else {
     r->ok = true;
     r->spec = spec;
-    const SystemConfig sys = spec.system_config();
-    r->runner_key = config_fingerprint(sys, spec.scale);
+    r->runner_key = config_fingerprint(spec.system_config(), spec.scale);
     r->combos = spec.combos();
     r->fps.reserve(r->combos.size());
     for (const trace::WorkloadCombo& combo : r->combos) {
-      r->fps.push_back(run_fingerprint(sys, spec.scale, combo, r->scheme));
+      r->fps.push_back(run_fingerprint(r->runner_key, combo, r->scheme));
     }
   }
   const std::lock_guard<std::mutex> lock(resolve_mu_);
@@ -168,8 +172,7 @@ CampaignServer::resolve_item(const BatchItem& item) {
   return resolve_memo_.emplace(key, std::move(r)).first->second;
 }
 
-CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item,
-                                                       bool allow_refresh) {
+CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
   TrackedPart part;
   const std::shared_ptr<const ResolvedItem> r = resolve_item(item);
   if (!r->ok) {
@@ -178,34 +181,40 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item,
     return part;
   }
   std::vector<std::size_t> missing;
-  bool refreshed = false;
+  ExperimentRunner* runner = nullptr;
   part.cells.reserve(r->combos.size());
   for (std::size_t i = 0; i < r->combos.size(); ++i) {
     TrackedCell cell;
     cell.combo = r->combos[i].name;
     cell.fp = r->fps[i];
     bool hit = index_.lookup(cell.fp, cell.ipc);
-    if (!hit && allow_refresh && !refreshed) {
-      // The ring path does not ride the poller's per-pass refresh, so a
-      // first miss buys one epoch check — another process may have
-      // published this cell since the last scan.
-      refreshed = true;
-      if (index_.maybe_refresh()) hit = index_.lookup(cell.fp, cell.ipc);
+    if (!hit && backlog_.state(cell.fp) == BacklogScheduler::State::kUnknown) {
+      // Neither indexed nor queued, but another process may have
+      // published the cell since open: probe its own cache file by name
+      // (one open(), never a directory listing).
+      if (runner == nullptr) runner = &runner_for(r->spec, r->runner_key);
+      if (index_.enabled()) {
+        cache_probes_.fetch_add(1, std::memory_order_relaxed);
+        hit = runner->cached_ipc(r->combos[i], r->scheme, cell.ipc);
+      }
+      if (hit) {
+        cache_probe_hits_.fetch_add(1, std::memory_order_relaxed);
+        index_.insert(cell.fp, cell.ipc);
+      } else {
+        missing.push_back(i);
+      }
     }
     if (hit) {
-      // Hit path: answered from the in-memory index — no file read and
-      // no journal append.  The cache entry is the durable record: a
-      // crash before the answer publishes re-ingests the query, which
-      // hits the index again and reproduces the identical bytes.
+      // Hit path: answered from the in-memory index (or the probe) — no
+      // journal append.  The cache entry is the durable record: a crash
+      // before the answer publishes re-ingests the query, which hits the
+      // index again and reproduces the identical bytes.
       cell.resolved = true;
       cells_from_cache_.fetch_add(1, std::memory_order_relaxed);
-    } else if (backlog_.state(cell.fp) == BacklogScheduler::State::kUnknown) {
-      missing.push_back(i);
     }
     part.cells.push_back(std::move(cell));
   }
   if (!missing.empty()) {
-    ExperimentRunner& runner = runner_for(r->spec, r->runner_key);
     const std::string scheme_id = r->scheme.id();
     std::vector<BacklogCell> fresh;
     fresh.reserve(missing.size());
@@ -238,12 +247,12 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item,
       std::size_t k = 0;
       for (const std::size_t i : missing) {
         if (k < admitted.size() && admitted[k] == r->fps[i]) {
-          work_.emplace(r->fps[i], WorkItem{r->combos[i], r->scheme, &runner});
+          work_.emplace(r->fps[i], WorkItem{r->combos[i], r->scheme, runner});
           ++k;
         }
       }
     }
-    wake_cv_.notify_all();
+    wake_workers();
   }
   return part;
 }
@@ -455,7 +464,7 @@ std::size_t CampaignServer::ingest() {
 
     tq.parts.reserve(items.size());
     for (const BatchItem& item : items) {
-      tq.parts.push_back(build_part(item, false));
+      tq.parts.push_back(build_part(item));
     }
     parts_total_.fetch_add(items.size(), std::memory_order_relaxed);
     for (const TrackedPart& part : tq.parts) {
@@ -500,7 +509,6 @@ std::size_t CampaignServer::ingest() {
     }
     queries_ingested_.fetch_add(1, std::memory_order_relaxed);
     ++progress;
-    wake_cv_.notify_all();
   }
   return progress;
 }
@@ -539,7 +547,7 @@ std::size_t CampaignServer::supervise() {
                    cfg_.max_holds);
     }
   }
-  if (!expiries.empty()) wake_cv_.notify_all();
+  if (!expiries.empty()) wake_workers();
   return expiries.size();
 }
 
@@ -566,9 +574,6 @@ std::size_t CampaignServer::publish() {
 }
 
 std::size_t CampaignServer::poll_once() {
-  // One stat per pass keeps the index fresh against other processes'
-  // publishes; a rescan only happens when the epoch actually moved.
-  (void)index_.maybe_refresh();
   std::size_t progress = 0;
   progress += ingest();
   progress += supervise();
@@ -581,6 +586,11 @@ std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
   std::size_t passes = 0;
   std::size_t idle = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
+    // Consume the wake-ups this pass answers.  One posted during the
+    // pass stays posted, so the wait below returns at once: the pass
+    // may have collected its query before the cell finished.
+    while (::sem_trywait(&publish_wake_) == 0) {
+    }
     const std::size_t progress = poll_once();
     ++passes;
     bool is_idle = progress == 0 && backlog_.backlog() == 0 &&
@@ -594,10 +604,35 @@ std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
     } else {
       idle = 0;
     }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(poll_ms > 0 ? poll_ms : 1));
+    const std::uint64_t wait_ms = poll_ms > 0 ? poll_ms : 1;
+    struct timespec deadline{};
+    ::clock_gettime(CLOCK_MONOTONIC, &deadline);
+    deadline.tv_sec += static_cast<time_t>(wait_ms / 1000);
+    deadline.tv_nsec += static_cast<long>(wait_ms % 1000) * 1'000'000;
+    if (deadline.tv_nsec >= 1'000'000'000) {
+      ++deadline.tv_sec;
+      deadline.tv_nsec -= 1'000'000'000;
+    }
+    while (::sem_clockwait(&publish_wake_, CLOCK_MONOTONIC, &deadline) != 0 &&
+           errno == EINTR) {
+    }
   }
   return passes;
+}
+
+void CampaignServer::request_stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  (void)::sem_post(&publish_wake_);
+}
+
+void CampaignServer::wake_publish() { (void)::sem_post(&publish_wake_); }
+
+void CampaignServer::wake_workers() {
+  // Taking wake_mu_ orders this wake after any worker's predicate
+  // check: a worker is either yet to test pending() (and sees the new
+  // cell) or already blocked (and gets the notify).
+  { const std::lock_guard<std::mutex> lock(wake_mu_); }
+  wake_cv_.notify_all();
 }
 
 bool CampaignServer::ring_submit(RingOp* op) {
@@ -665,7 +700,7 @@ void CampaignServer::handle_ring_op(RingOp* op) {
   tq.ring = op;
   tq.parts.reserve(op->query.items.size());
   for (const BatchItem& item : op->query.items) {
-    tq.parts.push_back(build_part(item, /*allow_refresh=*/true));
+    tq.parts.push_back(build_part(item));
   }
   parts_total_.fetch_add(op->query.items.size(), std::memory_order_relaxed);
   // The op needs the backlog when a cell of an answerable part missed
@@ -706,15 +741,18 @@ void CampaignServer::handle_ring_op(RingOp* op) {
     ring_backlogged_.fetch_add(1, std::memory_order_relaxed);
     tracked_[tq.id] = std::move(tq);
   }
-  wake_cv_.notify_all();
+  // A worker may have finished this op's cells between the collect
+  // above and the insert; its wake-up found nothing to publish.
+  wake_publish();
 }
 
 void CampaignServer::worker_loop(const std::stop_token& stop,
                                  unsigned wid) {
   while (!stop.stop_requested()) {
     {
-      // Bounded wait: notifications are advisory (sent without holding
-      // wake_mu_), the timeout is the liveness guarantee.
+      // Admissions and lease expiries notify under wake_mu_
+      // (wake_workers); the timeout is the backstop for requeues by a
+      // denied lease grant, which notify nobody.
       std::unique_lock<std::mutex> lock(wake_mu_);
       (void)wake_cv_.wait_for(lock, stop, std::chrono::milliseconds(5),
                               [&] { return backlog_.pending() > 0; });
@@ -732,6 +770,8 @@ void CampaignServer::worker_loop(const std::stop_token& stop,
       continue;
     }
     run_cell(wid, cell);
+    // Every run_cell exit leaves the cell done or poisoned.
+    wake_publish();
     lease_.release(cell.fp, wid);
   }
 }
@@ -754,10 +794,10 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
       (void)lease_.heartbeat(cell.fp, wid, now_ms());
       const RunResult r = item.runner->run(item.combo, item.scheme);
       (void)lease_.heartbeat(cell.fp, wid, now_ms());
-      // Keep the index warm without waiting for an epoch rescan.  It
-      // goes in before complete() makes the cell answerable, so a client
-      // repeating a just-answered query always finds it resident (a
-      // straggler's insert is a no-op: same fp, same IPCs).
+      // Keep the index warm.  The cell goes in before complete() makes
+      // it answerable, so a client repeating a just-answered query
+      // always finds it resident (a straggler's insert is a no-op: same
+      // fp, same IPCs).
       index_.insert(cell.fp, r.ipc);
       // complete() is the dedup point: a straggler whose lease expired
       // mid-run may land after its replacement — only the first sticks.
@@ -827,6 +867,8 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.submit_scans_skipped =
       submit_scans_skipped_.load(std::memory_order_relaxed);
   s.index = index_.counters();
+  s.cache_probes = cache_probes_.load(std::memory_order_relaxed);
+  s.cache_probe_hits = cache_probe_hits_.load(std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(resolve_mu_);
     s.resolve_memo_entries = resolve_memo_.size();

@@ -4,8 +4,10 @@
 //
 //   tier 1  AnswerIndex (sim/service/index.hpp): an in-memory
 //           fingerprint index over the EvalCache, built once at open
-//           and maintained incrementally by directory-epoch checks and
-//           same-process inserts.  A warm cell resolves with zero
+//           and kept warm by same-process inserts; a cell it misses
+//           probes its own cache file by name before it is queued, so
+//           other processes' entries are found without a directory
+//           listing.  A warm cell resolves with zero
 //           directory scans, zero file reads and zero journal appends
 //           (the cache entry itself is the durable record: a crash
 //           before the answer publishes re-ingests the query, which
@@ -46,6 +48,10 @@
 //              file removed, so a crash at any point re-ingests the
 //              query on restart.
 //
+// serve() runs the next pass as soon as a worker finishes a cell or the
+// ring thread starts tracking an op, and otherwise every poll_ms, which
+// paces only the file wire and lease supervision.
+//
 // Worker threads drain the backlog under lease + heartbeat, running
 // cells through per-machine ExperimentRunners that share one cache
 // directory, with the campaign engine's deterministic retry/backoff for
@@ -55,6 +61,8 @@
 // twice, answers bit-identical to an uninterrupted run (pinned by
 // tests/sim/service_server_test.cpp and the CI chaos soaks).
 #pragma once
+
+#include <semaphore.h>
 
 #include <atomic>
 #include <chrono>
@@ -145,6 +153,8 @@ class CampaignServer {
     std::uint64_t answer_temps_reaped = 0;  ///< dead writers' answer temps
     std::uint64_t submit_scans_skipped = 0;  ///< epoch-gated poller skips
     AnswerIndex::Counters index;
+    std::uint64_t cache_probes = 0;      ///< by-name probes of index misses
+    std::uint64_t cache_probe_hits = 0;  ///< probes that found an entry
     std::uint64_t resolve_memo_entries = 0;  ///< <= kResolveMemoCap
     std::uint64_t work_items = 0;  ///< runnable cells not yet finished
   };
@@ -161,16 +171,18 @@ class CampaignServer {
   /// meant to be driven from one serving thread.
   std::size_t poll_once();
 
-  /// Drives poll_once() every poll_ms until request_stop(), or — when
+  /// Drives poll_once() — at once after a cell finishes or a ring op is
+  /// tracked, else after poll_ms — until request_stop(), or — when
   /// idle_exit_polls > 0 — until that many consecutive passes saw no
   /// progress, no tracked query, no pending cell and no live lease
   /// (campaignd's drain-and-exit mode for scripted/CI use; 0 serves
   /// forever).  Returns the number of passes.
   std::size_t serve(std::size_t idle_exit_polls, std::uint64_t poll_ms);
 
-  /// Makes serve() return after its current pass; workers stop at their
-  /// next claim.  Called from a signal-ish context or another thread.
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Makes serve() return after its current pass (waking it from its
+  /// wait); workers stop at their next claim.  Async-signal-safe:
+  /// campaignd calls it from its SIGINT/SIGTERM handler.
+  void request_stop();
 
   /// Tier 2 entry point: enqueues a same-process batch op.  False when
   /// the ring is full (backpressure — retry or fall back to the file
@@ -246,12 +258,10 @@ class CampaignServer {
                                std::uint64_t runner_key);
   [[nodiscard]] std::shared_ptr<const ResolvedItem> resolve_item(
       const BatchItem& item);
-  /// Builds one part: resolve, index-lookup each cell, admit the
-  /// misses (whole-part shed on admission refusal).  `allow_refresh`
-  /// lets a miss trigger one index epoch check (the ring path, which
-  /// does not ride the poller's per-pass refresh).
-  [[nodiscard]] TrackedPart build_part(const BatchItem& item,
-                                       bool allow_refresh);
+  /// Builds one part: resolve, index-lookup each cell, probe the cache
+  /// file of a cell that is neither indexed nor queued, admit the rest
+  /// (whole-part shed on admission refusal).
+  [[nodiscard]] TrackedPart build_part(const BatchItem& item);
   /// True when every part is resolved; fills the complete answer
   /// (poisoned cells turn their part status=error, healthy cells stay).
   [[nodiscard]] bool collect_answer(const TrackedQuery& tq,
@@ -264,6 +274,10 @@ class CampaignServer {
   [[nodiscard]] bool finish_tracked(const TrackedQuery& tq,
                                     ServiceBatchAnswer&& answer);
   bool publish_text(const std::string& id, const std::string& text);
+  /// Wakes serve() for a publish pass: a tracked query may be answerable.
+  void wake_publish();
+  /// Wakes workers after the backlog gained pending cells.
+  void wake_workers();
   /// Drops a terminal (done or poisoned) cell's work_ entry.
   void forget_work(std::uint64_t fp);
   /// Open-time answer-directory GC (see kAnswerKeepCap).
@@ -319,11 +333,17 @@ class CampaignServer {
   std::atomic<std::uint64_t> answers_reaped_{0};
   std::atomic<std::uint64_t> answer_temps_reaped_{0};
   std::atomic<std::uint64_t> submit_scans_skipped_{0};
+  std::atomic<std::uint64_t> cache_probes_{0};
+  std::atomic<std::uint64_t> cache_probe_hits_{0};
   std::atomic<std::uint64_t> seq_{0};  ///< unique answer temp names
   std::atomic<bool> stop_{false};
 
   std::mutex wake_mu_;
   std::condition_variable_any wake_cv_;  ///< pending work for workers
+
+  /// serve()'s wait, posted by wake_publish() and request_stop().  A
+  /// semaphore because sem_post is async-signal-safe.
+  sem_t publish_wake_;
 
   /// Ring drain parking (eventcount-lite): producers bump ring_pushes_
   /// after a push and notify only when the drain thread has parked.

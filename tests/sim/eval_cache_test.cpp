@@ -15,8 +15,11 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
+#include "schemes/factory.hpp"
 #include "sim/runner.hpp"
 #include "sim/store_recovery.hpp"
+#include "trace/workloads.hpp"
 
 namespace snug::sim {
 namespace {
@@ -476,6 +479,33 @@ TEST(EvalCache, RunFingerprintIsStableAndSensitive) {
   RunScale longer = scale;
   longer.measure_cycles *= 2;
   EXPECT_NE(fp, run_fingerprint(cfg, longer, combo, snug));
+}
+
+TEST(EvalCache, RunFingerprintFromConfigFingerprintMatchesEveryPaperCell) {
+  const SystemConfig cfg = paper_system_config();
+  const RunScale scale;
+  const std::uint64_t config_fp = config_fingerprint(cfg, scale);
+  std::size_t cells = 0;
+  for (const trace::WorkloadCombo& combo : trace::all_combos()) {
+    for (const schemes::SchemeSpec& spec : schemes::paper_scheme_grid()) {
+      // The derivation every published cache entry was keyed by.
+      std::string tag = combo.name;
+      for (const std::string& bench : combo.benchmarks) {
+        tag += '|';
+        tag += bench;
+      }
+      tag += '|';
+      tag += spec.id();
+      const std::uint64_t want =
+          Rng::derive_seed(tag, config_fp, EvalCache::kVersion);
+      EXPECT_EQ(run_fingerprint(config_fp, combo, spec), want)
+          << combo.name << "/" << spec.id();
+      EXPECT_EQ(run_fingerprint(cfg, scale, combo, spec), want)
+          << combo.name << "/" << spec.id();
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 189u) << "21 Table-8 combos x 9 paper schemes";
 }
 
 TEST(EvalCache, CacheKeyEmbedsComboSchemeAndFingerprint) {

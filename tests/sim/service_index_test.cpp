@@ -1,18 +1,16 @@
 // AnswerIndex tests (ISSUE 10): the in-memory fingerprint index over
-// the EvalCache directory — initial scan, epoch-gated incremental
-// refresh (no rescans while the directory is quiet), same-process
-// insert warm-up, corrupt-entry quarantine at scan time, and the
-// never-serve-wrong-bytes guarantee (a CRC-rotten entry can only turn
-// into a miss, never a hit).
+// the EvalCache directory — the one scan at open (later publishes are
+// the server's by-name probe's job, pinned in service_server_test),
+// same-process insert warm-up, corrupt-entry quarantine at scan time,
+// and the never-serve-wrong-bytes guarantee (a CRC-rotten entry can
+// only turn into a miss, never a hit).
 #include "sim/service/index.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/runner.hpp"
@@ -44,7 +42,8 @@ TEST(AnswerIndexTest, DisabledIndexAlwaysMisses) {
   EXPECT_FALSE(index.enabled());
   std::vector<double> ipc;
   EXPECT_FALSE(index.lookup(42, ipc));
-  EXPECT_FALSE(index.maybe_refresh(/*force=*/true));
+  index.insert(42, {1.0});
+  EXPECT_FALSE(index.lookup(42, ipc)) << "a disabled index stores nothing";
 }
 
 TEST(AnswerIndexTest, InitialScanIndexesPublishedEntries) {
@@ -68,36 +67,25 @@ TEST(AnswerIndexTest, InitialScanIndexesPublishedEntries) {
   EXPECT_EQ(c.files_indexed, 2u);
   EXPECT_EQ(c.hits, 2u);
   EXPECT_EQ(c.misses, 1u);
-  EXPECT_EQ(c.rescans, 1u) << "open runs exactly one full scan";
 }
 
-TEST(AnswerIndexTest, EpochRefreshPicksUpNewEntriesIncrementally) {
-  TempDir tmp("snug_index_epoch");
+TEST(AnswerIndexTest, LookupsNeverReadTheDirectoryAfterOpen) {
+  TempDir tmp("snug_index_no_rescan");
   const std::string dir = tmp.dir.string();
   publish_entry(dir, "c1__SNUG__000000000000000a", 0xA, {1.0});
   AnswerIndex index(dir);
 
-  // Let the directory mtime settle past the racy-timestamp margin
-  // (common/fsepoch.hpp): young epochs are deliberately distrusted.
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  const std::uint64_t settled_rescans = index.counters().rescans;
-
-  // Quiet directory: the epoch short-circuit must skip the listing.
-  EXPECT_FALSE(index.maybe_refresh());
-  EXPECT_FALSE(index.maybe_refresh());
-  EXPECT_EQ(index.counters().rescans, settled_rescans)
-      << "no publishes -> no rescans, just stat probes";
-
-  // A publish (atomic rename into the directory) moves the epoch.
+  // A later publish stays invisible to lookups: the index lists the
+  // directory once, at open, and never reads a file again.
   publish_entry(dir, "c2__SNUG__000000000000000b", 0xB, {2.0, 3.0});
-  EXPECT_TRUE(index.maybe_refresh());
   std::vector<double> ipc;
+  EXPECT_FALSE(index.lookup(0xB, ipc));
+  EXPECT_EQ(index.counters().files_indexed, 1u);
+  // The server inserts what its by-name probe finds.
+  index.insert(0xB, {2.0, 3.0});
   ASSERT_TRUE(index.lookup(0xB, ipc));
   EXPECT_EQ(ipc, (std::vector<double>{2.0, 3.0}));
-  const AnswerIndex::Counters c = index.counters();
-  EXPECT_GT(c.rescans, settled_rescans);
-  // The incremental scans only ever read each file once.
-  EXPECT_EQ(c.files_indexed, 2u);
+  EXPECT_EQ(index.counters().files_indexed, 1u);
 }
 
 TEST(AnswerIndexTest, InsertKeepsIndexWarmWithoutRescan) {
@@ -107,7 +95,7 @@ TEST(AnswerIndexTest, InsertKeepsIndexWarmWithoutRescan) {
   std::vector<double> ipc;
   ASSERT_TRUE(index.lookup(0x77, ipc));
   EXPECT_EQ(ipc, (std::vector<double>{4.5, 6.75}));
-  EXPECT_EQ(index.counters().rescans, 1u) << "insert must not rescan";
+  EXPECT_EQ(index.counters().files_indexed, 0u) << "insert reads no file";
   // Duplicate inserts are no-ops (entries are immutable by fingerprint).
   index.insert(0x77, {9.0});
   ASSERT_TRUE(index.lookup(0x77, ipc));
@@ -159,12 +147,11 @@ TEST(AnswerIndexTest, CorruptEntryIsQuarantinedAndNeverServed) {
   EXPECT_TRUE(fs::exists(tmp.dir / "quarantine"))
       << "corrupt entries are moved aside, never deleted";
 
-  // The heal: a good entry re-published under the same name indexes on
-  // the next epoch move (corrupt names are not remembered as known).
+  // A good entry re-published under the same name is not re-read here;
+  // the server's by-name probe serves the heal
+  // (CampaignServerTest.CorruptEntryQuarantinedAtOpenServesTheHealedFile).
   publish_entry(dir, "rotten__SNUG__0000000000000002", 0x2, {2.5});
-  EXPECT_TRUE(index.maybe_refresh());
-  EXPECT_TRUE(index.lookup(0x2, ipc));
-  EXPECT_EQ(ipc, (std::vector<double>{2.5}));
+  EXPECT_FALSE(index.lookup(0x2, ipc));
 }
 
 TEST(AnswerIndexTest, FingerprintZeroFallsBackToMiss) {

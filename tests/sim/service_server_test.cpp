@@ -7,13 +7,17 @@
 // lease reassigns the cell and the answer is still exact; a server
 // destroyed mid-backlog resumes — journal + surviving submit files —
 // into byte-identical answers; a corrupt cache entry degrades to
-// recompute-and-heal, never a wrong answer; and finished misses leave
-// no per-miss state behind.
+// recompute-and-heal, never a wrong answer; an entry another writer
+// publishes after open is found by the by-name probe, over the ring
+// and the file wire, without simulating; a finished cell wakes the
+// publish pass instead of waiting out the poll interval; and finished
+// misses leave no per-miss state behind.
 #include "sim/service/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -314,6 +318,169 @@ TEST(CampaignServerTest, KilledMidBacklogResumesByteIdentically) {
   EXPECT_LE(s.cells_simulated, 2u);
 }
 
+/// Flips one payload byte of the only entry in `cache_dir`; returns its
+/// path (empty when there is not exactly one entry).
+fs::path rot_only_cache_entry(const std::string& cache_dir) {
+  fs::path entry;
+  int entries = 0;
+  for (const auto& e : fs::directory_iterator(cache_dir)) {
+    if (e.path().extension() == ".snugc") {
+      entry = e.path();
+      ++entries;
+    }
+  }
+  if (entries != 1) return {};
+  std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(30);  // past the 24-byte header, into the payload
+  char byte = 0;
+  f.read(&byte, 1);
+  f.seekp(30);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.write(&byte, 1);
+  return entry;
+}
+
+/// Another writer: a runner of its own over the shared cache directory
+/// simulates every cell of the item and publishes its entries.
+std::vector<AnswerCell> publish_from_another_writer(
+    const std::string& cache_dir, const std::string& scenario_text,
+    const std::string& scheme_id) {
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse_scenario(scenario_text, spec, error)) << error;
+  schemes::SchemeSpec scheme;
+  EXPECT_TRUE(schemes::parse_scheme_id(scheme_id, scheme));
+  ExperimentRunner writer(spec, cache_dir, /*warm_bank_dir=*/"");
+  std::vector<AnswerCell> cells;
+  for (const trace::WorkloadCombo& combo : spec.combos()) {
+    const RunResult r = writer.run(combo, scheme);
+    EXPECT_FALSE(r.cached);
+    cells.push_back({combo.name, r.ipc});
+  }
+  return cells;
+}
+
+/// Runs serve() on its own thread for the object's lifetime.
+class ServingThread {
+ public:
+  ServingThread(CampaignServer& server, std::uint64_t poll_ms)
+      : server_(server),
+        thread_([this, poll_ms] {
+          server_.serve(/*idle_exit_polls=*/0, poll_ms);
+        }) {}
+  ~ServingThread() {
+    server_.request_stop();  // also wakes serve() out of its wait
+    thread_.join();
+  }
+  ServingThread(const ServingThread&) = delete;
+  ServingThread& operator=(const ServingThread&) = delete;
+
+ private:
+  CampaignServer& server_;
+  std::thread thread_;
+};
+
+/// One single-item query over the ring; fails the test unless it
+/// answers one ok part.
+std::vector<AnswerCell> ring_query(CampaignServer& server,
+                                   const std::string& id,
+                                   const std::string& scenario,
+                                   const std::string& scheme) {
+  ServiceBatchQuery q;
+  q.id = id;
+  q.items = {{scenario, scheme}};
+  ServiceBatchAnswer a;
+  std::string error;
+  RingClient ring(server);
+  EXPECT_TRUE(ring.query(q, a, /*publish=*/false, &error)) << error;
+  EXPECT_EQ(ring.wire_fallbacks(), 0u);
+  if (a.parts.size() != 1) {
+    ADD_FAILURE() << id << ": " << a.parts.size() << " parts";
+    return {};
+  }
+  EXPECT_EQ(a.parts[0].status, AnswerStatus::kOk) << a.parts[0].error;
+  return a.parts[0].cells;
+}
+
+TEST(CampaignServerTest, EntriesPublishedAfterOpenAnswerOverRingAndFileWire) {
+  TempDir tmp("snug_service_foreign_entry");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  const ServingThread serving(server, /*poll_ms=*/1);
+  // Both entries land after the server's one directory scan.
+  const std::vector<AnswerCell> ring_cells =
+      publish_from_another_writer(cfg.cache_dir, kScenarioA, "L2P");
+  const std::vector<AnswerCell> file_cells =
+      publish_from_another_writer(cfg.cache_dir, kScenarioB, "L2P");
+
+  expect_cells_equal(ring_query(server, "ring", kScenarioA, "L2P"),
+                     ring_cells);
+  ASSERT_TRUE(submit(cfg.root, "file", kScenarioB, "L2P"));
+  ServiceAnswer f;
+  ASSERT_TRUE(ServiceClient(cfg.root).wait("file", f, /*timeout_ms=*/30'000));
+  ASSERT_EQ(f.status, AnswerStatus::kOk) << f.error;
+  expect_cells_equal(f.cells, file_cells);
+
+  CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.cells_simulated, 0u) << "a published entry never re-simulates";
+  EXPECT_EQ(s.cells_from_cache, 2u);
+  EXPECT_EQ(s.cache_probes, 2u);
+  EXPECT_EQ(s.cache_probe_hits, 2u);
+  EXPECT_EQ(s.ring_inline_answers, 1u);
+  EXPECT_EQ(s.ring_backlogged, 0u);
+
+  // The probe indexed what it found: a repeat is an index hit.
+  expect_cells_equal(ring_query(server, "again", kScenarioA, "L2P"),
+                     ring_cells);
+  s = server.stats();
+  EXPECT_EQ(s.cache_probes, 2u);
+  EXPECT_EQ(s.cells_simulated, 0u);
+}
+
+TEST(CampaignServerTest, CorruptEntryQuarantinedAtOpenServesTheHealedFile) {
+  TempDir tmp("snug_service_heal_probe");
+  const ServiceConfig cfg = small_config(tmp);
+  (void)publish_from_another_writer(cfg.cache_dir, kScenarioA, "DSR");
+  const fs::path entry = rot_only_cache_entry(cfg.cache_dir);
+  ASSERT_FALSE(entry.empty());
+
+  CampaignServer server(cfg);
+  const ServingThread serving(server, /*poll_ms=*/1);
+  ASSERT_EQ(server.stats().index.quarantined, 1u);
+  ASSERT_FALSE(fs::exists(entry)) << "the open scan moves the entry aside";
+  // Another writer finds no entry, simulates and re-publishes it good.
+  const std::vector<AnswerCell> healed =
+      publish_from_another_writer(cfg.cache_dir, kScenarioA, "DSR");
+  ASSERT_TRUE(fs::exists(entry));
+
+  const std::vector<AnswerCell> got =
+      ring_query(server, "healed", kScenarioA, "DSR");
+  expect_cells_equal(got, healed);
+  expect_cells_equal(got, direct_cells(kScenarioA, "DSR"));
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.cells_simulated, 0u) << "served from the healed file";
+  EXPECT_EQ(s.cache_probe_hits, 1u);
+  EXPECT_EQ(s.cells_from_cache, 1u);
+}
+
+TEST(CampaignServerTest, FinishedCellWakesThePublishPass) {
+  TempDir tmp("snug_service_wake");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  // A poll interval no test run waits out: the answer can only come
+  // from a wake-up by the worker or the ring thread.
+  constexpr std::uint64_t kPollMs = 60'000;
+  const ServingThread serving(server, kPollMs);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<AnswerCell> got =
+      ring_query(server, "miss", kScenarioA, "SNUG");
+  const auto took = std::chrono::steady_clock::now() - t0;
+  expect_cells_equal(got, direct_cells(kScenarioA, "SNUG"));
+  EXPECT_EQ(server.stats().ring_backlogged, 1u)
+      << "the cell was simulated, so the publish pass answered it";
+  EXPECT_LT(took, std::chrono::milliseconds(kPollMs / 4));
+}
+
 TEST(CampaignServerTest, CorruptCacheEntryRecomputesAndHeals) {
   TempDir tmp("snug_service_corrupt_cache");
   const ServiceConfig cfg = small_config(tmp);
@@ -326,20 +493,7 @@ TEST(CampaignServerTest, CorruptCacheEntryRecomputesAndHeals) {
     good_bytes = encode_answer(a);
   }
   // Rot one payload byte of the (only) published cache entry.
-  fs::path entry;
-  for (const auto& e : fs::directory_iterator(cfg.cache_dir)) {
-    if (e.path().extension() == ".snugc") entry = e.path();
-  }
-  ASSERT_FALSE(entry.empty());
-  {
-    std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(30);  // past the 24-byte header, into the payload
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(30);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
+  ASSERT_FALSE(rot_only_cache_entry(cfg.cache_dir).empty());
   // A fresh server probes the entry, rejects it on CRC (quarantining
   // it), recomputes, and re-publishes — the answer never changes.
   ServiceConfig cfg2 = cfg;
