@@ -1,10 +1,11 @@
 // CRC-32C (Castagnoli) over byte buffers — the integrity check framing
-// every persistent artefact in this repo: EvalCache / WarmStateBank
-// entry payloads and campaign-journal record frames.  A 32-bit CRC is
-// the right tool here: the stores' headers already pin identity (magic,
-// version, fingerprint) and exact size, so the checksum only has to
-// catch *payload* corruption — bit rot, torn writes that happen to land
-// on a plausible length, fault-injected flips — not act as a key.
+// blob-store entry payloads (sim/blob_store.hpp: the EvalCache and
+// WarmStateBank views) and campaign-journal record frames.  A 32-bit
+// CRC is the right tool here: the store header already pins identity
+// (magic, version, fingerprint) and exact size, so the checksum only
+// has to catch *payload* corruption — bit rot, torn writes that happen
+// to land on a plausible length, fault-injected flips — not act as a
+// key.
 //
 // Software slice-by-one table, constexpr-built so the table lives in
 // .rodata and the header stays dependency-free.  Not a hot path: one

@@ -1,13 +1,14 @@
 // Deterministic fault injection behind a filesystem seam (ISSUE 8).
 //
-// Every durable artefact in this repo — EvalCache entries, WarmStateBank
-// checkpoints, campaign journals — goes through the `Env` interface
-// below instead of calling the filesystem directly.  In production
-// `env()` is a passthrough to the real filesystem; under test a seeded
-// `FaultPlan` can be installed (ScopedFaultPlan, or --fault-plan= on the
-// campaign benches) and every chosen operation then misbehaves the way
-// real storage does when a disk fills, a writer is killed mid-store, or
-// media rots:
+// Every durable artefact in this repo — blob-store entries (EvalCache
+// results and WarmStateBank checkpoints, sim/blob_store.hpp), campaign
+// journals and the campaign service's wire files — goes through the
+// `Env` interface below instead of calling the filesystem directly.
+// In production `env()` is a passthrough to the real filesystem; under
+// test a seeded `FaultPlan` can be installed (ScopedFaultPlan, or
+// --fault-plan= on the campaign benches) and every chosen operation
+// then misbehaves the way real storage does when a disk fills, a writer
+// is killed mid-store, or media rots:
 //
 //   short-write@write   the file lands truncated but the write REPORTS
 //                       SUCCESS — the undetectable torn store a kill -9

@@ -1,11 +1,10 @@
-// Directory stat epochs — the shared rescan gate of ISSUE 10.
+// Directory stat epochs — the rescan gate of the campaign service's
+// submit poller, their only user.
 //
-// Every store and wire publish in this codebase lands by atomic rename
-// INTO a directory, which perturbs the directory's (mtime, size)
-// signature.  Its two pollers (the campaign service's submit poller and
-// EvalCache::refresh) can therefore skip their directory listing
-// whenever the signature is unchanged — one metadata syscall instead of
-// a scan.
+// Every query publish lands by atomic rename INTO the submit directory,
+// which perturbs the directory's (mtime, size) signature, so the poller
+// can skip its directory listing whenever the signature is unchanged —
+// one metadata syscall instead of a scan.
 //
 // The racy-mtime rule: Linux file timestamps tick on a coarse clock
 // (1-4 ms granularity), so two renames inside one tick can leave the

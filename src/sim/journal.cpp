@@ -2,11 +2,13 @@
 
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
 
 #include "common/crc32.hpp"
 #include "common/str.hpp"
-#include "sim/store_recovery.hpp"
+#include "sim/blob_store.hpp"
+#include "sim/runner.hpp"
 
 namespace snug::sim {
 namespace {
@@ -17,6 +19,31 @@ struct JournalHeader {
   std::uint64_t campaign_fp = 0;
 };
 static_assert(sizeof(JournalHeader) == 16, "header layout must be packed");
+
+/// Removes `<journal>.stale.<pid>` siblings — journals a prior open
+/// moved aside as belonging to another campaign — once their writer is
+/// dead (unparseable pids count as dead).  Returns the number removed.
+std::uint64_t reap_stale_journals(const fault::Env& env,
+                                  const std::string& journal_path) {
+  const std::size_t slash = journal_path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : journal_path.substr(0, slash);
+  const std::string base = slash == std::string::npos
+                               ? journal_path
+                               : journal_path.substr(slash + 1);
+  const std::string prefix = base + ".stale.";
+  std::uint64_t reaped = 0;
+  for (const std::string& name : env.list_dir(dir)) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    char* end = nullptr;
+    const std::string pid_str = name.substr(prefix.size());
+    const long pid = std::strtol(pid_str.c_str(), &end, 10);
+    if (end != nullptr && *end == '\0' && pid_alive(pid)) continue;
+    env.remove(dir + "/" + name);
+    ++reaped;
+  }
+  return reaped;
+}
 
 }  // namespace
 
@@ -63,7 +90,7 @@ CampaignJournal::CampaignJournal(std::string path,
     std::uint32_t crc = 0;
     std::memcpy(&len, raw.data() + off, 4);
     std::memcpy(&crc, raw.data() + off + 4, 4);
-    if (len < 12 || len > 12 + std::size_t{kMaxIpc} * 8 ||
+    if (len < 12 || len > 12 + std::size_t{EvalCache::kMaxEntries} * 8 ||
         off + 8 + len > raw.size()) {
       break;
     }
@@ -73,7 +100,10 @@ CampaignJournal::CampaignJournal(std::string path,
     std::uint32_t count = 0;
     std::memcpy(&fp, payload, 8);
     std::memcpy(&count, payload + 8, 4);
-    if (count == 0 || count > kMaxIpc || len != 12 + count * 8) break;
+    if (count == 0 || count > EvalCache::kMaxEntries ||
+        len != 12 + count * 8) {
+      break;
+    }
     std::vector<double> ipc(count);
     std::memcpy(ipc.data(), payload + 12, count * 8);
     records_[fp] = std::move(ipc);
@@ -83,16 +113,9 @@ CampaignJournal::CampaignJournal(std::string path,
 
   image_.assign(raw.begin(), raw.begin() + valid_end);
   if (valid_end != raw.size()) {
-    // Atomically rewrite without the torn tail, via the same
-    // temp-then-rename discipline as the stores.
+    // Atomically rewrite without the torn tail.
     discarded_tail_bytes_ = raw.size() - valid_end;
-    const std::string tmp =
-        strf("%s.tmp.%ld.0", path_.c_str(), static_cast<long>(::getpid()));
-    if (env_->write_file(tmp, raw.data(), valid_end) &&
-        env_->rename(tmp, path_)) {
-      return;
-    }
-    env_->remove(tmp);
+    if (publish_atomic(*env_, path_, raw.data(), valid_end)) return;
     // Rewrite failed: appending after a torn tail would bury good
     // frames behind a bad one (replay stops at the first bad frame),
     // so disable appends — the already-replayed records stay usable.
@@ -122,7 +145,9 @@ bool CampaignJournal::lookup(std::uint64_t run_fingerprint,
 
 void CampaignJournal::append(std::uint64_t run_fingerprint,
                              const std::vector<double>& ipc) {
-  if (path_.empty() || ipc.empty() || ipc.size() > kMaxIpc) return;
+  if (path_.empty() || ipc.empty() || ipc.size() > EvalCache::kMaxEntries) {
+    return;
+  }
 
   const std::uint32_t count = static_cast<std::uint32_t>(ipc.size());
   const std::uint32_t len = 12 + count * 8;
@@ -145,15 +170,9 @@ void CampaignJournal::append(std::uint64_t run_fingerprint,
   // append would be buried behind it.  Repair by atomically rewriting
   // the known-good image (header + whole frames); if even that fails,
   // disable appends rather than keep corrupting the tail.
-  const std::string tmp =
-      strf("%s.tmp.%ld.a%llu", path_.c_str(), static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(append_failures_));
-  if (env_->write_file(tmp, image_.data(), image_.size()) &&
-      env_->rename(tmp, path_)) {
-    return;
+  if (!publish_atomic(*env_, path_, image_.data(), image_.size())) {
+    path_.clear();
   }
-  env_->remove(tmp);
-  path_.clear();
 }
 
 }  // namespace snug::sim

@@ -40,8 +40,6 @@ class CampaignJournal {
  public:
   static constexpr std::uint32_t kMagic = 0x4A554E53;  // "SNUJ"
   static constexpr std::uint32_t kVersion = 1;
-  /// Same plausibility bound as EvalCache::kMaxEntries.
-  static constexpr std::uint32_t kMaxIpc = 4096;
 
   /// Opens (or resumes) the journal at `path` for the campaign whose
   /// identity hashes to `campaign_fingerprint`; pass "" to disable.
@@ -77,9 +75,8 @@ class CampaignJournal {
   /// True when a stale journal (wrong campaign/version) was renamed
   /// aside at open.
   [[nodiscard]] bool reset_stale() const noexcept { return reset_stale_; }
-  /// Dead writers' `.stale.<pid>` siblings removed at open (see
-  /// sim/store_recovery.hpp) — they are evidence only while their
-  /// writer might still want them.
+  /// Dead writers' `.stale.<pid>` siblings removed at open — they are
+  /// evidence only while their writer might still want them.
   [[nodiscard]] std::uint64_t stale_reaped() const noexcept {
     return stale_reaped_;
   }

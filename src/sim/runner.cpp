@@ -1,32 +1,14 @@
 #include "sim/runner.hpp"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "common/crc32.hpp"
+#include "common/fault.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/str.hpp"
-#include "sim/store_recovery.hpp"
 
 namespace snug::sim {
-namespace {
-
-// Entry files are host-endian; the magic word doubles as an endianness
-// check because a byte-swapped header can never match.
-struct CacheHeader {
-  std::uint32_t magic = EvalCache::kMagic;
-  std::uint32_t version = EvalCache::kVersion;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t count = 0;
-  std::uint32_t payload_crc = 0;  ///< CRC-32C of the f64 payload (v4+)
-};
-static_assert(sizeof(CacheHeader) == 24, "header layout must be packed");
-
-}  // namespace
 
 double RunResult::throughput() const {
   double sum = 0.0;
@@ -35,133 +17,32 @@ double RunResult::throughput() const {
 }
 
 EvalCache::EvalCache(std::string dir)
-    : env_(&fault::env()), dir_(std::move(dir)) {
-  if (!dir_.empty()) {
-    if (!env_->create_directories(dir_)) {
-      dir_.clear();  // fall back to uncached operation
-      return;
-    }
-    reaped_temps_.store(reap_orphaned_temps(*env_, dir_),
-                        std::memory_order_relaxed);
-    quarantine_trimmed_.store(bound_quarantine(*env_, dir_),
-                              std::memory_order_relaxed);
-  }
-}
-
-std::string EvalCache::entry_path(const std::string& key) const {
-  return dir_ + "/" + key + ".snugc";
-}
+    : store_(std::move(dir), BlobFormat{kMagic, kVersion, ".snugc",
+                                        sizeof(double), kMaxEntries}) {}
 
 bool EvalCache::load(const std::string& key, std::uint64_t fingerprint,
                      std::vector<double>& ipc) const {
-  if (dir_.empty()) return false;
-  std::vector<std::byte> raw;
-  if (!env_->read_file(entry_path(key), raw)) return false;
-
-  // Structural damage — a file that can never be a valid entry of any
-  // version — is quarantined; *stale* entries (wrong version or
-  // fingerprint: valid files answering a different question) stay put.
-  const auto corrupt = [&] {
-    if (quarantine_entry(
-            *env_, dir_, key + ".snugc",
-            store_seq_.fetch_add(1, std::memory_order_relaxed))) {
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return false;
-  };
-
-  if (raw.size() < sizeof(CacheHeader)) return corrupt();
-  CacheHeader hdr;
-  std::memcpy(&hdr, raw.data(), sizeof hdr);
-  if (hdr.magic != kMagic) return corrupt();
-  if (hdr.version != kVersion || hdr.fingerprint != fingerprint) {
-    return false;  // stale, not corrupt
-  }
-  if (hdr.count == 0 || hdr.count > kMaxEntries) return corrupt();
-  const std::size_t payload_bytes = hdr.count * sizeof(double);
-  if (raw.size() != sizeof hdr + payload_bytes) {
-    return corrupt();  // truncated (short write) or trailing garbage
-  }
-  if (crc32c(raw.data() + sizeof hdr, payload_bytes) != hdr.payload_crc) {
-    return corrupt();  // bit rot / torn payload
-  }
-
-  ipc.resize(hdr.count);
-  std::memcpy(ipc.data(), raw.data() + sizeof hdr, payload_bytes);
+  std::vector<std::byte> payload;
+  if (!store_.tryGet(key, fingerprint, payload)) return false;
+  ipc.resize(payload.size() / sizeof(double));
+  std::memcpy(ipc.data(), payload.data(), payload.size());
   return true;
-}
-
-bool EvalCache::contains(const std::string& key,
-                         std::uint64_t fingerprint) const {
-  if (dir_.empty()) return false;
-  std::vector<std::byte> raw;
-  if (!env_->read_file(entry_path(key), raw, sizeof(CacheHeader))) {
-    return false;
-  }
-  if (raw.size() < sizeof(CacheHeader)) return false;
-  CacheHeader hdr;
-  std::memcpy(&hdr, raw.data(), sizeof hdr);
-  // Header-only probe: no CRC/size verdict and no quarantine — a later
-  // full load makes the structural call (same contract as
-  // WarmStateBank::contains).
-  return hdr.magic == kMagic && hdr.version == kVersion &&
-         hdr.fingerprint == fingerprint && hdr.count > 0 &&
-         hdr.count <= kMaxEntries;
-}
-
-std::size_t EvalCache::refresh() const {
-  if (dir_.empty()) return 0;
-  const std::lock_guard<std::mutex> lock(refresh_mu_);
-  // Epoch short-circuit: every publish renames into the directory and
-  // perturbs its (mtime_ns, size) signature, so an unchanged-and-settled
-  // signature means the last count is still exact — no listing needed
-  // (racy-mtime rule: common/fsepoch.hpp).
-  const DirEpoch now = dir_epoch(dir_);
-  if (refresh_primed_ && epoch_unchanged(now, refresh_epoch_)) {
-    return refresh_count_;
-  }
-  std::size_t published = 0;
-  for (const std::string& name : env_->list_dir(dir_)) {
-    // Count only published entries: temps are in-flight stores and
-    // anything else (journals, notes) is not ours to report.
-    if (name.size() > 6 && name.rfind(".snugc") == name.size() - 6) {
-      ++published;
-    }
-  }
-  refresh_primed_ = true;
-  refresh_epoch_ = now;
-  refresh_count_ = published;
-  return published;
 }
 
 void EvalCache::store(const std::string& key, std::uint64_t fingerprint,
                       const std::vector<double>& ipc) const {
-  if (dir_.empty() || ipc.empty() || ipc.size() > kMaxEntries) return;
+  store_.insert(key, fingerprint, ipc.data(), ipc.size());
+}
 
-  CacheHeader hdr;
-  hdr.fingerprint = fingerprint;
-  hdr.count = static_cast<std::uint32_t>(ipc.size());
-  hdr.payload_crc = crc32c(ipc.data(), ipc.size() * sizeof(double));
-  std::vector<std::byte> raw(sizeof hdr + ipc.size() * sizeof(double));
-  std::memcpy(raw.data(), &hdr, sizeof hdr);
-  std::memcpy(raw.data() + sizeof hdr, ipc.data(),
-              ipc.size() * sizeof(double));
-
-  // Unique temp name per (process, store) so concurrent writers — threads
-  // of this process or entirely separate processes — never collide; the
-  // final rename is atomic within the cache directory.
-  const std::string tmp =
-      strf("%s/%s.tmp.%ld.%llu", dir_.c_str(), key.c_str(),
-           static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(
-               store_seq_.fetch_add(1, std::memory_order_relaxed)));
-  if (!env_->write_file(tmp, raw.data(), raw.size())) {
-    env_->remove(tmp);  // ENOSPC-style partial file: clean up
-    return;
-  }
-  if (!env_->rename(tmp, entry_path(key))) {
-    env_->remove(tmp);  // cache stays best-effort
-  }
+BlobStore::ScanCounts EvalCache::scan(
+    const std::function<void(std::uint64_t, const std::vector<double>&)>& visit)
+    const {
+  return store_.scan(
+      [&](std::uint64_t fp, const std::byte* payload, std::uint32_t count) {
+        std::vector<double> ipc(count);
+        std::memcpy(ipc.data(), payload, count * sizeof(double));
+        visit(fp, ipc);
+      });
 }
 
 std::string default_cache_dir() {

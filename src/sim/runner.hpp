@@ -4,12 +4,10 @@
 //
 // The runner is concurrency-safe: any number of threads may call run()
 // on the same instance (the campaign executor in sim/executor.hpp does
-// exactly that), and concurrent processes may share one cache directory —
-// stores are atomic temp-file-then-rename, loads validate a versioned
-// binary header and reject anything truncated or stale.
+// exactly that), and concurrent processes may share one cache directory
+// (sim/blob_store.hpp publishes atomically and validates every load).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -17,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/fault.hpp"
-#include "common/fsepoch.hpp"
+#include "sim/blob_store.hpp"
 #include "sim/config.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
@@ -40,27 +37,11 @@ struct RunResult {
   [[nodiscard]] double throughput() const;
 };
 
-/// One-file-per-entry disk cache keyed by a fingerprint of
-/// (combo, scheme, config, scale).
-///
-/// Entry format (host-endian, `<key>.snugc`; the magic word doubles as
-/// an endianness check):
-///   u32 magic 'SNUG'   u32 format version   u64 key fingerprint
-///   u32 ipc count      u32 payload CRC-32C  f64 x count payload
-/// A load succeeds only when magic, version, fingerprint, exact size and
-/// payload CRC all check out — short reads, torn writes, bit rot and
-/// version bumps all fall through to a fresh simulation.  Rejections are
-/// classified: *stale* entries (wrong version or fingerprint — valid
-/// files that simply answer a different question) stay in place, while
-/// *structurally corrupt* files (bad magic, truncation, trailing bytes,
-/// CRC mismatch, implausible count) are quarantined — renamed into
-/// `<dir>/quarantine/`, never deleted — so they stop shadowing fresh
-/// stores but remain inspectable.  Stores write a uniquely named temp
-/// file and rename() it into place, so a concurrent reader can never
-/// observe a half-written entry; opening a cache reaps temp files whose
-/// writer process is dead (see sim/store_recovery.hpp).  All I/O goes
-/// through the fault::Env seam, so every one of these failure paths is
-/// exercised deterministically by tests/sim/fault_injection_test.cpp.
+/// The eval cache: per-core IPCs, one BlobStore entry (`<key>.snugc`)
+/// per (combo, scheme, config, scale) fingerprint.  The store owns the
+/// format, validation, quarantine and atomic publish
+/// (sim/blob_store.hpp); this view fixes the magic, version, suffix and
+/// count bound and types the payload as f64 per core.
 class EvalCache {
  public:
   static constexpr std::uint32_t kMagic = 0x47554E53;  // "SNUG"
@@ -79,78 +60,32 @@ class EvalCache {
   /// rejected by version (and left in place) instead.
   static constexpr std::uint32_t kVersion = 4;
   /// Hard upper bound on plausible per-core entries; anything larger is
-  /// treated as corruption.
+  /// treated as corruption.  Also bounds campaign-journal records.
   static constexpr std::uint32_t kMaxEntries = 4096;
 
-  /// Recovery actions taken by this instance (see the class comment).
-  struct Recovery {
-    std::uint64_t reaped_temps = 0;  ///< dead writers' temps removed on open
-    std::uint64_t quarantined = 0;   ///< corrupt entries renamed aside
-    /// Oldest quarantine/ entries removed at open to stay within the
-    /// kQuarantineCap bound (sim/store_recovery.hpp).
-    std::uint64_t quarantine_trimmed = 0;
-  };
+  using Recovery = BlobStore::Recovery;
 
-  /// `dir` is created on demand; pass "" to disable caching.  Opening
-  /// runs the orphaned-temp reap.
+  /// `dir` is created on demand; pass "" to disable caching.
   explicit EvalCache(std::string dir);
-
-  EvalCache(const EvalCache&) = delete;
-  EvalCache& operator=(const EvalCache&) = delete;
 
   [[nodiscard]] bool load(const std::string& key, std::uint64_t fingerprint,
                           std::vector<double>& ipc) const;
   void store(const std::string& key, std::uint64_t fingerprint,
              const std::vector<double>& ipc) const;
-  [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
+  [[nodiscard]] bool enabled() const noexcept { return store_.enabled(); }
 
-  /// Header-validated probe: true when a well-formed entry for this
-  /// (key, fingerprint) is currently published.  No CRC verdict and no
-  /// quarantine (a later load makes the structural call), mirroring
-  /// WarmStateBank::contains — cheap enough for a service admission
-  /// path.
-  [[nodiscard]] bool contains(const std::string& key,
-                              std::uint64_t fingerprint) const;
-
-  /// Counts entries published in the directory, picking up entries from
-  /// OTHER processes since this instance opened (multi-process
-  /// read-sharing: the writer's atomic temp-then-rename publish means a
-  /// re-scan can never observe a half-written entry).  Loads always go
-  /// to disk, so refresh() is not required for correctness — it exists
-  /// so a long-lived server can report (and tests can pin) how many
-  /// entries are visible.  Returns the number of published entries now
-  /// in the directory.
-  ///
-  /// The directory is only LISTED when its stat epoch (mtime_ns, size)
-  /// moved since the last refresh — every publish is a rename into the
-  /// directory, which perturbs the epoch — so a server polling refresh()
-  /// pays one metadata syscall per call, not a scan (ISSUE 10).  The
-  /// stat is deliberately outside the fault::Env seam: the epoch is a
-  /// pure memoisation key, never a durability decision.
-  std::size_t refresh() const;
+  /// Hands every valid published entry to `visit` (fingerprint, IPCs)
+  /// in one directory pass — the AnswerIndex's build at open.
+  BlobStore::ScanCounts scan(
+      const std::function<void(std::uint64_t, const std::vector<double>&)>&
+          visit) const;
 
   [[nodiscard]] Recovery recovery() const noexcept {
-    return {reaped_temps_.load(std::memory_order_relaxed),
-            quarantined_.load(std::memory_order_relaxed),
-            quarantine_trimmed_.load(std::memory_order_relaxed)};
+    return store_.recovery();
   }
 
  private:
-  [[nodiscard]] std::string entry_path(const std::string& key) const;
-
-  const fault::Env* env_;  ///< resolved at construction (fault seam)
-  std::string dir_;
-  mutable std::atomic<std::uint64_t> store_seq_{0};  ///< unique temp names
-  std::atomic<std::uint64_t> reaped_temps_{0};
-  mutable std::atomic<std::uint64_t> quarantined_{0};
-  std::atomic<std::uint64_t> quarantine_trimmed_{0};
-
-  /// refresh() memo: the directory's settled epoch at the last listing
-  /// (common/fsepoch.hpp) plus the count it produced.
-  mutable std::mutex refresh_mu_;
-  mutable DirEpoch refresh_epoch_;
-  mutable std::size_t refresh_count_ = 0;
-  mutable bool refresh_primed_ = false;
+  BlobStore store_;
 };
 
 /// Default cache directory: $SNUG_CACHE_DIR or .snug_eval_cache under the
@@ -226,9 +161,6 @@ class ExperimentRunner {
   [[nodiscard]] EvalCache::Recovery cache_recovery() const noexcept {
     return cache_.recovery();
   }
-  /// The runner's eval cache (read-side service probes: refresh(),
-  /// contains()).
-  [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
   [[nodiscard]] WarmStateBank::Recovery warm_recovery() const noexcept {
     return warm_bank_.recovery();
   }

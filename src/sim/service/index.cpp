@@ -1,39 +1,26 @@
 #include "sim/service/index.hpp"
 
-#include <cstring>
-
-#include "common/crc32.hpp"
 #include "sim/runner.hpp"
-#include "sim/store_recovery.hpp"
 
 namespace snug::sim::service {
 namespace {
 
-// Mirror of the EvalCache entry header (sim/runner.cpp); the layout is
-// part of the on-disk format and pinned by eval_cache tests.
-struct CacheHeader {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint64_t fingerprint;
-  std::uint32_t count;
-  std::uint32_t payload_crc;
-};
-static_assert(sizeof(CacheHeader) == 24, "header layout must be packed");
-
 constexpr std::size_t kInitialSlots = 1024;  // power of two
-
-[[nodiscard]] bool is_entry_name(const std::string& name) {
-  return name.size() > 6 && name.rfind(".snugc") == name.size() - 6;
-}
 
 }  // namespace
 
-AnswerIndex::AnswerIndex(std::string cache_dir)
-    : env_(&fault::env()), dir_(std::move(cache_dir)) {
+AnswerIndex::AnswerIndex(std::string cache_dir) : dir_(std::move(cache_dir)) {
   slots_.resize(kInitialSlots);
   if (dir_.empty()) return;
+  const EvalCache cache(dir_);
   const std::unique_lock<std::shared_mutex> lock(mu_);
-  scan_locked();
+  const BlobStore::ScanCounts scanned =
+      cache.scan([this](std::uint64_t fp, const std::vector<double>& ipc) {
+        insert_locked(fp, ipc.data(), static_cast<std::uint32_t>(ipc.size()));
+      });
+  counters_.files_indexed = scanned.indexed;
+  counters_.files_rejected = scanned.rejected;
+  counters_.quarantined = cache.recovery().quarantined;
 }
 
 bool AnswerIndex::lookup(std::uint64_t fp, std::vector<double>& ipc) {
@@ -96,49 +83,6 @@ void AnswerIndex::grow_locked() {
         break;
       }
     }
-  }
-}
-
-void AnswerIndex::index_file_locked(const std::string& name) {
-  std::vector<std::byte> raw;
-  if (!env_->read_file(dir_ + "/" + name, raw)) return;
-
-  const auto corrupt = [&] {
-    // Same discipline as EvalCache::load: structurally damaged files
-    // are quarantined (never deleted) so they stop shadowing stores.
-    if (quarantine_entry(
-            *env_, dir_, name,
-            quarantine_seq_.fetch_add(1, std::memory_order_relaxed))) {
-      ++counters_.quarantined;
-    }
-    ++counters_.files_rejected;
-  };
-
-  if (raw.size() < sizeof(CacheHeader)) return corrupt();
-  CacheHeader hdr;
-  std::memcpy(&hdr, raw.data(), sizeof hdr);
-  if (hdr.magic != EvalCache::kMagic) return corrupt();
-  if (hdr.version != EvalCache::kVersion) {
-    ++counters_.files_rejected;  // stale, not corrupt — leave in place
-    return;
-  }
-  if (hdr.count == 0 || hdr.count > EvalCache::kMaxEntries) {
-    return corrupt();
-  }
-  const std::size_t payload_bytes = hdr.count * sizeof(double);
-  if (raw.size() != sizeof hdr + payload_bytes) return corrupt();
-  if (crc32c(raw.data() + sizeof hdr, payload_bytes) != hdr.payload_crc) {
-    return corrupt();
-  }
-  std::vector<double> ipc(hdr.count);
-  std::memcpy(ipc.data(), raw.data() + sizeof hdr, payload_bytes);
-  insert_locked(hdr.fingerprint, ipc.data(), hdr.count);
-  ++counters_.files_indexed;
-}
-
-void AnswerIndex::scan_locked() {
-  for (const std::string& name : env_->list_dir(dir_)) {
-    if (is_entry_name(name)) index_file_locked(name);
   }
 }
 

@@ -4,12 +4,12 @@
 // Before this index, every warm query paid one file read per cell
 // (EvalCache::load) plus a journal append per hit — ~0.4 ms of syscalls
 // for a result that never changes.  The index front-loads that work:
-// on server open it scans the cache directory ONCE, validates each
-// entry exactly the way EvalCache::load does (magic, version, count
-// bound, exact size, payload CRC-32C), and pins the fingerprint -> IPC
-// mapping in an open-addressing hash table.  A warm lookup is then a
-// couple of L1-resident probes — zero directory scans, zero file
-// reads, zero journal traffic.
+// on server open it scans the cache directory ONCE through the eval
+// cache's validated scan (EvalCache::scan: the same checks as
+// EvalCache::load), and pins the fingerprint -> IPC mapping in an
+// open-addressing hash table.  A warm lookup is then a couple of
+// L1-resident probes — zero directory scans, zero file reads, zero
+// journal traffic.
 //
 // Freshness without rescans: the directory is listed once, at open.
 // Same-process completions are insert()ed as the server stores them.
@@ -24,8 +24,8 @@
 // CRC-validated on the way in, and an entry name embeds its
 // fingerprint, so a name is never re-bound to different bytes (heals
 // replace corrupt files, which were never indexed).  Corrupt entries
-// found during the open scan are quarantined with the stores' shared
-// never-delete discipline (sim/store_recovery.hpp).
+// found during the open scan are quarantined by the store
+// (sim/blob_store.hpp), never deleted.
 #pragma once
 
 #include <atomic>
@@ -33,8 +33,6 @@
 #include <shared_mutex>
 #include <string>
 #include <vector>
-
-#include "common/fault.hpp"
 
 namespace snug::sim::service {
 
@@ -76,13 +74,10 @@ class AnswerIndex {
   };
 
   // The _locked helpers require mu_ held exclusively.
-  void scan_locked();
   void insert_locked(std::uint64_t fp, const double* ipc,
                      std::uint32_t count);
   void grow_locked();
-  void index_file_locked(const std::string& name);
 
-  const fault::Env* env_;
   std::string dir_;
 
   mutable std::shared_mutex mu_;
@@ -92,7 +87,6 @@ class AnswerIndex {
   Counters counters_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> quarantine_seq_{0};
 };
 
 }  // namespace snug::sim::service

@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "common/str.hpp"
-#include "sim/store_recovery.hpp"
+#include "sim/blob_store.hpp"
 
 namespace snug::sim::service {
 namespace {
@@ -90,9 +90,13 @@ std::uint64_t CampaignServer::now_ms() const {
 }
 
 void CampaignServer::gc_answers() {
+  // Dead writers' temps: the server's own answer publishes, and
+  // clients' query publishes in submit/.
   const std::string adir = answer_dir(cfg_.root);
-  answer_temps_reaped_.store(reap_orphaned_temps(*env_, adir),
-                             std::memory_order_relaxed);
+  answer_temps_reaped_.store(
+      reap_orphaned_temps(*env_, adir) +
+          reap_orphaned_temps(*env_, submit_dir(cfg_.root)),
+      std::memory_order_relaxed);
   // Reap acked answers (no matching submit file — the client saw them
   // or abandoned them) beyond the retention cap, oldest name first:
   // the same bounded-evidence pattern as the stores' quarantine cap.
@@ -877,16 +881,7 @@ CampaignServer::Stats CampaignServer::stats() const {
     const std::lock_guard<std::mutex> lock(state_mu_);
     s.work_items = work_.size();
   }
-  {
-    const std::lock_guard<std::mutex> lock(runners_mu_);
-    if (!runners_.empty()) {
-      s.cache_entries_visible = runners_.begin()->second->cache().refresh();
-    }
-  }
-  if (s.cache_entries_visible == 0 && !cfg_.cache_dir.empty()) {
-    // No runner yet (or an empty view): probe the directory directly.
-    s.cache_entries_visible = EvalCache(cfg_.cache_dir).refresh();
-  }
+  s.cache_entries_visible = s.index.entries;
   return s;
 }
 

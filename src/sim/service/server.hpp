@@ -139,7 +139,7 @@ class CampaignServer {
     std::uint64_t journal_stale_reaped = 0;
     std::uint64_t journal_discarded_bytes = 0;
     std::uint64_t journal_append_failures = 0;
-    /// Published cache entries currently visible (EvalCache::refresh()).
+    /// Cache entries the AnswerIndex holds (index.entries).
     std::uint64_t cache_entries_visible = 0;
     // --- ISSUE 10: batching, ring and index telemetry ---
     std::uint64_t batches_ingested = 0;  ///< query-v2 files accepted
@@ -150,7 +150,8 @@ class CampaignServer {
     std::uint64_t ring_inline_answers = 0;  ///< every cell from the index
     std::uint64_t ring_backlogged = 0;   ///< a cell missed the index
     std::uint64_t answers_reaped = 0;       ///< acked answers GC'd at open
-    std::uint64_t answer_temps_reaped = 0;  ///< dead writers' answer temps
+    /// Dead writers' answer and query temps reaped at open.
+    std::uint64_t answer_temps_reaped = 0;
     std::uint64_t submit_scans_skipped = 0;  ///< epoch-gated poller skips
     AnswerIndex::Counters index;
     std::uint64_t cache_probes = 0;      ///< by-name probes of index misses

@@ -1,149 +1,24 @@
 #include "sim/warm_state.hpp"
 
-#include <unistd.h>
-
 #include <cstdlib>
-#include <cstring>
 
-#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/str.hpp"
-#include "sim/store_recovery.hpp"
 
 namespace snug::sim {
-namespace {
-
-// Host-endian, like EvalCache's CacheHeader: the magic word doubles as
-// an endianness check because a byte-swapped header can never match.
-struct BankHeader {
-  std::uint32_t magic = WarmStateBank::kMagic;
-  std::uint32_t version = WarmStateBank::kVersion;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint32_t payload_crc = 0;  ///< CRC-32C of the payload (v2+)
-  std::uint32_t reserved = 0;
-};
-static_assert(sizeof(BankHeader) == 32, "header layout must be packed");
-
-/// How a header (or file prefix) failed validation.
-enum class HeaderCheck {
-  kOk,
-  kStale,    ///< valid file answering a different question: leave it
-  kCorrupt,  ///< can never be valid: quarantine it
-};
-
-HeaderCheck check_header(const std::vector<std::byte>& raw,
-                         std::uint64_t fingerprint, BankHeader& hdr) {
-  if (raw.size() < sizeof hdr) return HeaderCheck::kCorrupt;
-  std::memcpy(&hdr, raw.data(), sizeof hdr);
-  if (hdr.magic != WarmStateBank::kMagic) return HeaderCheck::kCorrupt;
-  if (hdr.version != WarmStateBank::kVersion ||
-      hdr.fingerprint != fingerprint) {
-    return HeaderCheck::kStale;
-  }
-  if (hdr.payload_bytes == 0 ||
-      hdr.payload_bytes > WarmStateBank::kMaxBytes || hdr.reserved != 0) {
-    return HeaderCheck::kCorrupt;
-  }
-  return HeaderCheck::kOk;
-}
-
-}  // namespace
 
 WarmStateBank::WarmStateBank(std::string dir)
-    : env_(&fault::env()), dir_(std::move(dir)) {
-  if (!dir_.empty()) {
-    if (!env_->create_directories(dir_)) {
-      dir_.clear();  // fall back to bank-less operation
-      return;
-    }
-    reaped_temps_.store(reap_orphaned_temps(*env_, dir_),
-                        std::memory_order_relaxed);
-    quarantine_trimmed_.store(bound_quarantine(*env_, dir_),
-                              std::memory_order_relaxed);
-  }
-}
-
-std::string WarmStateBank::entry_path(const std::string& key) const {
-  return dir_ + "/" + key + ".snugw";
-}
+    : store_(std::move(dir),
+             BlobFormat{kMagic, kVersion, ".snugw", 1, kMaxBytes}) {}
 
 bool WarmStateBank::load(const std::string& key, std::uint64_t fingerprint,
                          std::vector<std::byte>& blob) const {
-  if (dir_.empty()) return false;
-  std::vector<std::byte> raw;
-  if (!env_->read_file(entry_path(key), raw)) return false;
-
-  const auto corrupt = [&] {
-    if (quarantine_entry(
-            *env_, dir_, key + ".snugw",
-            store_seq_.fetch_add(1, std::memory_order_relaxed))) {
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return false;
-  };
-
-  BankHeader hdr;
-  switch (check_header(raw, fingerprint, hdr)) {
-    case HeaderCheck::kStale:
-      return false;
-    case HeaderCheck::kCorrupt:
-      return corrupt();
-    case HeaderCheck::kOk:
-      break;
-  }
-  if (raw.size() != sizeof hdr + hdr.payload_bytes) {
-    return corrupt();  // truncated (short write) or trailing garbage
-  }
-  if (crc32c(raw.data() + sizeof hdr, hdr.payload_bytes) !=
-      hdr.payload_crc) {
-    return corrupt();  // bit rot / torn payload
-  }
-
-  blob.assign(raw.begin() + sizeof hdr, raw.end());
-  return true;
-}
-
-bool WarmStateBank::contains(const std::string& key,
-                             std::uint64_t fingerprint) const {
-  if (dir_.empty()) return false;
-  std::vector<std::byte> raw;
-  if (!env_->read_file(entry_path(key), raw, sizeof(BankHeader))) {
-    return false;
-  }
-  BankHeader hdr;
-  // Header-only probe: no CRC/size verdict, and no quarantine — a later
-  // full load makes the structural call on the whole file.
-  return check_header(raw, fingerprint, hdr) == HeaderCheck::kOk;
+  return store_.tryGet(key, fingerprint, blob);
 }
 
 void WarmStateBank::store(const std::string& key, std::uint64_t fingerprint,
                           const std::vector<std::byte>& blob) const {
-  if (dir_.empty() || blob.empty() || blob.size() > kMaxBytes) return;
-
-  BankHeader hdr;
-  hdr.fingerprint = fingerprint;
-  hdr.payload_bytes = blob.size();
-  hdr.payload_crc = crc32c(blob.data(), blob.size());
-  std::vector<std::byte> raw(sizeof hdr + blob.size());
-  std::memcpy(raw.data(), &hdr, sizeof hdr);
-  std::memcpy(raw.data() + sizeof hdr, blob.data(), blob.size());
-
-  // Unique temp name per (process, store) so concurrent writers — threads
-  // of one campaign or entirely separate processes — never collide; the
-  // final rename is atomic within the bank directory.
-  const std::string tmp =
-      strf("%s/%s.tmp.%ld.%llu", dir_.c_str(), key.c_str(),
-           static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(
-               store_seq_.fetch_add(1, std::memory_order_relaxed)));
-  if (!env_->write_file(tmp, raw.data(), raw.size())) {
-    env_->remove(tmp);  // ENOSPC-style partial file: clean up
-    return;
-  }
-  if (!env_->rename(tmp, entry_path(key))) {
-    env_->remove(tmp);  // bank stays best-effort
-  }
+  store_.insert(key, fingerprint, blob.data(), blob.size());
 }
 
 std::string default_warm_bank_dir() {

@@ -11,26 +11,19 @@
 // scheme) prefix: restore + measure is bit-identical to warm + measure
 // (pinned by tests/sim/warm_state_test.cpp).
 //
-// The on-disk format follows EvalCache (sim/runner.hpp): a versioned,
-// fingerprinted, host-endian header (with a payload CRC-32C since v2)
-// followed by an exact-size payload; stores write a uniquely named temp
-// file and rename() it into place, so concurrent writers never expose a
-// torn entry and loads reject anything truncated, oversized, corrupt or
-// stale — every rejection falls back to a fresh warm-up simulation.
-// Like EvalCache, rejections are classified: stale entries (wrong
-// version/fingerprint) stay in place, structurally corrupt files are
-// quarantined into `<dir>/quarantine/`, and opening the bank reaps temp
-// files whose writer process is dead (sim/store_recovery.hpp).  All I/O
-// goes through the fault::Env seam.
+// The bank is a typed view over the one keyed-blob store
+// (sim/blob_store.hpp), which owns the header, validation, quarantine,
+// temp reap and atomic publish: every rejection falls back to a fresh
+// warm-up simulation.  The view fixes the magic, version, `.snugw`
+// suffix and byte-count bound.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/fault.hpp"
+#include "sim/blob_store.hpp"
 #include "sim/config.hpp"
 
 namespace snug::sim {
@@ -41,29 +34,19 @@ class WarmStateBank {
   /// v1: initial warm-state blob layout (see CmpSystem::save_warm_state
   /// for the field sequence).  Bump whenever any serialized structure
   /// changes shape so stale checkpoints are rejected wholesale.
-  /// v2: the header grew a payload CRC-32C (and a reserved pad word);
-  /// v1 entries have a 24-byte header and are rejected by version.
-  static constexpr std::uint32_t kVersion = 2;
+  /// v2: a 32-byte header with a u64 byte count and payload CRC-32C.
+  /// v3: the shared 24-byte blob-store header (u32 byte count); v2
+  /// files are stale by version and left in place.
+  static constexpr std::uint32_t kVersion = 3;
   /// Hard upper bound on a plausible checkpoint (a 16-core paper-scale
-  /// system is a few hundred MB of arenas); anything larger is treated
-  /// as corruption.
-  static constexpr std::uint64_t kMaxBytes = 1ULL << 32;
+  /// system is a few hundred MB of arenas); the header's u32 count
+  /// caps it, and anything larger is treated as corruption.
+  static constexpr std::uint32_t kMaxBytes = UINT32_MAX;
 
-  /// Recovery actions taken by this instance (see the class comment).
-  struct Recovery {
-    std::uint64_t reaped_temps = 0;  ///< dead writers' temps removed on open
-    std::uint64_t quarantined = 0;   ///< corrupt entries renamed aside
-    /// Oldest quarantine/ entries removed at open to stay within the
-    /// kQuarantineCap bound (sim/store_recovery.hpp).
-    std::uint64_t quarantine_trimmed = 0;
-  };
+  using Recovery = BlobStore::Recovery;
 
-  /// `dir` is created on demand; pass "" to disable the bank.  Opening
-  /// runs the orphaned-temp reap and the quarantine bound.
+  /// `dir` is created on demand; pass "" to disable the bank.
   explicit WarmStateBank(std::string dir);
-
-  WarmStateBank(const WarmStateBank&) = delete;
-  WarmStateBank& operator=(const WarmStateBank&) = delete;
 
   [[nodiscard]] bool load(const std::string& key, std::uint64_t fingerprint,
                           std::vector<std::byte>& blob) const;
@@ -74,25 +57,18 @@ class WarmStateBank {
   /// hit/miss prediction; a true result can still fail a later full
   /// load if the file is torn mid-payload.
   [[nodiscard]] bool contains(const std::string& key,
-                              std::uint64_t fingerprint) const;
+                              std::uint64_t fingerprint) const {
+    return store_.probe(key, fingerprint);
+  }
 
-  [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
+  [[nodiscard]] bool enabled() const noexcept { return store_.enabled(); }
 
   [[nodiscard]] Recovery recovery() const noexcept {
-    return {reaped_temps_.load(std::memory_order_relaxed),
-            quarantined_.load(std::memory_order_relaxed),
-            quarantine_trimmed_.load(std::memory_order_relaxed)};
+    return store_.recovery();
   }
 
  private:
-  [[nodiscard]] std::string entry_path(const std::string& key) const;
-
-  const fault::Env* env_;  ///< resolved at construction (fault seam)
-  std::string dir_;
-  mutable std::atomic<std::uint64_t> store_seq_{0};  ///< unique temp names
-  std::atomic<std::uint64_t> reaped_temps_{0};
-  mutable std::atomic<std::uint64_t> quarantined_{0};
-  std::atomic<std::uint64_t> quarantine_trimmed_{0};
+  BlobStore store_;
 };
 
 /// Default bank directory: $SNUG_WARM_BANK_DIR or .snug_warm_bank under

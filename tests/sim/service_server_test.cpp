@@ -10,11 +10,14 @@
 // recompute-and-heal, never a wrong answer; an entry another writer
 // publishes after open is found by the by-name probe, over the ring
 // and the file wire, without simulating; a finished cell wakes the
-// publish pass instead of waiting out the poll interval; and finished
-// misses leave no per-miss state behind.
+// publish pass instead of waiting out the poll interval; finished
+// misses leave no per-miss state behind; and opening reaps the temps
+// dead clients left in submit/.
 #include "sim/service/server.hpp"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -726,6 +729,25 @@ TEST(CampaignServerTest, OpenReapsAckedAnswersOverTheRetentionCap) {
   EXPECT_FALSE(fs::exists(answer_path(cfg.root, "g004")));
   EXPECT_TRUE(fs::exists(answer_path(cfg.root, "g005")));
   EXPECT_TRUE(fs::exists(answer_path(cfg.root, "g259")));
+}
+
+TEST(CampaignServerTest, OpenReapsDeadClientsQueryTemps) {
+  TempDir tmp("snug_service_submit_reap");
+  const ServiceConfig cfg = small_config(tmp);
+  ServiceClient client(cfg.root);  // creates submit/ and answers/
+  // What a client killed mid-publish leaves in submit/, beside one a
+  // live client (this process) is still about to rename.
+  const fs::path dead =
+      fs::path(submit_dir(cfg.root)) / "q1.query.tmp.999999999.3";
+  const fs::path live = fs::path(submit_dir(cfg.root)) /
+                        ("q2.query.tmp." + std::to_string(::getpid()) + ".1");
+  std::ofstream(dead, std::ios::binary) << "query-v1\nid=q1\n";
+  std::ofstream(live, std::ios::binary) << "query-v1\nid=q2\n";
+
+  CampaignServer server(cfg);
+  EXPECT_FALSE(fs::exists(dead)) << "a dead client's temp is reaped";
+  EXPECT_TRUE(fs::exists(live)) << "a live client's temp is its own";
+  EXPECT_EQ(server.stats().answer_temps_reaped, 1u);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
-// WarmStateBank format tests and the bit-identity pin of the functional
+// WarmStateBank view tests and the bit-identity pin of the functional
 // warm-up checkpoint path (ISSUE 6): restoring a banked checkpoint into a
 // freshly built machine and measuring is byte-for-byte identical to
-// functionally warming the same machine in-process and measuring.
+// functionally warming the same machine in-process and measuring.  The
+// store's rejection and recovery matrix runs over both views in
+// blob_store_test.cpp.
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/runner.hpp"
@@ -30,11 +28,6 @@ struct TempBankDir {
   std::filesystem::path dir;
 };
 
-std::filesystem::path entry_file(const TempBankDir& tmp,
-                                 const std::string& key) {
-  return tmp.dir / (key + ".snugw");
-}
-
 std::vector<std::byte> test_blob(std::size_t n) {
   std::vector<std::byte> blob(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -43,7 +36,7 @@ std::vector<std::byte> test_blob(std::size_t n) {
   return blob;
 }
 
-// ---- bank format robustness (EvalCache-style rejection matrix) ---------
+// ---- bank view ----------------------------------------------------------
 
 TEST(WarmStateBank, RoundTripsExactBytes) {
   TempBankDir tmp;
@@ -55,217 +48,6 @@ TEST(WarmStateBank, RoundTripsExactBytes) {
   ASSERT_TRUE(bank.load("k", 42, loaded));
   EXPECT_EQ(loaded, blob);
   EXPECT_TRUE(bank.contains("k", 42));
-}
-
-TEST(WarmStateBank, MissingEntryMisses) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("absent", 1, blob));
-  EXPECT_FALSE(bank.contains("absent", 1));
-}
-
-TEST(WarmStateBank, RejectsFingerprintMismatch) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  bank.store("k", 42, test_blob(64));
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("k", 43, blob));  // stale scenario/scale/scheme
-  EXPECT_FALSE(bank.contains("k", 43));
-  EXPECT_TRUE(bank.load("k", 42, blob));
-}
-
-TEST(WarmStateBank, RejectsTruncatedEntry) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  bank.store("k", 42, test_blob(256));
-
-  // Chop the payload mid-way, as a torn write would.
-  const auto path = entry_file(tmp, "k");
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 57);
-
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("k", 42, blob));
-  EXPECT_TRUE(blob.empty());  // nothing partial leaks out
-}
-
-TEST(WarmStateBank, RejectsHeaderOnlyOrEmptyFile) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  {
-    std::ofstream out(entry_file(tmp, "empty"), std::ios::binary);
-  }
-  bank.store("k", 42, test_blob(64));
-  std::filesystem::resize_file(entry_file(tmp, "k"), 24);  // header only
-
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("empty", 42, blob));
-  EXPECT_FALSE(bank.load("k", 42, blob));
-}
-
-TEST(WarmStateBank, RejectsTrailingGarbage) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  bank.store("k", 42, test_blob(64));
-  {
-    std::ofstream out(entry_file(tmp, "k"),
-                      std::ios::binary | std::ios::app);
-    out << "junk";
-  }
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("k", 42, blob));
-}
-
-TEST(WarmStateBank, RejectsBadMagicVersionAndSize) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-
-  const auto corrupt_u32_at = [&](std::streamoff off, std::uint32_t v) {
-    std::fstream f(entry_file(tmp, "k"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(off);
-    f.write(reinterpret_cast<const char*>(&v), sizeof v);
-  };
-  const auto corrupt_u64_at = [&](std::streamoff off, std::uint64_t v) {
-    std::fstream f(entry_file(tmp, "k"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(off);
-    f.write(reinterpret_cast<const char*>(&v), sizeof v);
-  };
-
-  std::vector<std::byte> blob;
-  bank.store("k", 42, test_blob(64));
-  corrupt_u32_at(0, 0xDEADBEEF);  // magic
-  EXPECT_FALSE(bank.load("k", 42, blob));
-  EXPECT_FALSE(bank.contains("k", 42));
-
-  // A version bump must reject wholesale even when the fingerprint
-  // matches — that is how stale blob layouts die after a format change.
-  bank.store("k", 42, test_blob(64));
-  corrupt_u32_at(4, WarmStateBank::kVersion + 1);
-  EXPECT_FALSE(bank.load("k", 42, blob));
-  EXPECT_FALSE(bank.contains("k", 42));
-
-  bank.store("k", 42, test_blob(64));
-  corrupt_u64_at(16, 0);  // payload_bytes = 0
-  EXPECT_FALSE(bank.load("k", 42, blob));
-
-  bank.store("k", 42, test_blob(64));
-  corrupt_u64_at(16, WarmStateBank::kMaxBytes + 1);  // absurd size
-  EXPECT_FALSE(bank.load("k", 42, blob));
-}
-
-TEST(WarmStateBank, ContainsIsHeaderOnlyProbe) {
-  // contains() is the cheap --dry-run predictor: it validates the header
-  // but not the payload, so a file torn mid-payload still probes true —
-  // the full load rejects it and the runner falls back to a fresh
-  // warm-up.
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  bank.store("k", 42, test_blob(256));
-  const auto path = entry_file(tmp, "k");
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 57);
-
-  EXPECT_TRUE(bank.contains("k", 42));
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("k", 42, blob));
-}
-
-TEST(WarmStateBank, StoreLeavesNoTempFiles) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  for (int i = 0; i < 8; ++i) {
-    bank.store("k" + std::to_string(i), 42, test_blob(128));
-  }
-  std::size_t files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(tmp.dir)) {
-    EXPECT_EQ(e.path().extension(), ".snugw") << e.path();
-    ++files;
-  }
-  EXPECT_EQ(files, 8U);
-}
-
-TEST(WarmStateBank, ConcurrentWritersSameKeyStayConsistent) {
-  TempBankDir tmp;
-  WarmStateBank bank(tmp.dir.string());
-  const auto blob = test_blob(512);
-  std::vector<std::thread> writers;
-  writers.reserve(8);
-  for (int t = 0; t < 8; ++t) {
-    writers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) bank.store("k", 42, blob);
-    });
-  }
-  for (auto& w : writers) w.join();
-
-  std::vector<std::byte> loaded;
-  ASSERT_TRUE(bank.load("k", 42, loaded));
-  EXPECT_EQ(loaded, blob);
-  for (const auto& e : std::filesystem::directory_iterator(tmp.dir)) {
-    EXPECT_EQ(e.path().extension(), ".snugw") << e.path();
-  }
-}
-
-TEST(WarmStateBank, QuarantinesCorruptEntriesKeepsStaleOnes) {
-  TempBankDir tmp("snug_warm_bank_quarantine_test");
-  WarmStateBank bank(tmp.dir.string());
-  bank.store("torn", 42, test_blob(128));
-  bank.store("stale", 42, test_blob(64));
-  const auto path = entry_file(tmp, "torn");
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 9);
-
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("torn", 42, blob));
-  EXPECT_FALSE(bank.load("stale", 99, blob));  // fingerprint miss: stale
-
-  EXPECT_FALSE(std::filesystem::exists(entry_file(tmp, "torn")));
-  std::size_t quarantined_files = 0;
-  for (const auto& e :
-       std::filesystem::directory_iterator(tmp.dir / "quarantine")) {
-    EXPECT_NE(e.path().filename().string().find("torn.snugw"),
-              std::string::npos);
-    ++quarantined_files;
-  }
-  EXPECT_EQ(quarantined_files, 1U);
-  EXPECT_EQ(bank.recovery().quarantined, 1U);
-  EXPECT_TRUE(bank.load("stale", 42, blob));
-
-  // Degradation is re-warm + rewrite: a fresh store heals the slot.
-  bank.store("torn", 42, test_blob(128));
-  EXPECT_TRUE(bank.load("torn", 42, blob));
-}
-
-TEST(WarmStateBank, ReapsDeadWritersTempsOnOpen) {
-  TempBankDir tmp("snug_warm_bank_reap_test");
-  {
-    WarmStateBank bank(tmp.dir.string());
-    bank.store("keep", 42, test_blob(64));
-  }
-  const auto plant = [&](const std::string& name) {
-    std::ofstream out(tmp.dir / name, std::ios::binary);
-    out << "partial";
-  };
-  plant("keep.snugw.tmp.999999999.4");
-  const std::string live =
-      "live.snugw.tmp." + std::to_string(::getpid()) + ".2";
-  plant(live);
-
-  WarmStateBank reopened(tmp.dir.string());
-  EXPECT_EQ(reopened.recovery().reaped_temps, 1U);
-  EXPECT_FALSE(
-      std::filesystem::exists(tmp.dir / "keep.snugw.tmp.999999999.4"));
-  EXPECT_TRUE(std::filesystem::exists(tmp.dir / live));
-  std::vector<std::byte> blob;
-  EXPECT_TRUE(reopened.load("keep", 42, blob));  // valid entries untouched
-}
-
-TEST(WarmStateBank, DisabledBankRejectsEverything) {
-  WarmStateBank bank("");
-  EXPECT_FALSE(bank.enabled());
-  bank.store("k", 42, test_blob(64));  // must not crash or create files
-  std::vector<std::byte> blob;
-  EXPECT_FALSE(bank.load("k", 42, blob));
-  EXPECT_FALSE(bank.contains("k", 42));
 }
 
 // ---- warm fingerprint ---------------------------------------------------
