@@ -226,14 +226,13 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "campaignd: ring %llu submit(s) (%llu inline, %llu backlogged); "
-        "batches %llu (%llu part(s): %llu rejected, %llu shed); index "
+        "%llu part(s): %llu rejected, %llu shed; index "
         "%llu entr(ies), %llu hit(s) / %llu miss(es); cache %llu "
         "probe(s), %llu hit(s); %llu submit scan(s) skipped; answers "
         "%llu reaped, %llu orphaned temp(s)\n",
         static_cast<unsigned long long>(s.ring_submits),
         static_cast<unsigned long long>(s.ring_inline_answers),
         static_cast<unsigned long long>(s.ring_backlogged),
-        static_cast<unsigned long long>(s.batches_ingested),
         static_cast<unsigned long long>(s.parts_total),
         static_cast<unsigned long long>(s.parts_rejected),
         static_cast<unsigned long long>(s.parts_shed),

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/str.hpp"
+#include "common/temp_name.hpp"
 
 namespace snug::fault {
 namespace {
@@ -224,12 +225,13 @@ class FaultyEnv final : public Env {
 
   bool read_file(const std::string& path, std::vector<std::byte>& out,
                  std::size_t max_bytes) const override {
-    stall(Op::kRead, path);
-    if (inj_->fire(Kind::kFail, Op::kRead, path)) return false;
+    const std::string key = key_of(path);
+    stall(Op::kRead, key);
+    if (inj_->fire(Kind::kFail, Op::kRead, key)) return false;
     if (!base_.read_file(path, out, max_bytes)) return false;
     std::uint64_t salt;
     if (!out.empty() &&
-        inj_->fire(Kind::kBitFlip, Op::kRead, path, &salt)) {
+        inj_->fire(Kind::kBitFlip, Op::kRead, key, &salt)) {
       flip_one_bit(out.data(), out.size(), salt);
     }
     return true;
@@ -237,20 +239,21 @@ class FaultyEnv final : public Env {
 
   bool write_file(const std::string& path, const std::byte* data,
                   std::size_t n) const override {
-    stall(Op::kWrite, path);
+    const std::string key = key_of(path);
+    stall(Op::kWrite, key);
     std::uint64_t salt;
-    if (inj_->fire(Kind::kEnospc, Op::kWrite, path, &salt)) {
+    if (inj_->fire(Kind::kEnospc, Op::kWrite, key, &salt)) {
       // Disk fills mid-write: a prefix lands, then the write errors.
       if (n > 0) base_.write_file(path, data, n / 2);
       return false;
     }
     std::vector<std::byte> flipped;
-    if (n > 0 && inj_->fire(Kind::kBitFlip, Op::kWrite, path, &salt)) {
+    if (n > 0 && inj_->fire(Kind::kBitFlip, Op::kWrite, key, &salt)) {
       flipped.assign(data, data + n);
       flip_one_bit(flipped.data(), n, salt);
       data = flipped.data();
     }
-    if (n > 0 && inj_->fire(Kind::kShortWrite, Op::kWrite, path, &salt)) {
+    if (n > 0 && inj_->fire(Kind::kShortWrite, Op::kWrite, key, &salt)) {
       // The torn store a kill -9 leaves: truncated on disk, but the
       // caller is told it succeeded and will publish the file.
       return base_.write_file(path, data, salt % n);
@@ -260,19 +263,20 @@ class FaultyEnv final : public Env {
 
   bool append_file(const std::string& path, const std::byte* data,
                    std::size_t n) const override {
-    stall(Op::kWrite, path);
+    const std::string key = key_of(path);
+    stall(Op::kWrite, key);
     std::uint64_t salt;
-    if (inj_->fire(Kind::kEnospc, Op::kWrite, path, &salt)) {
+    if (inj_->fire(Kind::kEnospc, Op::kWrite, key, &salt)) {
       if (n > 0) base_.append_file(path, data, n / 2);
       return false;
     }
     std::vector<std::byte> flipped;
-    if (n > 0 && inj_->fire(Kind::kBitFlip, Op::kWrite, path, &salt)) {
+    if (n > 0 && inj_->fire(Kind::kBitFlip, Op::kWrite, key, &salt)) {
       flipped.assign(data, data + n);
       flip_one_bit(flipped.data(), n, salt);
       data = flipped.data();
     }
-    if (n > 0 && inj_->fire(Kind::kShortWrite, Op::kWrite, path, &salt)) {
+    if (n > 0 && inj_->fire(Kind::kShortWrite, Op::kWrite, key, &salt)) {
       return base_.append_file(path, data, salt % n);
     }
     return base_.append_file(path, data, n);
@@ -301,6 +305,16 @@ class FaultyEnv final : public Env {
   }
 
  private:
+  /// Read and write decisions key on a publish temp's `<target>.tmp`
+  /// stem, not its writer-unique name, so a seeded plan tears the same
+  /// publishes in every process; the per-key occurrence counter still
+  /// tells repeated publishes of one target apart.
+  static std::string key_of(const std::string& path) {
+    std::string_view stem;
+    long pid = 0;
+    return split_temp_name(path, stem, pid) ? std::string(stem) : path;
+  }
+
   void stall(Op op, const std::string& key) const {
     std::uint64_t ms = 0;
     if (inj_->fire(Kind::kStall, op, key, nullptr, &ms) && ms > 0) {

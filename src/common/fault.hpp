@@ -32,7 +32,11 @@
 // Determinism: a clause fires as a pure function of (plan seed, clause
 // index, operation key, per-key occurrence number) — never of wall
 // clock, thread schedule or iteration order — so a faulty campaign is
-// exactly reproducible and CI can pin "faulted run == clean run".
+// exactly reproducible and CI can pin "faulted run == clean run".  The
+// key of a read or write is its path, except that a publish temp
+// (`<target>.tmp.<pid>.<seq>`, common/temp_name.hpp) is keyed by its
+// `<target>.tmp` stem: the same clause tears the same publishes in
+// every process.
 //
 // Grammar (README "Robustness & recovery" has the full story):
 //   plan    := clause (';' clause)*

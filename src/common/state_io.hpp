@@ -77,6 +77,7 @@ class StateReader {
   void bytes(std::byte* out, std::size_t n) {
     ++field_;
     check_room(n, "byte run");
+    if (n == 0) return;  // `out` may be null: memcpy requires non-null
     std::memcpy(out, p_, n);
     p_ += n;
   }
@@ -100,6 +101,7 @@ class StateReader {
         field_, static_cast<unsigned long long>(count), sizeof(T),
         remaining());
     std::vector<T> v(static_cast<std::size_t>(count));
+    if (v.empty()) return v;  // data() is null: memcpy requires non-null
     std::memcpy(v.data(), p_, v.size() * sizeof(T));
     p_ += v.size() * sizeof(T);
     return v;

@@ -5,11 +5,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/crc32.hpp"
 #include "common/str.hpp"
+#include "common/temp_name.hpp"
 
 namespace snug::sim {
 namespace {
@@ -63,28 +63,9 @@ Verdict check(const BlobFormat& format, const std::vector<std::byte>& raw,
   return Verdict::kOk;
 }
 
-/// Process-wide sequence behind every temp and quarantine name, so no
-/// two writers of one process — threads, or separate store instances
-/// over one directory — ever pick the same name.
-std::atomic<std::uint64_t> g_name_seq{0};
-
-std::uint64_t next_seq() {
-  return g_name_seq.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Extracts the writer pid from `<name>.tmp.<pid>.<seq>`; false when
-/// the name does not parse (treated as reapable garbage by the caller).
-bool parse_temp_pid(const std::string& name, long& pid) {
-  const std::size_t tmp = name.find(".tmp.");
-  if (tmp == std::string::npos) return false;
-  const std::size_t pid_begin = tmp + 5;
-  const std::size_t pid_end = name.find('.', pid_begin);
-  if (pid_end == std::string::npos || pid_end == pid_begin) return false;
-  char* end = nullptr;
-  const std::string pid_str = name.substr(pid_begin, pid_end - pid_begin);
-  pid = std::strtol(pid_str.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
+/// Process-wide sequence behind quarantine names, so no two stores of
+/// one process ever move an entry onto the same name.
+std::atomic<std::uint64_t> g_quarantine_seq{0};
 
 /// Bounds `<dir>/quarantine/` to kQuarantineCap entries (the Env has no
 /// mtime, so the sorted scan order stands in for age).  Returns the
@@ -116,11 +97,26 @@ bool pid_alive(long pid) {
 
 bool publish_atomic(const fault::Env& env, const std::string& path,
                     const std::byte* data, std::size_t n) {
-  const std::string tmp =
-      strf("%s.tmp.%ld.%llu", path.c_str(), static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(next_seq()));
+  const std::string tmp = temp_name(path);
   if (env.write_file(tmp, data, n) && env.rename(tmp, path)) return true;
   env.remove(tmp);  // ENOSPC-style partial file or failed rename
+  return false;
+}
+
+bool publish_verified(const fault::Env& env, const std::string& path,
+                      const std::byte* data, std::size_t n) {
+  const std::string tmp = temp_name(path);
+  // Read back before renaming: write_file reporting success does not
+  // mean the bytes landed (ENOSPC tails, torn writes).  Wire files carry
+  // no checksum, so this read-back IS the integrity check — a torn temp
+  // is discarded here, never published.
+  std::vector<std::byte> on_disk;
+  if (env.write_file(tmp, data, n) && env.read_file(tmp, on_disk) &&
+      on_disk.size() == n && std::memcmp(on_disk.data(), data, n) == 0 &&
+      env.rename(tmp, path)) {
+    return true;
+  }
+  env.remove(tmp);
   return false;
 }
 
@@ -129,8 +125,9 @@ std::uint64_t reap_orphaned_temps(const fault::Env& env,
   std::uint64_t reaped = 0;
   for (const std::string& name : env.list_dir(dir)) {
     if (name.find(".tmp.") == std::string::npos) continue;
+    std::string_view stem;
     long pid = 0;
-    if (parse_temp_pid(name, pid) && pid_alive(pid)) continue;
+    if (split_temp_name(name, stem, pid) && pid_alive(pid)) continue;
     env.remove(dir + "/" + name);
     ++reaped;
   }
@@ -154,7 +151,8 @@ void BlobStore::quarantine(const std::string& name) const {
   const std::string qpath =
       strf("%s/%s.%ld.%llu", qdir.c_str(), name.c_str(),
            static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(next_seq()));
+           static_cast<unsigned long long>(
+               g_quarantine_seq.fetch_add(1, std::memory_order_relaxed)));
   if (env_->rename(dir_ + "/" + name, qpath)) {
     quarantined_.fetch_add(1, std::memory_order_relaxed);
   }

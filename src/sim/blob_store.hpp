@@ -128,11 +128,20 @@ class BlobStore {
 inline constexpr std::size_t kQuarantineCap = 256;
 
 /// Atomically replaces `path` with `n` bytes at `data`: writes a
-/// uniquely named `<path>.tmp.<pid>.<seq>` temp and renames it into
+/// uniquely named temp (common/temp_name.hpp) and renames it into
 /// place, so concurrent writers never collide and readers never see a
 /// partial file.  On failure the temp is removed and false returned.
 bool publish_atomic(const fault::Env& env, const std::string& path,
                     const std::byte* data, std::size_t n);
+
+/// publish_atomic for files without a checksum (the campaign service's
+/// wire files): the temp is read back, and renamed onto `path` only
+/// when the bytes on disk are exactly the bytes intended.  A write that
+/// silently tears (a full disk swallowing the tail, the short-write
+/// fault) is caught here instead of being renamed into a permanently
+/// corrupt file; the temp is removed and the caller retries later.
+bool publish_verified(const fault::Env& env, const std::string& path,
+                      const std::byte* data, std::size_t n);
 
 /// Deletes `*.tmp.<pid>.<seq>` files in `dir` whose writer process is
 /// dead (or whose name is too mangled to tell); live writers' temps are

@@ -2,7 +2,6 @@
 
 #include <semaphore.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -302,49 +301,21 @@ bool CampaignServer::collect_answer(const TrackedQuery& tq,
   return true;
 }
 
-bool CampaignServer::publish_text(const std::string& id,
-                                  const std::string& text) {
-  // Same atomic-publish discipline as the stores — plus a read-back
-  // verify, because a torn answer renamed into place (and the submit
-  // file then retired) would be a permanently corrupt result.  On
-  // failure the submit file stays and a later poll retries under a
-  // fresh temp name.
-  const std::string tmp = strf(
-      "%s/%s.answer.tmp.%ld.%llu", answer_dir(cfg_.root).c_str(), id.c_str(),
-      static_cast<long>(::getpid()),
-      static_cast<unsigned long long>(
-          seq_.fetch_add(1, std::memory_order_relaxed)));
-  if (!publish_verified(*env_, tmp, answer_path(cfg_.root, id), text)) {
-    publish_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 bool CampaignServer::finish_tracked(const TrackedQuery& tq,
                                     ServiceBatchAnswer&& answer) {
   // Text is built only for a file: a ring op without publish completes
-  // with the in-memory answer and never touches the codec.
-  const bool need_file = tq.ring == nullptr || tq.ring->publish;
-  if (need_file) {
-    std::string text;
-    if (tq.batch) {
-      text = encode_batch_answer(answer);
-    } else {
-      // v1 queries answer v1 bytes, byte-identical to the pre-batch
-      // server (the compat pin in tests/sim/service_wire_test.cpp).
-      ServiceAnswer v1;
-      v1.id = answer.id;
-      if (!answer.parts.empty()) {
-        const BatchPart& part = answer.parts.front();
-        v1.status = part.status;
-        v1.error = part.error;
-        v1.retry_after_ms = part.retry_after_ms;
-        v1.cells = part.cells;
-      }
-      text = encode_answer(v1);
+  // with the in-memory answer and never touches the codec.  The publish
+  // is verified, because a torn answer renamed into place (and the
+  // submit file then retired) would be a permanently corrupt result; on
+  // failure the submit file stays and a later pass retries.
+  if (tq.ring == nullptr || tq.ring->publish) {
+    const std::string text = encode_batch_answer(answer);
+    if (!publish_verified(*env_, answer_path(cfg_.root, tq.id),
+                          reinterpret_cast<const std::byte*>(text.data()),
+                          text.size())) {
+      publish_failures_.fetch_add(1, std::memory_order_relaxed);
+      return false;
     }
-    if (!publish_text(tq.id, text)) return false;
   }
   if (tq.ring != nullptr) {
     tq.ring->answer = std::move(answer);
@@ -353,10 +324,6 @@ bool CampaignServer::finish_tracked(const TrackedQuery& tq,
     // Only AFTER a successful publish is the submit file removed — the
     // crash contract.
     env_->remove(query_path(cfg_.root, tq.id));
-  }
-  if (need_file) {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    answered_[tq.id] = true;
   }
   return true;
 }
@@ -387,20 +354,14 @@ std::size_t CampaignServer::ingest() {
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
       if (tracked_.count(id) != 0) continue;
-      if (answered_.count(id) != 0) {
-        // Publish succeeded but the submit removal was lost: retire it.
-        env_->remove(query_path(cfg_.root, id));
-        continue;
-      }
     }
     {
-      // Restart case: the answer exists on disk from a previous server
-      // life but the submit file survived the crash window.
+      // Already answered — by a previous server life that crashed before
+      // retiring the submit file, or by this one when the removal was
+      // lost: retire it without answering again.
       std::vector<std::byte> probe;
       if (env_->read_file(answer_path(cfg_.root, id), probe, 1)) {
         env_->remove(query_path(cfg_.root, id));
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        answered_[id] = true;
         continue;
       }
     }
@@ -412,73 +373,42 @@ std::size_t CampaignServer::ingest() {
     }
     const std::string text(reinterpret_cast<const char*>(raw.data()),
                            raw.size());
-
-    const auto reject = [&](const std::string& why) {
-      ServiceAnswer a;
-      a.id = id;
-      a.status = AnswerStatus::kError;
-      a.error = why;
-      if (!publish_text(id, encode_answer(a))) {
-        submit_force_rescan_ = true;
-        return;
-      }
-      env_->remove(query_path(cfg_.root, id));
-      {
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        answered_[id] = true;
-      }
-      queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-      queries_answered_.fetch_add(1, std::memory_order_relaxed);
-      ++progress;
-    };
-
     TrackedQuery tq;
     tq.id = id;
-    std::vector<BatchItem> items;
-    if (is_batch_query(text)) {
-      ServiceBatchQuery bq;
-      std::string error;
-      if (!parse_batch_query(text, bq, error)) {
-        // A malformed batch is rejected wholesale with a v1 error
-        // answer (try_poll_batch folds it into one error part).
-        reject(error);
-        continue;
-      }
-      if (bq.id != id) {
-        reject(strf("query id '%s' does not match file name '%s'",
-                    bq.id.c_str(), id.c_str()));
-        continue;
-      }
-      tq.batch = true;
-      items = std::move(bq.items);
+    ServiceBatchQuery query;
+    std::string error;
+    if (parse_batch_query(text, query, error) && query.id != id) {
+      error = strf("query id '%s' does not match file name '%s'",
+                   query.id.c_str(), id.c_str());
+    }
+    if (!error.empty()) {
+      // A malformed file is answered whole: one status=error part.
+      TrackedPart& part = tq.parts.emplace_back();
+      part.status = AnswerStatus::kError;
+      part.error = std::move(error);
     } else {
-      ServiceQuery query;
-      std::string error;
-      if (!parse_query(text, query, error)) {
-        reject(error);
-        continue;
+      tq.parts.reserve(query.items.size());
+      for (const BatchItem& item : query.items) {
+        tq.parts.push_back(build_part(item));
       }
-      if (query.id != id) {
-        reject(strf("query id '%s' does not match file name '%s'",
-                    query.id.c_str(), id.c_str()));
-        continue;
-      }
-      items.push_back(BatchItem{query.scenario_text, query.scheme_id});
     }
-
-    tq.parts.reserve(items.size());
-    for (const BatchItem& item : items) {
-      tq.parts.push_back(build_part(item));
-    }
-    parts_total_.fetch_add(items.size(), std::memory_order_relaxed);
+    parts_total_.fetch_add(tq.parts.size(), std::memory_order_relaxed);
+    bool all_error = true;
+    bool all_shed = true;
     for (const TrackedPart& part : tq.parts) {
+      all_error &= part.status == AnswerStatus::kError;
+      all_shed &= part.status == AnswerStatus::kRetryAfter;
       if (part.status == AnswerStatus::kError) {
         parts_rejected_.fetch_add(1, std::memory_order_relaxed);
       } else if (part.status == AnswerStatus::kRetryAfter) {
         parts_shed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    if (tq.batch) batches_ingested_.fetch_add(1, std::memory_order_relaxed);
+    // Per whole query: rejected when every part is an error, shed when
+    // every part was refused admission, else ingested.
+    std::atomic<std::uint64_t>& verdict =
+        all_error ? queries_rejected_
+                  : (all_shed ? queries_shed_ : queries_ingested_);
 
     // Warm queries (and fully rejected/shed ones) answer right here at
     // ingest — no tracking pass, no extra poll of latency.
@@ -488,21 +418,7 @@ std::size_t CampaignServer::ingest() {
         submit_force_rescan_ = true;  // publish failed; retry next pass
         continue;
       }
-      if (!tq.batch) {
-        switch (tq.parts.front().status) {
-          case AnswerStatus::kError:
-            queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case AnswerStatus::kRetryAfter:
-            queries_shed_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          default:
-            queries_ingested_.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
-      } else {
-        queries_ingested_.fetch_add(1, std::memory_order_relaxed);
-      }
+      verdict.fetch_add(1, std::memory_order_relaxed);
       queries_answered_.fetch_add(1, std::memory_order_relaxed);
       ++progress;
       continue;
@@ -511,7 +427,7 @@ std::size_t CampaignServer::ingest() {
       const std::lock_guard<std::mutex> lock(state_mu_);
       tracked_[id] = std::move(tq);
     }
-    queries_ingested_.fetch_add(1, std::memory_order_relaxed);
+    verdict.fetch_add(1, std::memory_order_relaxed);
     ++progress;
   }
   return progress;
@@ -700,7 +616,6 @@ void CampaignServer::handle_ring_op(RingOp* op) {
   }
   TrackedQuery tq;
   tq.id = op->query.id;
-  tq.batch = true;
   tq.ring = op;
   tq.parts.reserve(op->query.items.size());
   for (const BatchItem& item : op->query.items) {
@@ -857,7 +772,6 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.journal_stale_reaped = backlog_.journal_stale_reaped();
   s.journal_discarded_bytes = backlog_.journal_discarded_bytes();
   s.journal_append_failures = backlog_.journal_append_failures();
-  s.batches_ingested = batches_ingested_.load(std::memory_order_relaxed);
   s.parts_total = parts_total_.load(std::memory_order_relaxed);
   s.parts_rejected = parts_rejected_.load(std::memory_order_relaxed);
   s.parts_shed = parts_shed_.load(std::memory_order_relaxed);

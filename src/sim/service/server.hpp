@@ -19,24 +19,25 @@
 //           Ring ops whose cells miss the index are admitted into the
 //           SAME journaled backlog as file-wire queries, so the ring
 //           is latency-only, never a weaker durability tier.
-//   tier 3  the file wire (sim/service/wire.hpp): query-v1 and batched
-//           query-v2 files in <root>/submit/, answers published
-//           atomically in <root>/answers/.  The durability and
-//           cross-process compatibility tier.  The submit poller is
-//           epoch-gated: the directory is only LISTED when its stat
-//           signature moved since the last pass.
+//   tier 3  the file wire (sim/service/wire.hpp): query-v2 files in
+//           <root>/submit/, answer-v2 files published atomically in
+//           <root>/answers/.  The durability and cross-process tier.
+//           The submit poller is epoch-gated: the directory is only
+//           LISTED when its stat signature moved since the last pass.
 //
 // One poll_once() pass:
 //
-//   ingest     new query files are parsed (v1 or batched v2) into
-//              per-part cell lists keyed by run_fingerprint.
+//   ingest     new query files are parsed into per-part cell lists
+//              keyed by run_fingerprint.
 //              Index-resident cells are answered in memory (hit path —
 //              no simulation, no journal); the rest are deduplicated
 //              into the journaled backlog (sim/service/backlog.hpp).
 //              Admission control is PART-granular: a part whose fresh
 //              cells would overflow the bounded backlog is shed whole
 //              with status=retry-after while the rest of the batch
-//              proceeds.  Malformed queries answer status=error.
+//              proceeds.  A malformed file answers one status=error
+//              part; a submit whose answer file already exists is
+//              retired without answering again.
 //   supervise  the lease table (sim/service/lease.hpp) is scanned:
 //              expired leases hand their cells back to the backlog;
 //              a cell that has burned max_holds leases is poisoned and
@@ -125,8 +126,10 @@ class CampaignServer {
   struct Stats {
     std::uint64_t queries_ingested = 0;
     std::uint64_t queries_answered = 0;  ///< answers published (any status)
-    std::uint64_t queries_rejected = 0;  ///< malformed — status=error
-    std::uint64_t queries_shed = 0;      ///< admission — status=retry-after
+    /// Malformed files, and queries whose every part is status=error.
+    std::uint64_t queries_rejected = 0;
+    /// Queries whose every part was shed (status=retry-after).
+    std::uint64_t queries_shed = 0;
     std::uint64_t cells_from_cache = 0;  ///< index hit path, no simulation
     std::uint64_t cells_simulated = 0;   ///< == backlog.completed
     std::uint64_t retries = 0;           ///< TransientError re-attempts
@@ -142,9 +145,9 @@ class CampaignServer {
     /// Cache entries the AnswerIndex holds (index.entries).
     std::uint64_t cache_entries_visible = 0;
     // --- ISSUE 10: batching, ring and index telemetry ---
-    std::uint64_t batches_ingested = 0;  ///< query-v2 files accepted
-    std::uint64_t parts_total = 0;       ///< batch parts seen (incl. ring)
-    std::uint64_t parts_rejected = 0;    ///< per-part status=error at ingest
+    std::uint64_t parts_total = 0;       ///< query parts seen (incl. ring)
+    /// Per-part status=error at ingest (a malformed file is one part).
+    std::uint64_t parts_rejected = 0;
     std::uint64_t parts_shed = 0;        ///< per-part admission sheds
     std::uint64_t ring_submits = 0;      ///< ops popped off the ring
     std::uint64_t ring_inline_answers = 0;  ///< every cell from the index
@@ -243,7 +246,6 @@ class CampaignServer {
   /// One client query being tracked until every part resolves.
   struct TrackedQuery {
     std::string id;
-    bool batch = false;      ///< answer as answer-v2 (else v1 bytes)
     RingOp* ring = nullptr;  ///< non-null: complete in memory
     std::vector<TrackedPart> parts;
   };
@@ -274,7 +276,6 @@ class CampaignServer {
   /// publish (retried next pass; `answer` is then left untouched).
   [[nodiscard]] bool finish_tracked(const TrackedQuery& tq,
                                     ServiceBatchAnswer&& answer);
-  bool publish_text(const std::string& id, const std::string& text);
   /// Wakes serve() for a publish pass: a tracked query may be answerable.
   void wake_publish();
   /// Wakes workers after the backlog gained pending cells.
@@ -305,7 +306,6 @@ class CampaignServer {
   /// completes or is poisoned.
   std::map<std::uint64_t, WorkItem> work_;
   std::map<std::string, TrackedQuery> tracked_;  ///< id -> open query
-  std::map<std::string, bool> answered_;         ///< ids already answered
 
   /// Submit-poller epoch (serving thread only): the directory is listed
   /// only when its stat signature moved or is too young to trust
@@ -324,7 +324,6 @@ class CampaignServer {
   std::atomic<std::uint64_t> queries_answered_{0};
   std::atomic<std::uint64_t> queries_rejected_{0};
   std::atomic<std::uint64_t> queries_shed_{0};
-  std::atomic<std::uint64_t> batches_ingested_{0};
   std::atomic<std::uint64_t> parts_total_{0};
   std::atomic<std::uint64_t> parts_rejected_{0};
   std::atomic<std::uint64_t> parts_shed_{0};
@@ -336,7 +335,6 @@ class CampaignServer {
   std::atomic<std::uint64_t> submit_scans_skipped_{0};
   std::atomic<std::uint64_t> cache_probes_{0};
   std::atomic<std::uint64_t> cache_probe_hits_{0};
-  std::atomic<std::uint64_t> seq_{0};  ///< unique answer temp names
   std::atomic<bool> stop_{false};
 
   std::mutex wake_mu_;

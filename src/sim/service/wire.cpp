@@ -1,22 +1,18 @@
 #include "sim/service/wire.hpp"
 
-#include <unistd.h>
-
 #include <cctype>
 #include <charconv>
 #include <chrono>
-#include <cstring>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/str.hpp"
+#include "sim/blob_store.hpp"
 
 namespace snug::sim::service {
 namespace {
 
-constexpr std::string_view kQueryMagic = "query-v1";
-constexpr std::string_view kAnswerMagic = "answer-v1";
 constexpr std::string_view kBatchQueryMagic = "query-v2";
 constexpr std::string_view kBatchAnswerMagic = "answer-v2";
 
@@ -143,150 +139,6 @@ std::string answer_path(const std::string& root, const std::string& id) {
   return answer_dir(root) + "/" + id + ".answer";
 }
 
-std::string encode_query(const ServiceQuery& query) {
-  std::string out(kQueryMagic);
-  out += "\nid=" + query.id;
-  out += "\nscenario=" + query.scenario_text;
-  out += "\nscheme=" + query.scheme_id;
-  out += '\n';
-  return out;
-}
-
-bool parse_query(const std::string& text, ServiceQuery& out,
-                 std::string& error) {
-  ServiceQuery q;
-  bool saw_magic = false;
-  bool saw_scenario = false;
-  bool saw_scheme = false;
-  std::string_view rest = text;
-  std::string_view line;
-  while (next_line(rest, line)) {
-    if (!saw_magic) {
-      if (line != kQueryMagic) {
-        error = quoted("query does not start with", kQueryMagic);
-        return false;
-      }
-      saw_magic = true;
-      continue;
-    }
-    std::string_view key;
-    std::string_view value;
-    if (!split_kv(line, key, value)) {
-      error = quoted("bad query line", line);
-      return false;
-    }
-    if (key == "id") {
-      q.id = value;
-    } else if (key == "scenario") {
-      q.scenario_text = value;
-      saw_scenario = true;
-    } else if (key == "scheme") {
-      q.scheme_id = value;
-      saw_scheme = true;
-    } else {
-      error = quoted("unknown query key", key);
-      return false;
-    }
-  }
-  if (!saw_magic) {
-    error = "empty query";
-    return false;
-  }
-  if (!valid_query_id(q.id)) {
-    error = "bad query id '" + q.id + "' ([A-Za-z0-9._-]+, max 128)";
-    return false;
-  }
-  if (!saw_scenario || !saw_scheme) {
-    error = "query is missing scenario= or scheme=";
-    return false;
-  }
-  out = std::move(q);
-  return true;
-}
-
-std::string encode_answer(const ServiceAnswer& answer) {
-  std::string out(kAnswerMagic);
-  out += "\nid=" + answer.id;
-  out += "\nstatus=";
-  out += status_name(answer.status);
-  if (answer.status == AnswerStatus::kError) {
-    out += "\nerror=" + answer.error;
-  }
-  if (answer.status == AnswerStatus::kRetryAfter) {
-    out += "\nretry-after-ms=" + std::to_string(answer.retry_after_ms);
-  }
-  for (const AnswerCell& cell : answer.cells) {
-    out += "\ncell=" + cell.combo + " ipc=";
-    append_ipc_list(out, cell.ipc);
-  }
-  out += '\n';
-  return out;
-}
-
-bool parse_answer(const std::string& text, ServiceAnswer& out,
-                  std::string& error) {
-  ServiceAnswer a;
-  bool saw_magic = false;
-  bool saw_status = false;
-  std::string_view rest = text;
-  std::string_view line;
-  while (next_line(rest, line)) {
-    if (!saw_magic) {
-      if (line != kAnswerMagic) {
-        error = quoted("answer does not start with", kAnswerMagic);
-        return false;
-      }
-      saw_magic = true;
-      continue;
-    }
-    std::string_view key;
-    std::string_view value;
-    if (!split_kv(line, key, value)) {
-      error = quoted("bad answer line", line);
-      return false;
-    }
-    if (key == "id") {
-      a.id = value;
-    } else if (key == "status") {
-      if (!status_from_name(value, a.status)) {
-        error = quoted("unknown status", value);
-        return false;
-      }
-      saw_status = true;
-    } else if (key == "error") {
-      a.error = value;
-    } else if (key == "retry-after-ms") {
-      if (!parse_u64(value, a.retry_after_ms)) {
-        error = quoted("bad retry-after-ms", value);
-        return false;
-      }
-    } else if (key == "cell") {
-      AnswerCell cell;
-      if (!parse_cell(value, cell)) {
-        error = quoted("bad cell line", line);
-        return false;
-      }
-      a.cells.push_back(std::move(cell));
-    } else {
-      error = quoted("unknown answer key", key);
-      return false;
-    }
-  }
-  if (!saw_magic || !saw_status) {
-    error = saw_magic ? "answer is missing status=" : "empty answer";
-    return false;
-  }
-  out = std::move(a);
-  return true;
-}
-
-bool is_batch_query(const std::string& text) {
-  const std::size_t magic_len = kBatchQueryMagic.size();
-  return text.size() > magic_len &&
-         std::string_view(text).substr(0, magic_len) == kBatchQueryMagic &&
-         text[magic_len] == '\n';
-}
-
 std::string encode_batch_query(const ServiceBatchQuery& query) {
   std::string out(kBatchQueryMagic);
   out += "\nid=" + query.id;
@@ -306,7 +158,7 @@ bool parse_batch_query(const std::string& text, ServiceBatchQuery& out,
   while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kBatchQueryMagic) {
-        error = quoted("batch query does not start with", kBatchQueryMagic);
+        error = quoted("query does not start with", kBatchQueryMagic);
         return false;
       }
       saw_magic = true;
@@ -396,7 +248,7 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
   while (next_line(rest, line)) {
     if (!saw_magic) {
       if (line != kBatchAnswerMagic) {
-        error = quoted("batch answer does not start with", kBatchAnswerMagic);
+        error = quoted("answer does not start with", kBatchAnswerMagic);
         return false;
       }
       saw_magic = true;
@@ -509,88 +361,10 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
   return true;
 }
 
-bool publish_verified(const fault::Env& env, const std::string& tmp,
-                      const std::string& final_path,
-                      const std::string& text) {
-  const auto* data = reinterpret_cast<const std::byte*>(text.data());
-  if (!env.write_file(tmp, data, text.size())) {
-    env.remove(tmp);
-    return false;
-  }
-  // Read back before renaming: write_file reporting success does not
-  // mean the bytes landed (ENOSPC tails, torn writes).  The wire files
-  // carry no checksum, so this read-back IS the integrity check — a
-  // torn temp is discarded here, never published.
-  std::vector<std::byte> on_disk;
-  if (!env.read_file(tmp, on_disk) || on_disk.size() != text.size() ||
-      std::memcmp(on_disk.data(), data, text.size()) != 0) {
-    env.remove(tmp);
-    return false;
-  }
-  if (!env.rename(tmp, final_path)) {
-    env.remove(tmp);
-    return false;
-  }
-  return true;
-}
-
 ServiceClient::ServiceClient(std::string root)
     : env_(&fault::env()), root_(std::move(root)) {
   env_->create_directories(submit_dir(root_));
   env_->create_directories(answer_dir(root_));
-}
-
-bool ServiceClient::submit(const ServiceQuery& query,
-                           std::string* error) const {
-  if (!valid_query_id(query.id)) {
-    if (error != nullptr) {
-      *error = "bad query id '" + query.id + "' ([A-Za-z0-9._-]+, max 128)";
-    }
-    return false;
-  }
-  const std::string text = encode_query(query);
-  // Atomic publish: the server must never ingest a half-written query.
-  const std::string tmp =
-      strf("%s/%s.query.tmp.%ld.%llu", submit_dir(root_).c_str(),
-           query.id.c_str(), static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(
-               seq_.fetch_add(1, std::memory_order_relaxed)));
-  if (!publish_verified(*env_, tmp, query_path(root_, query.id), text)) {
-    if (error != nullptr) *error = "failed to publish " + tmp;
-    return false;
-  }
-  return true;
-}
-
-bool ServiceClient::try_poll(const std::string& id,
-                             ServiceAnswer& out) const {
-  std::vector<std::byte> raw;
-  if (!env_->read_file(answer_path(root_, id), raw)) return false;
-  const std::string text(reinterpret_cast<const char*>(raw.data()),
-                         raw.size());
-  std::string error;
-  if (!parse_answer(text, out, error)) {
-    // The answer exists but does not parse (bit rot on the answer
-    // file): surface it as an error rather than spinning forever.
-    out = ServiceAnswer{};
-    out.id = id;
-    out.status = AnswerStatus::kError;
-    out.error = "unparseable answer: " + error;
-  }
-  return true;
-}
-
-bool ServiceClient::wait(const std::string& id, ServiceAnswer& out,
-                         std::uint64_t timeout_ms,
-                         std::uint64_t poll_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    if (try_poll(id, out)) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(poll_ms > 0 ? poll_ms : 1));
-  }
 }
 
 bool ServiceClient::submit_batch(const ServiceBatchQuery& query,
@@ -608,14 +382,13 @@ bool ServiceClient::submit_batch(const ServiceBatchQuery& query,
     }
     return false;
   }
+  // The server must never ingest a half-written query.
   const std::string text = encode_batch_query(query);
-  const std::string tmp =
-      strf("%s/%s.query.tmp.%ld.%llu", submit_dir(root_).c_str(),
-           query.id.c_str(), static_cast<long>(::getpid()),
-           static_cast<unsigned long long>(
-               seq_.fetch_add(1, std::memory_order_relaxed)));
-  if (!publish_verified(*env_, tmp, query_path(root_, query.id), text)) {
-    if (error != nullptr) *error = "failed to publish " + tmp;
+  const std::string path = query_path(root_, query.id);
+  if (!publish_verified(*env_, path,
+                        reinterpret_cast<const std::byte*>(text.data()),
+                        text.size())) {
+    if (error != nullptr) *error = "failed to publish " + path;
     return false;
   }
   return true;
@@ -628,21 +401,13 @@ bool ServiceClient::try_poll_batch(const std::string& id,
   const std::string text(reinterpret_cast<const char*>(raw.data()),
                          raw.size());
   std::string error;
-  if (parse_batch_answer(text, out, error)) return true;
-  // A server that rejected the batch wholesale (unparseable file)
-  // answers plain answer-v1 status=error; fold either that or local bit
-  // rot into one error part so the client never spins.
-  ServiceAnswer v1;
-  std::string v1_error;
-  out = ServiceBatchAnswer{};
-  out.id = id;
-  out.parts.resize(1);
-  out.parts[0].status = AnswerStatus::kError;
-  if (parse_answer(text, v1, v1_error)) {
-    out.parts[0].status = v1.status;
-    out.parts[0].error = v1.error;
-    out.parts[0].retry_after_ms = v1.retry_after_ms;
-  } else {
+  if (!parse_batch_answer(text, out, error)) {
+    // The answer exists but does not parse (bit rot on the answer
+    // file): surface it as an error rather than spinning forever.
+    out = ServiceBatchAnswer{};
+    out.id = id;
+    out.parts.resize(1);
+    out.parts[0].status = AnswerStatus::kError;
     out.parts[0].error = "unparseable answer: " + error;
   }
   return true;

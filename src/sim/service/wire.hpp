@@ -3,25 +3,33 @@
 //
 // A query is one file in `<root>/submit/<id>.query`; the matching
 // answer appears at `<root>/answers/<id>.answer`.  Both sides publish
-// atomically (unique temp + rename, the same discipline as the stores),
-// so a reader can never observe a half-written message, and both sides
-// go through the fault::Env seam so torn submissions and answer-publish
-// failures are exercised deterministically in tests.
+// through publish_verified (sim/blob_store.hpp: unique temp, read-back
+// check, rename), so a reader can never observe a half-written message,
+// and both go through the fault::Env seam so torn submissions and
+// answer-publish failures are exercised deterministically in tests.
 //
-// Query format (line-oriented key=value; the ScenarioSpec grammar is
-// the scenario payload — it already round-trips as text):
-//   query-v1
+// One format.  A query carries N scenario x scheme items, and the
+// answer gives each its own status, so admission control can shed one
+// overloaded part (whole-part, never a partial cell list) while the
+// rest proceeds.  A single (scenario, scheme) query is a one-part
+// query:
+//
+//   query-v2
 //   id=<client-chosen id, [A-Za-z0-9._-]+>
-//   scenario=<ScenarioSpec key=value line, e.g. "cores=4 workload=paper">
-//   scheme=<SchemeSpec id, e.g. "SNUG" or "CC(50%)">
+//   query=<scheme id>|<ScenarioSpec line>   (one line per part, >= 1;
+//                                            '|' cannot appear in either)
 //
-// Answer format:
-//   answer-v1
+//   answer-v2
 //   id=<query id>
-//   status=ok | error | retry-after
-//   error=<one-line diagnostic>            (status=error only)
-//   retry-after-ms=<n>                     (status=retry-after only)
-//   cell=<combo name> ipc=<v>,<v>,...      (one line per workload combo)
+//   parts=<N>
+//   part=<i> status=ok | error error=<msg> | retry-after retry-after-ms=<n>
+//   cell=<i>/<combo name> ipc=<v>,<v>,...   (ok parts only, combo order)
+//
+// Part lines appear in index order 0..N-1, exactly once each; cell
+// lines follow, grouped by part.  A file the server cannot parse (any
+// other magic included) is answered with one status=error part naming
+// the problem.
+//
 // An IPC value is the text printf("%.17g") prints in the C locale,
 // produced by std::to_chars (snug::append_g17): 17 significant digits
 // round-trip an IEEE double exactly, so a resumed server's answers can
@@ -38,29 +46,6 @@
 // as a ServiceBatchAnswer moved across the ring: no text is encoded
 // for them unless they ask for the durable file (publish=true).
 //
-// Batched sweep queries (ISSUE 10): a figure-style sweep used to cost
-// one wire round-trip per (scenario, scheme) point — 21 messages for a
-// fig9 column.  `query-v2` carries N scenario x scheme items in ONE
-// message and `answer-v2` answers them with PER-PART status, so
-// admission control can shed one overloaded part (whole-part, never a
-// partial cell list) while the rest of the batch proceeds:
-//
-//   query-v2
-//   id=<client-chosen id>
-//   query=<scheme id>|<ScenarioSpec line>   (one line per part, >= 1;
-//                                            '|' cannot appear in either)
-//
-//   answer-v2
-//   id=<query id>
-//   parts=<N>
-//   part=<i> status=ok | error error=<msg> | retry-after retry-after-ms=<n>
-//   cell=<i>/<combo name> ipc=<v>,<v>,...   (ok parts only, combo order)
-//
-// Part lines appear in index order 0..N-1, exactly once each; cell
-// lines follow, grouped by part.  A v1 client is untouched: `query-v1`
-// files still answer `answer-v1` byte-identically (the compat pin in
-// tests/sim/service_wire_test.cpp).
-//
 // Crash contract: the submit file is the durable record of an accepted
 // query — the server removes it only AFTER the answer is published, so
 // a server killed at any point re-ingests the query on restart and the
@@ -68,7 +53,6 @@
 // identical answer is idempotent.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,29 +68,15 @@ enum class AnswerStatus : std::uint8_t {
   kRetryAfter,  ///< backlog full — resubmit after retry_after_ms
 };
 
-struct ServiceQuery {
-  std::string id;
-  std::string scenario_text;  ///< ScenarioSpec grammar (sim/scenario.hpp)
-  std::string scheme_id;      ///< SchemeSpec::id() grammar
-};
-
 struct AnswerCell {
   std::string combo;        ///< workload combo name
   std::vector<double> ipc;  ///< per-core measured IPC
 };
 
-struct ServiceAnswer {
-  std::string id;
-  AnswerStatus status = AnswerStatus::kOk;
-  std::string error;                 ///< status=error diagnostic
-  std::uint64_t retry_after_ms = 0;  ///< status=retry-after backoff hint
-  std::vector<AnswerCell> cells;     ///< query's combos, in combo order
-};
-
-/// One scenario x scheme item of a v2 batch query.
+/// One scenario x scheme item of a query.
 struct BatchItem {
-  std::string scenario_text;
-  std::string scheme_id;
+  std::string scenario_text;  ///< ScenarioSpec grammar (sim/scenario.hpp)
+  std::string scheme_id;      ///< SchemeSpec::id() grammar
 };
 
 /// Hard cap on items per batch — a figure sweep is ~21; anything past
@@ -144,21 +114,10 @@ struct ServiceBatchAnswer {
 [[nodiscard]] std::string answer_path(const std::string& root,
                                       const std::string& id);
 
-[[nodiscard]] std::string encode_query(const ServiceQuery& query);
-/// False (with a one-line diagnostic) on any malformed line, a bad id,
-/// or a missing field; `out` is untouched on failure.
-[[nodiscard]] bool parse_query(const std::string& text, ServiceQuery& out,
-                               std::string& error);
-
-[[nodiscard]] std::string encode_answer(const ServiceAnswer& answer);
-[[nodiscard]] bool parse_answer(const std::string& text, ServiceAnswer& out,
-                                std::string& error);
-
-/// True when `text` opens with the query-v2 magic (the server's format
-/// dispatch; cheap — looks at the first line only).
-[[nodiscard]] bool is_batch_query(const std::string& text);
-
 [[nodiscard]] std::string encode_batch_query(const ServiceBatchQuery& query);
+/// False (with a one-line diagnostic) on any malformed line, a bad id,
+/// or a missing field; `out` is untouched on failure.  The parsers of
+/// both messages share this contract.
 [[nodiscard]] bool parse_batch_query(const std::string& text,
                                      ServiceBatchQuery& out,
                                      std::string& error);
@@ -169,59 +128,32 @@ struct ServiceBatchAnswer {
                                       ServiceBatchAnswer& out,
                                       std::string& error);
 
-/// Verified atomic publish: writes `text` to `tmp`, reads it back, and
-/// only renames onto `final_path` when the bytes on disk are exactly
-/// the bytes intended.  A write that silently tears (a full disk
-/// swallowing the tail, the short-write fault) is caught here instead
-/// of being renamed into a permanently corrupt wire file; the temp is
-/// removed and the caller retries later.  False on any step failing.
-[[nodiscard]] bool publish_verified(const fault::Env& env,
-                                    const std::string& tmp,
-                                    const std::string& final_path,
-                                    const std::string& text);
-
 /// Client side of the queue: submits query files and polls for answers.
-/// Stateless apart from a temp-name sequence; one client may be shared
-/// by threads, and any number of client processes may point at one
-/// service root.
+/// Stateless; one client may be shared by threads, and any number of
+/// client processes may point at one service root.
 class ServiceClient {
  public:
   explicit ServiceClient(std::string root);
 
   /// Atomically publishes the query file.  False (diagnosing into
-  /// `error` when given) on a bad id or an I/O failure.
-  bool submit(const ServiceQuery& query, std::string* error = nullptr) const;
-
-  /// True when the answer for `id` has been published (and parses);
-  /// false while still pending.  A published-but-unparseable answer
-  /// reports status=error with the parse diagnostic, so a client never
-  /// spins forever on a mangled file.
-  bool try_poll(const std::string& id, ServiceAnswer& out) const;
-
-  /// Polls every poll_ms until the answer lands or timeout_ms passes.
-  bool wait(const std::string& id, ServiceAnswer& out,
-            std::uint64_t timeout_ms, std::uint64_t poll_ms = 2) const;
-
-  /// Atomically publishes a batch (query-v2) file.  Same contract as
-  /// submit(): false on a bad id, an empty/oversized batch, or I/O
-  /// failure.
+  /// `error` when given) on a bad id, an empty/oversized batch, or an
+  /// I/O failure.
   bool submit_batch(const ServiceBatchQuery& query,
                     std::string* error = nullptr) const;
 
-  /// Batch counterpart of try_poll.  A published answer that parses as
-  /// neither answer-v2 nor answer-v1 (or a v1 error the server used to
-  /// reject a malformed batch wholesale) surfaces as a single
-  /// status=error part, so a batch client never spins on a mangled or
-  /// downgraded file.
+  /// True when the answer for `id` has been published; false while
+  /// still pending.  A published answer that does not parse surfaces as
+  /// a single status=error part with the parse diagnostic, so a client
+  /// never spins forever on a mangled file.
   bool try_poll_batch(const std::string& id, ServiceBatchAnswer& out) const;
 
+  /// Polls every poll_ms until the answer lands or timeout_ms passes.
   bool wait_batch(const std::string& id, ServiceBatchAnswer& out,
                   std::uint64_t timeout_ms, std::uint64_t poll_ms = 2) const;
 
  private:
   const fault::Env* env_;  ///< resolved at construction (fault seam)
   std::string root_;
-  mutable std::atomic<std::uint64_t> seq_{0};  ///< unique temp names
 };
 
 }  // namespace snug::sim::service

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -171,6 +172,42 @@ TEST(FaultEnv, ShortWriteIsSilentAndSeedDeterministic) {
       path, reinterpret_cast<const std::byte*>(payload.data()),
                                       payload.size()));
   EXPECT_EQ(fs::file_size(path), payload.size());
+}
+
+// Publish temps carry the writer's pid and sequence, which differ in
+// every run; decisions key on the `<target>.tmp` stem, so a plan tears
+// the same publishes of a target wherever and whenever they happen.
+TEST(FaultEnv, PublishTempsOfOneTargetFaultAlikeAcrossWriters) {
+  TempDir tmp("snug_fault_env_temp_key");
+  fs::create_directories(tmp.dir);
+  const std::string target = (tmp.dir / "x").string();
+  const std::string payload(1000, 'x');
+  const auto* bytes = reinterpret_cast<const std::byte*>(payload.data());
+
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::FaultPlan::parse("seed=3; short-write@write:p=0.5",
+                                      plan, error));
+  // Eight successive publishes of `target`, as one writer (pid 100) and
+  // then another (pid 200, seq offset by 7) would name their temps.
+  const auto publish_sizes = [&](long pid, int seq0) {
+    std::vector<std::uintmax_t> sizes;
+    fault::ScopedFaultPlan scoped(plan);
+    for (int i = 0; i < 8; ++i) {
+      const std::string temp = target + ".tmp." + std::to_string(pid) +
+                               "." + std::to_string(seq0 + i);
+      EXPECT_TRUE(fault::env().write_file(temp, bytes, payload.size()));
+      sizes.push_back(fs::file_size(temp));
+    }
+    return sizes;
+  };
+  const std::vector<std::uintmax_t> first = publish_sizes(100, 0);
+  const std::vector<std::uintmax_t> second = publish_sizes(200, 7);
+  EXPECT_EQ(first, second);
+  EXPECT_NE(std::count(first.begin(), first.end(), payload.size()), 8)
+      << "the plan must tear some publish";
+  EXPECT_NE(std::count(first.begin(), first.end(), payload.size()), 0)
+      << "and, at p=0.5, leave some whole";
 }
 
 // ---- store self-healing under injected faults --------------------------

@@ -12,7 +12,10 @@
 // and the file wire, without simulating; a finished cell wakes the
 // publish pass instead of waiting out the poll interval; finished
 // misses leave no per-miss state behind; and opening reaps the temps
-// dead clients left in submit/.
+// dead clients left in submit/.  Every file-wire query here is a
+// one-part query; a leftover file in the retired single-query format
+// answers a v2 error, and a submit whose answer already exists is
+// retired without re-answering.
 #include "sim/service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -71,32 +74,74 @@ ServiceConfig small_config(const TempDir& tmp) {
   return cfg;
 }
 
-/// Serves until `answer` for `id` lands (or 30 s pass — fails the test).
-ServiceAnswer serve_until_answered(CampaignServer& server,
-                                   const std::string& root,
-                                   const std::string& id) {
+bool submit_batch(const std::string& root, const std::string& id,
+                  const std::vector<BatchItem>& items) {
+  ServiceClient client(root);
+  ServiceBatchQuery q;
+  q.id = id;
+  q.items = items;
+  std::string error;
+  const bool ok = client.submit_batch(q, &error);
+  EXPECT_TRUE(ok) << error;
+  return ok;
+}
+
+/// Submits the one-part query (`scenario`, `scheme`) as `id`.
+bool submit(const std::string& root, const std::string& id,
+            const std::string& scenario, const std::string& scheme) {
+  return submit_batch(root, id, {{scenario, scheme}});
+}
+
+/// The only part of a one-part answer (fails the test on any other
+/// part count).
+BatchPart only_part(const ServiceBatchAnswer& a) {
+  if (a.parts.size() != 1) {
+    ADD_FAILURE() << a.id << ": " << a.parts.size() << " parts, want 1";
+    return {};
+  }
+  return a.parts[0];
+}
+
+/// Waits for the one-part answer to `id`; fails the test on a timeout.
+BatchPart wait_part(const std::string& root, const std::string& id,
+                    std::uint64_t timeout_ms) {
+  ServiceBatchAnswer a;
+  if (!ServiceClient(root).wait_batch(id, a, timeout_ms)) {
+    ADD_FAILURE() << "no answer for " << id << " within " << timeout_ms
+                  << " ms";
+    return {};
+  }
+  return only_part(a);
+}
+
+/// Serves until the answer for `id` lands (or 30 s pass — fails the
+/// test).
+ServiceBatchAnswer serve_until_batch_answered(CampaignServer& server,
+                                              const std::string& root,
+                                              const std::string& id) {
   ServiceClient client(root);
   std::jthread serving(
       [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
-  ServiceAnswer answer;
-  const bool got = client.wait(id, answer, /*timeout_ms=*/30'000);
+  ServiceBatchAnswer answer;
+  const bool got = client.wait_batch(id, answer, /*timeout_ms=*/30'000);
   server.request_stop();
   serving.join();
   EXPECT_TRUE(got) << "no answer for " << id << " within 30 s";
   return answer;
 }
 
-bool submit(const std::string& root, const std::string& id,
-            const std::string& scenario, const std::string& scheme) {
-  ServiceClient client(root);
-  ServiceQuery q;
-  q.id = id;
-  q.scenario_text = scenario;
-  q.scheme_id = scheme;
-  std::string error;
-  const bool ok = client.submit(q, &error);
-  EXPECT_TRUE(ok) << error;
-  return ok;
+/// serve_until_batch_answered for a one-part query: its only part.
+BatchPart serve_until_answered(CampaignServer& server,
+                               const std::string& root,
+                               const std::string& id) {
+  return only_part(serve_until_batch_answered(server, root, id));
+}
+
+/// The bytes of a published file ("" when missing).
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 TEST(CampaignServerTest, AnswersMatchDirectSimulationBitExactly) {
@@ -104,7 +149,7 @@ TEST(CampaignServerTest, AnswersMatchDirectSimulationBitExactly) {
   const ServiceConfig cfg = small_config(tmp);
   CampaignServer server(cfg);
   ASSERT_TRUE(submit(cfg.root, "q1", kScenarioA, "SNUG"));
-  const ServiceAnswer a = serve_until_answered(server, cfg.root, "q1");
+  const BatchPart a = serve_until_answered(server, cfg.root, "q1");
   ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
   expect_cells_equal(a.cells, direct_cells(kScenarioA, "SNUG"));
   // The submit file is retired only after the answer is published.
@@ -121,8 +166,7 @@ TEST(CampaignServerTest, MalformedQueriesAnswerStatusError) {
   const ServiceConfig cfg = small_config(tmp);
   CampaignServer server(cfg);
   ASSERT_TRUE(submit(cfg.root, "bad-scheme", kScenarioA, "NOPE"));
-  const ServiceAnswer a =
-      serve_until_answered(server, cfg.root, "bad-scheme");
+  const BatchPart a = serve_until_answered(server, cfg.root, "bad-scheme");
   EXPECT_EQ(a.status, AnswerStatus::kError);
   EXPECT_NE(a.error.find("NOPE"), std::string::npos) << a.error;
   EXPECT_EQ(server.stats().queries_rejected, 1u);
@@ -131,7 +175,7 @@ TEST(CampaignServerTest, MalformedQueriesAnswerStatusError) {
 TEST(CampaignServerTest, SecondServerAnswersFromSharedCache) {
   TempDir tmp("snug_service_shared_cache");
   const ServiceConfig cfg = small_config(tmp);
-  ServiceAnswer first;
+  BatchPart first;
   {
     CampaignServer server(cfg);
     ASSERT_TRUE(submit(cfg.root, "q1", kScenarioA, "L2P"));
@@ -145,8 +189,7 @@ TEST(CampaignServerTest, SecondServerAnswersFromSharedCache) {
   cfg2.root = tmp.path("svc2");
   CampaignServer server2(cfg2);
   ASSERT_TRUE(submit(cfg2.root, "q2", kScenarioA, "L2P"));
-  const ServiceAnswer second =
-      serve_until_answered(server2, cfg2.root, "q2");
+  const BatchPart second = serve_until_answered(server2, cfg2.root, "q2");
   ASSERT_EQ(second.status, AnswerStatus::kOk) << second.error;
   expect_cells_equal(second.cells, first.cells);
   const CampaignServer::Stats s = server2.stats();
@@ -169,7 +212,6 @@ TEST(CampaignServerTest, FullBacklogShedsWithRetryAfter) {
   cfg.max_backlog = 1;
   cfg.retry_after_ms = 123;
   CampaignServer server(cfg);
-  ServiceClient client(cfg.root);
   // The test runs the first two poller passes itself, so the slow query
   // is admitted strictly before the burst is ingested; the stall keeps
   // its cell in the backlog far longer than the two statements between.
@@ -180,22 +222,20 @@ TEST(CampaignServerTest, FullBacklogShedsWithRetryAfter) {
   std::jthread serving(
       [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
 
-  ServiceAnswer shed;
-  ASSERT_TRUE(client.wait("burst", shed, /*timeout_ms=*/10'000));
+  const BatchPart shed = wait_part(cfg.root, "burst", /*timeout_ms=*/10'000);
   EXPECT_EQ(shed.status, AnswerStatus::kRetryAfter);
   EXPECT_EQ(shed.retry_after_ms, 123u);
   EXPECT_TRUE(shed.cells.empty());
 
   // The wedged query still completes; shedding degraded, it didn't drop.
-  ServiceAnswer slow;
-  ASSERT_TRUE(client.wait("slow", slow, /*timeout_ms=*/30'000));
+  const BatchPart slow = wait_part(cfg.root, "slow", /*timeout_ms=*/30'000);
   EXPECT_EQ(slow.status, AnswerStatus::kOk) << slow.error;
   EXPECT_EQ(server.stats().queries_shed, 1u);
 
   // The backlog has drained: resubmitting the shed query now succeeds.
   ASSERT_TRUE(submit(cfg.root, "burst2", kScenarioB, "SNUG"));
-  ServiceAnswer retry;
-  ASSERT_TRUE(client.wait("burst2", retry, /*timeout_ms=*/30'000));
+  const BatchPart retry =
+      wait_part(cfg.root, "burst2", /*timeout_ms=*/30'000);
   EXPECT_EQ(retry.status, AnswerStatus::kOk) << retry.error;
   server.request_stop();
   serving.join();
@@ -216,7 +256,7 @@ TEST(CampaignServerTest, RetryExhaustionPoisonsIntoAnErrorAnswer) {
   cfg.retry.backoff_ms = 1;
   CampaignServer server(cfg);
   ASSERT_TRUE(submit(cfg.root, "doomed", kScenarioA, "SNUG"));
-  const ServiceAnswer a = serve_until_answered(server, cfg.root, "doomed");
+  const BatchPart a = serve_until_answered(server, cfg.root, "doomed");
   EXPECT_EQ(a.status, AnswerStatus::kError);
   EXPECT_NE(a.error.find("gave up after 2 attempts"), std::string::npos)
       << a.error;
@@ -243,7 +283,7 @@ TEST(CampaignServerTest, ExpiredLeaseReassignsAndStillAnswersExactly) {
   cfg.max_holds = 5;
   CampaignServer server(cfg);
   ASSERT_TRUE(submit(cfg.root, "q1", kScenarioA, "SNUG"));
-  const ServiceAnswer a = serve_until_answered(server, cfg.root, "q1");
+  const BatchPart a = serve_until_answered(server, cfg.root, "q1");
   ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
   expect_cells_equal(a.cells, direct_cells(kScenarioA, "SNUG"));
   const CampaignServer::Stats s = server.stats();
@@ -265,11 +305,10 @@ TEST(CampaignServerTest, KilledMidBacklogResumesByteIdentically) {
                        "cores=4 workload=1A+1C variants=4 "
                        "warmup-cycles=10000 measure-cycles=40000",
                        "SNUG"));
-    const ServiceAnswer a =
-        serve_until_answered(clean, clean_cfg.root, "big");
+    const BatchPart a = serve_until_answered(clean, clean_cfg.root, "big");
     ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
     ASSERT_EQ(a.cells.size(), 4u);
-    clean_bytes = encode_answer(a);
+    clean_bytes = file_bytes(answer_path(clean_cfg.root, "big"));
   }
 
   // Victim: same query, one worker, destroyed after the first cells
@@ -310,10 +349,9 @@ TEST(CampaignServerTest, KilledMidBacklogResumesByteIdentically) {
   // cells simulate — and the answer is byte-identical to the clean
   // run's.
   CampaignServer resumed(victim_cfg);
-  const ServiceAnswer a =
-      serve_until_answered(resumed, victim_cfg.root, "big");
+  const BatchPart a = serve_until_answered(resumed, victim_cfg.root, "big");
   ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
-  EXPECT_EQ(encode_answer(a), clean_bytes);
+  EXPECT_EQ(file_bytes(answer_path(victim_cfg.root, "big")), clean_bytes);
   const CampaignServer::Stats s = resumed.stats();
   EXPECT_GE(s.backlog.journal_hits + s.cells_from_cache, 2u)
       << "completed cells must come back from journal or cache, not "
@@ -419,8 +457,7 @@ TEST(CampaignServerTest, EntriesPublishedAfterOpenAnswerOverRingAndFileWire) {
   expect_cells_equal(ring_query(server, "ring", kScenarioA, "L2P"),
                      ring_cells);
   ASSERT_TRUE(submit(cfg.root, "file", kScenarioB, "L2P"));
-  ServiceAnswer f;
-  ASSERT_TRUE(ServiceClient(cfg.root).wait("file", f, /*timeout_ms=*/30'000));
+  const BatchPart f = wait_part(cfg.root, "file", /*timeout_ms=*/30'000);
   ASSERT_EQ(f.status, AnswerStatus::kOk) << f.error;
   expect_cells_equal(f.cells, file_cells);
 
@@ -491,9 +528,9 @@ TEST(CampaignServerTest, CorruptCacheEntryRecomputesAndHeals) {
   {
     CampaignServer server(cfg);
     ASSERT_TRUE(submit(cfg.root, "q1", kScenarioA, "DSR"));
-    const ServiceAnswer a = serve_until_answered(server, cfg.root, "q1");
+    const BatchPart a = serve_until_answered(server, cfg.root, "q1");
     ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
-    good_bytes = encode_answer(a);
+    good_bytes = file_bytes(answer_path(cfg.root, "q1"));
   }
   // Rot one payload byte of the (only) published cache entry.
   ASSERT_FALSE(rot_only_cache_entry(cfg.cache_dir).empty());
@@ -503,42 +540,14 @@ TEST(CampaignServerTest, CorruptCacheEntryRecomputesAndHeals) {
   cfg2.root = tmp.path("svc2");
   CampaignServer server2(cfg2);
   ASSERT_TRUE(submit(cfg2.root, "q1", kScenarioA, "DSR"));
-  const ServiceAnswer healed =
-      serve_until_answered(server2, cfg2.root, "q1");
+  const BatchPart healed = serve_until_answered(server2, cfg2.root, "q1");
   ASSERT_EQ(healed.status, AnswerStatus::kOk) << healed.error;
-  EXPECT_EQ(encode_answer(healed), good_bytes);
+  EXPECT_EQ(file_bytes(answer_path(cfg2.root, "q1")), good_bytes);
   const CampaignServer::Stats s = server2.stats();
   EXPECT_EQ(s.cells_from_cache, 0u) << "the rotten entry must not serve";
   EXPECT_EQ(s.cells_simulated, 1u);
   EXPECT_TRUE(fs::exists(fs::path(cfg.cache_dir) / "quarantine"))
       << "the corrupt entry is quarantined, not deleted";
-}
-
-bool submit_batch(const std::string& root, const std::string& id,
-                  const std::vector<BatchItem>& items) {
-  ServiceClient client(root);
-  ServiceBatchQuery q;
-  q.id = id;
-  q.items = items;
-  std::string error;
-  const bool ok = client.submit_batch(q, &error);
-  EXPECT_TRUE(ok) << error;
-  return ok;
-}
-
-/// Batch counterpart of serve_until_answered.
-ServiceBatchAnswer serve_until_batch_answered(CampaignServer& server,
-                                              const std::string& root,
-                                              const std::string& id) {
-  ServiceClient client(root);
-  std::jthread serving(
-      [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
-  ServiceBatchAnswer answer;
-  const bool got = client.wait_batch(id, answer, /*timeout_ms=*/30'000);
-  server.request_stop();
-  serving.join();
-  EXPECT_TRUE(got) << "no batch answer for " << id << " within 30 s";
-  return answer;
 }
 
 TEST(CampaignServerBatchTest, MixedPartsAnswerPerPartStatuses) {
@@ -562,10 +571,10 @@ TEST(CampaignServerBatchTest, MixedPartsAnswerPerPartStatuses) {
   EXPECT_TRUE(a.parts[1].cells.empty());
   ASSERT_EQ(a.parts[2].status, AnswerStatus::kOk) << a.parts[2].error;
   expect_cells_equal(a.parts[2].cells, direct_cells(kScenarioB, "SNUG"));
-  // The batch's submit file retires exactly like a v1 query's.
   EXPECT_FALSE(fs::exists(query_path(cfg.root, "sweep")));
   const CampaignServer::Stats s = server.stats();
-  EXPECT_EQ(s.batches_ingested, 1u);
+  EXPECT_EQ(s.queries_ingested, 1u);
+  EXPECT_EQ(s.queries_rejected, 0u) << "one bad part does not reject all";
   EXPECT_EQ(s.parts_total, 3u);
   EXPECT_EQ(s.parts_rejected, 1u);
   EXPECT_EQ(s.parts_shed, 0u);
@@ -601,44 +610,52 @@ TEST(CampaignServerBatchTest, AdmissionShedsWholePartsNotCells) {
   EXPECT_EQ(server.stats().parts_shed, 1u);
 }
 
-TEST(CampaignServerBatchTest, V1ClientsStillGetByteIdenticalV1Answers) {
-  TempDir tmp("snug_service_batch_v1pin");
+TEST(CampaignServerTest, V1QueryFileIsRejectedWithAV2Error) {
+  TempDir tmp("snug_service_v1_rejected");
   const ServiceConfig cfg = small_config(tmp);
   CampaignServer server(cfg);
-  // One serving session answers a v1 client and a v2 client side by
-  // side: the format each gets back is decided per query, not per
-  // server.
-  ASSERT_TRUE(submit(cfg.root, "old", kScenarioA, "SNUG"));
-  ASSERT_TRUE(submit_batch(cfg.root, "new", {{kScenarioA, "SNUG"}}));
-  ServiceClient client(cfg.root);
-  ServiceAnswer a;
-  ServiceBatchAnswer b;
-  {
-    std::jthread serving(
-        [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
-    ASSERT_TRUE(client.wait("old", a, /*timeout_ms=*/30'000));
-    ASSERT_TRUE(client.wait_batch("new", b, /*timeout_ms=*/30'000));
-    server.request_stop();
-  }
-  ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
-  ASSERT_EQ(b.parts.size(), 1u);
-  ASSERT_EQ(b.parts[0].status, AnswerStatus::kOk) << b.parts[0].error;
-  expect_cells_equal(b.parts[0].cells, a.cells);
+  // A file in the retired single-query format, as an old client wrote
+  // it: answered with one v2 error part naming the format it wants.
+  std::ofstream(query_path(cfg.root, "old"), std::ios::binary)
+      << "query-v1\nid=old\nscenario=" << kScenarioA << "\nscheme=SNUG\n";
+  const BatchPart a = serve_until_answered(server, cfg.root, "old");
+  EXPECT_EQ(a.status, AnswerStatus::kError);
+  EXPECT_NE(a.error.find("query-v2"), std::string::npos) << a.error;
+  EXPECT_TRUE(a.cells.empty());
+  EXPECT_EQ(file_bytes(answer_path(cfg.root, "old")).rfind("answer-v2\n", 0),
+            0u);
+  EXPECT_FALSE(fs::exists(query_path(cfg.root, "old")))
+      << "the rejected submit file is retired";
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.queries_rejected, 1u);
+  EXPECT_EQ(s.queries_answered, 1u);
+  EXPECT_EQ(s.cells_simulated, 0u);
+}
 
-  // Compat pin: a v1 query's answer file still opens with the v1 magic
-  // and re-encodes byte-identically — a pre-batch client parses it.
-  std::ifstream in(answer_path(cfg.root, "old"), std::ios::binary);
-  std::string raw((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  ASSERT_EQ(raw.rfind("answer-v1\n", 0), 0u)
-      << "v1 queries must answer answer-v1, never v2: " << raw;
-  EXPECT_EQ(raw, encode_answer(a));
+TEST(CampaignServerTest, SubmitWhoseAnswerExistsIsRetiredWithoutReanswering) {
+  TempDir tmp("snug_service_answered_submit");
+  const ServiceConfig cfg = small_config(tmp);
+  // What a server killed between publishing an answer and retiring its
+  // submit file leaves behind: both files for one id.
+  ASSERT_TRUE(submit(cfg.root, "done", kScenarioA, "SNUG"));
+  ServiceBatchAnswer planted;
+  planted.id = "done";
+  planted.parts.resize(1);
+  planted.parts[0].cells.push_back({"planted", {1.25}});
+  const std::string planted_bytes = encode_batch_answer(planted);
+  std::ofstream(answer_path(cfg.root, "done"), std::ios::binary)
+      << planted_bytes;
 
-  // And the v2 batch answered with the v2 magic.
-  std::ifstream in2(answer_path(cfg.root, "new"), std::ios::binary);
-  std::string raw2((std::istreambuf_iterator<char>(in2)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(raw2.rfind("answer-v2\n", 0), 0u) << raw2;
+  CampaignServer server(cfg);
+  (void)server.poll_once();
+  EXPECT_FALSE(fs::exists(query_path(cfg.root, "done")))
+      << "the answered submit file is retired";
+  EXPECT_EQ(file_bytes(answer_path(cfg.root, "done")), planted_bytes)
+      << "the published answer is never rewritten";
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.cells_simulated, 0u);
+  EXPECT_EQ(s.queries_ingested, 0u);
+  EXPECT_EQ(s.queries_answered, 0u);
 }
 
 // A long-lived server must not keep per-miss state: once every cell
@@ -710,10 +727,10 @@ TEST(CampaignServerTest, OpenReapsAckedAnswersOverTheRetentionCap) {
     char id[16];
     std::snprintf(id, sizeof id, "g%03d", i);
     std::ofstream(answer_path(cfg.root, id), std::ios::binary)
-        << "answer-v1\nid=" << id << "\nstatus=ok\n";
+        << "answer-v2\nid=" << id << "\nparts=1\npart=0 status=ok\n";
   }
   std::ofstream(query_path(cfg.root, "g000"), std::ios::binary)
-      << "query-v1\nid=g000\nscenario=cores=4\nscheme=SNUG\n";
+      << "query-v2\nid=g000\nquery=SNUG|cores=4\n";
 
   CampaignServer server(cfg);
   std::size_t kept = 0;
@@ -741,8 +758,8 @@ TEST(CampaignServerTest, OpenReapsDeadClientsQueryTemps) {
       fs::path(submit_dir(cfg.root)) / "q1.query.tmp.999999999.3";
   const fs::path live = fs::path(submit_dir(cfg.root)) /
                         ("q2.query.tmp." + std::to_string(::getpid()) + ".1");
-  std::ofstream(dead, std::ios::binary) << "query-v1\nid=q1\n";
-  std::ofstream(live, std::ios::binary) << "query-v1\nid=q2\n";
+  std::ofstream(dead, std::ios::binary) << "query-v2\nid=q1\n";
+  std::ofstream(live, std::ios::binary) << "query-v2\nid=q2\n";
 
   CampaignServer server(cfg);
   EXPECT_FALSE(fs::exists(dead)) << "a dead client's temp is reaped";

@@ -1,8 +1,9 @@
 // Campaign-service wire protocol tests (ISSUE 9): query/answer encode
 // and parse round trips, malformed-input rejection with diagnostics,
 // query-id hygiene (ids become file names — no traversal, no
-// separators), exact %.17g IPC round-tripping, literal pins of the
-// answer bytes, and the ServiceClient's atomic submit / poll behaviour.
+// separators), exact %.17g IPC round-tripping, a literal pin of the
+// answer bytes, the verified publish under a torn write, and the
+// ServiceClient's atomic submit / poll behaviour.
 #include "sim/service/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "common/fault.hpp"
 #include "common/str.hpp"
+#include "sim/blob_store.hpp"
 
 namespace snug::sim::service {
 namespace {
@@ -37,36 +39,6 @@ struct TempDir {
   fs::path dir;
 };
 
-TEST(ServiceWire, QueryRoundTrips) {
-  ServiceQuery q;
-  q.id = "client-1.query_07";
-  q.scenario_text = "cores=4 workload=gzip+mesa+gzip+mesa";
-  q.scheme_id = "CC(50%)";
-  ServiceQuery back;
-  std::string error;
-  ASSERT_TRUE(parse_query(encode_query(q), back, error)) << error;
-  EXPECT_EQ(back.id, q.id);
-  EXPECT_EQ(back.scenario_text, q.scenario_text);
-  EXPECT_EQ(back.scheme_id, q.scheme_id);
-}
-
-TEST(ServiceWire, QueryParseRejectsMalformedInput) {
-  ServiceQuery out;
-  std::string error;
-  EXPECT_FALSE(parse_query("", out, error));
-  EXPECT_FALSE(parse_query("not-a-query\nid=a", out, error));
-  EXPECT_FALSE(parse_query("query-v1\nid=a\nscheme=SNUG", out, error))
-      << "missing scenario must be rejected";
-  EXPECT_NE(error.find("scenario"), std::string::npos) << error;
-  EXPECT_FALSE(parse_query(
-      "query-v1\nid=a\nscenario=cores=4\nscheme=SNUG\nbogus=1", out,
-      error));
-  EXPECT_FALSE(parse_query(
-      "query-v1\nid=../../etc\nscenario=cores=4\nscheme=SNUG", out,
-      error))
-      << "a traversal id must be rejected at parse";
-}
-
 TEST(ServiceWire, QueryIdsAreFileNameSafe) {
   EXPECT_TRUE(valid_query_id("abc-123_X.Y"));
   EXPECT_FALSE(valid_query_id(""));
@@ -76,51 +48,6 @@ TEST(ServiceWire, QueryIdsAreFileNameSafe) {
   EXPECT_FALSE(valid_query_id("semi;colon"));
   EXPECT_FALSE(valid_query_id(std::string(129, 'a')));
   EXPECT_TRUE(valid_query_id(std::string(128, 'a')));
-}
-
-TEST(ServiceWire, AnswerRoundTripsIpcDoublesExactly) {
-  ServiceAnswer a;
-  a.id = "q1";
-  a.status = AnswerStatus::kOk;
-  // Values chosen to lose bits under anything less than %.17g.
-  a.cells.push_back({"mixA", {1.0 / 3.0, 0.1234567890123456789, 2.0}});
-  a.cells.push_back({"mixB", {1e-300, 3.0000000000000004}});
-  ServiceAnswer back;
-  std::string error;
-  ASSERT_TRUE(parse_answer(encode_answer(a), back, error)) << error;
-  EXPECT_EQ(back.status, AnswerStatus::kOk);
-  ASSERT_EQ(back.cells.size(), 2u);
-  EXPECT_EQ(back.cells[0].combo, "mixA");
-  EXPECT_EQ(back.cells[1].combo, "mixB");
-  // Bit-exact, not approximately equal: the chaos soak byte-diffs
-  // resumed answers against a clean run's.
-  EXPECT_EQ(back.cells[0].ipc, a.cells[0].ipc);
-  EXPECT_EQ(back.cells[1].ipc, a.cells[1].ipc);
-  // And the re-encoding is byte-identical.
-  EXPECT_EQ(encode_answer(back), encode_answer(a));
-}
-
-// The answer bytes themselves, captured from the printf("%.17g")
-// encoder.  Round trips alone would let a shortest-round-trip formatter
-// through while every answer file changed; these pins would not.
-TEST(ServiceWire, AnswerBytesArePinned) {
-  ServiceAnswer a;
-  a.id = "pin";
-  a.cells.push_back({"mixA", {1.0 / 3.0, 0.1234567890123456789, 2.0}});
-  a.cells.push_back({"mixB", {1e-300, 3.0000000000000004, 0.0, -0.0}});
-  a.cells.push_back({"mixC",
-                     {4.9e-324, 1e21, std::numeric_limits<double>::max(),
-                      -1.5, 123456789.0, 1e16, 0.5, 1e-5,
-                      2.2250738585072014e-308}});
-  EXPECT_EQ(encode_answer(a),
-            "answer-v1\n"
-            "id=pin\n"
-            "status=ok\n"
-            "cell=mixA ipc=0.33333333333333331,0.12345678901234568,2\n"
-            "cell=mixB ipc=1e-300,3.0000000000000004,0,-0\n"
-            "cell=mixC ipc=4.9406564584124654e-324,1e+21,"
-            "1.7976931348623157e+308,-1.5,123456789,10000000000000000,0.5,"
-            "1.0000000000000001e-05,2.2250738585072014e-308\n");
 }
 
 TEST(ServiceWireBatch, BatchAnswerBytesArePinned) {
@@ -134,6 +61,11 @@ TEST(ServiceWireBatch, BatchAnswerBytesArePinned) {
   b.parts[2].status = AnswerStatus::kError;
   b.parts[2].error = "unknown scheme 'WAT'";
   b.parts[3].cells.push_back({"mixC", {4.9e-324, 1e21, 1e16, 1e-5}});
+  b.parts[3].cells.push_back({"mixD",
+                              {4.9e-324, 1e21,
+                               std::numeric_limits<double>::max(), -1.5,
+                               123456789.0, 1e16, 0.5, 1e-5,
+                               2.2250738585072014e-308}});
   EXPECT_EQ(encode_batch_answer(b),
             "answer-v2\n"
             "id=pin-batch\n"
@@ -145,7 +77,10 @@ TEST(ServiceWireBatch, BatchAnswerBytesArePinned) {
             "cell=0/mixA ipc=0.33333333333333331,0.12345678901234568,2\n"
             "cell=0/mixB ipc=1e-300,3.0000000000000004,0,-0\n"
             "cell=3/mixC ipc=4.9406564584124654e-324,1e+21,"
-            "10000000000000000,1.0000000000000001e-05\n");
+            "10000000000000000,1.0000000000000001e-05\n"
+            "cell=3/mixD ipc=4.9406564584124654e-324,1e+21,"
+            "1.7976931348623157e+308,-1.5,123456789,10000000000000000,0.5,"
+            "1.0000000000000001e-05,2.2250738585072014e-308\n");
 }
 
 // append_g17 must print what printf("%.17g") prints, byte for byte, and
@@ -206,95 +141,14 @@ TEST(ServiceWire, G17FormatterMatchesPrintfOnRandomDoubles) {
   EXPECT_EQ(mismatches, 0u);
 }
 
-TEST(ServiceWire, AnswerCarriesStatusErrorAndRetryAfter) {
-  ServiceAnswer err;
-  err.id = "q2";
-  err.status = AnswerStatus::kError;
-  err.error = "mixA/SNUG: gave up after 3 attempts";
-  ServiceAnswer back;
-  std::string diag;
-  ASSERT_TRUE(parse_answer(encode_answer(err), back, diag)) << diag;
-  EXPECT_EQ(back.status, AnswerStatus::kError);
-  EXPECT_EQ(back.error, err.error);
-
-  ServiceAnswer shed;
-  shed.id = "q3";
-  shed.status = AnswerStatus::kRetryAfter;
-  shed.retry_after_ms = 250;
-  ASSERT_TRUE(parse_answer(encode_answer(shed), back, diag)) << diag;
-  EXPECT_EQ(back.status, AnswerStatus::kRetryAfter);
-  EXPECT_EQ(back.retry_after_ms, 250u);
-}
-
-TEST(ServiceWire, AnswerParseRejectsMalformedInput) {
-  ServiceAnswer out;
-  std::string error;
-  EXPECT_FALSE(parse_answer("", out, error));
-  EXPECT_FALSE(parse_answer("answer-v1\nid=a", out, error))
-      << "missing status must be rejected";
-  EXPECT_FALSE(parse_answer("answer-v1\nid=a\nstatus=maybe", out, error));
-  EXPECT_FALSE(parse_answer(
-      "answer-v1\nid=a\nstatus=ok\ncell=mixA ipc=1.0,nope", out, error));
-  EXPECT_FALSE(parse_answer(
-      "answer-v1\nid=a\nstatus=ok\ncell=mixA-no-ipc-field", out, error));
-  // Empty list entries, trailing junk and numbers the encoder never
-  // writes (leading whitespace, '+', hex, out of range).
-  for (const char* ipc : {"ipc=1,,2", "ipc=1.0,", "ipc=1.0x", "ipc=",
-                          "ipc=,1", "ipc= 1.0", "ipc=+1.0", "ipc=0x1p3",
-                          "ipc=1e400", "ipc=1.0 "}) {
-    EXPECT_FALSE(parse_answer(
-        std::string("answer-v1\nid=a\nstatus=ok\ncell=mixA ") + ipc, out,
-        error))
-        << ipc;
-  }
-  EXPECT_FALSE(parse_answer(
-      "answer-v1\nid=a\nstatus=retry-after\nretry-after-ms=+5", out,
-      error));
-  EXPECT_FALSE(parse_answer(
-      "answer-v1\nid=a\nstatus=retry-after\nretry-after-ms=", out, error));
-}
-
-TEST(ServiceClientTest, SubmitPublishesAtomicallyAndPollsAnswers) {
-  TempDir tmp("snug_service_wire_client");
-  const std::string root = tmp.dir.string();
-  ServiceClient client(root);
-
-  ServiceQuery q;
-  q.id = "q1";
-  q.scenario_text = "cores=4";
-  q.scheme_id = "SNUG";
-  std::string error;
-  ASSERT_TRUE(client.submit(q, &error)) << error;
-  // The query file is fully published (no temp residue) and parses.
-  EXPECT_TRUE(fs::exists(query_path(root, "q1")));
-  for (const auto& e : fs::directory_iterator(submit_dir(root))) {
-    EXPECT_EQ(e.path().filename().string().find(".tmp."),
-              std::string::npos);
-  }
-
-  ServiceAnswer polled;
-  EXPECT_FALSE(client.try_poll("q1", polled)) << "no answer yet";
-
-  ServiceAnswer a;
-  a.id = "q1";
-  a.cells.push_back({"mixA", {1.5, 2.5}});
-  std::ofstream(answer_path(root, "q1"), std::ios::binary)
-      << encode_answer(a);
-  ASSERT_TRUE(client.try_poll("q1", polled));
-  EXPECT_EQ(polled.status, AnswerStatus::kOk);
-  ASSERT_EQ(polled.cells.size(), 1u);
-  EXPECT_EQ(polled.cells[0].ipc, a.cells[0].ipc);
-  ASSERT_TRUE(client.wait("q1", polled, /*timeout_ms=*/100));
-}
-
 TEST(ServiceWire, PublishVerifiedNeverPublishesATornWrite) {
   // Regression pin for the chaos-soak bug: a short-written temp used to
   // be renamed into place as a permanently corrupt answer.  The
   // read-back verify must refuse to publish and clean up the temp.
   TempDir tmp("snug_service_wire_torn_publish");
-  const std::string tmp_file = (tmp.dir / "a.tmp").string();
-  const std::string final_file = (tmp.dir / "a.final").string();
+  const std::string final_file = (tmp.dir / "a.answer").string();
   const std::string text(512, 'x');
+  const auto* bytes = reinterpret_cast<const std::byte*>(text.data());
 
   fault::FaultPlan plan;
   std::string error;
@@ -304,53 +158,29 @@ TEST(ServiceWire, PublishVerifiedNeverPublishesATornWrite) {
   {
     fault::ScopedFaultPlan scoped(plan);
     EXPECT_FALSE(
-        publish_verified(fault::env(), tmp_file, final_file, text));
+        publish_verified(fault::env(), final_file, bytes, text.size()));
     EXPECT_EQ(scoped.stats().short_writes, 1u);
   }
-  EXPECT_FALSE(fs::exists(final_file)) << "torn bytes must not publish";
-  EXPECT_FALSE(fs::exists(tmp_file)) << "the torn temp is removed";
+  EXPECT_TRUE(fs::is_empty(tmp.dir))
+      << "torn bytes must not publish, and the torn temp is removed";
 
-  // Fault-free, the same publish lands whole.
-  ASSERT_TRUE(publish_verified(fault::env(), tmp_file, final_file, text));
+  // Fault-free, the same publish lands whole, with no temp residue.
+  ASSERT_TRUE(publish_verified(fault::env(), final_file, bytes, text.size()));
   EXPECT_EQ(fs::file_size(final_file), text.size());
-  EXPECT_FALSE(fs::exists(tmp_file));
+  EXPECT_EQ(std::distance(fs::directory_iterator(tmp.dir),
+                          fs::directory_iterator()),
+            1);
 }
 
-TEST(ServiceClientTest, RejectsBadIdsAndSurfacesUnparseableAnswers) {
-  TempDir tmp("snug_service_wire_badid");
-  const std::string root = tmp.dir.string();
-  ServiceClient client(root);
-
-  ServiceQuery q;
-  q.id = "../escape";
-  std::string error;
-  EXPECT_FALSE(client.submit(q, &error));
-  EXPECT_NE(error.find("bad query id"), std::string::npos) << error;
-
-  // A mangled answer file must resolve the poll (status=error), never
-  // spin the client forever.
-  std::ofstream(answer_path(root, "q9"), std::ios::binary) << "garbage";
-  ServiceAnswer out;
-  ASSERT_TRUE(client.try_poll("q9", out));
-  EXPECT_EQ(out.status, AnswerStatus::kError);
-  EXPECT_NE(out.error.find("unparseable answer"), std::string::npos);
-}
-
-TEST(ServiceWireBatch, BatchQueryRoundTripsAndDispatches) {
+TEST(ServiceWireBatch, BatchQueryRoundTrips) {
   ServiceBatchQuery q;
   q.id = "sweep-01";
   q.items.push_back({"cores=4 workload=gzip+mesa+gzip+mesa", "SNUG"});
   q.items.push_back({"cores=4 workload=paper", "CC(50%)"});
   q.items.push_back({"cores=8 workload=paper", "PRIV"});
-  const std::string text = encode_batch_query(q);
-  EXPECT_TRUE(is_batch_query(text));
-  EXPECT_FALSE(is_batch_query(encode_query(
-      {"q1", "cores=4", "SNUG"})))
-      << "v1 queries must not dispatch to the batch parser";
-
   ServiceBatchQuery back;
   std::string error;
-  ASSERT_TRUE(parse_batch_query(text, back, error)) << error;
+  ASSERT_TRUE(parse_batch_query(encode_batch_query(q), back, error)) << error;
   EXPECT_EQ(back.id, q.id);
   ASSERT_EQ(back.items.size(), 3u);
   for (std::size_t i = 0; i < back.items.size(); ++i) {
@@ -363,9 +193,11 @@ TEST(ServiceWireBatch, BatchQueryParseRejectsMalformedInput) {
   ServiceBatchQuery out;
   std::string error;
   EXPECT_FALSE(parse_batch_query("", out, error));
-  EXPECT_FALSE(parse_batch_query("query-v1\nid=a\nquery=SNUG|cores=4",
+  EXPECT_FALSE(parse_batch_query("not-a-query\nid=a\nquery=SNUG|cores=4",
                                  out, error))
-      << "a v1 magic must not parse as a batch";
+      << "another magic must not parse";
+  EXPECT_NE(error.find("query-v2"), std::string::npos)
+      << "the diagnostic names the expected magic: " << error;
   EXPECT_FALSE(parse_batch_query("query-v2\nid=a", out, error))
       << "a batch with no items is malformed";
   EXPECT_FALSE(parse_batch_query("query-v2\nid=a\nquery=no-separator",
@@ -452,8 +284,13 @@ TEST(ServiceWireBatch, BatchAnswerParseRejectsMalformedInput) {
       "answer-v2\nid=a\nparts=1\npart=0 status=ok\ncell=9/m ipc=1.0",
       out, error))
       << "a cell pointing past parts= must be rejected";
+  EXPECT_FALSE(parse_batch_answer(
+      "answer-v2\nid=a\nparts=1\npart=0 status=maybe", out, error));
+  // Empty list entries, trailing junk and numbers the encoder never
+  // writes (leading whitespace, '+', hex, out of range).
   for (const char* ipc : {"ipc=1,,2", "ipc=1.0,", "ipc=1.0x", "ipc=",
-                          "ipc= 1.0", "ipc=+1.0"}) {
+                          "ipc=,1", "ipc= 1.0", "ipc=+1.0", "ipc=0x1p3",
+                          "ipc=1e400", "ipc=1.0 "}) {
     EXPECT_FALSE(parse_batch_answer(
         std::string("answer-v2\nid=a\nparts=1\npart=0 status=ok\n"
                     "cell=0/m ") + ipc,
@@ -471,13 +308,16 @@ TEST(ServiceWireBatch, BatchAnswerParseRejectsMalformedInput) {
       "answer-v2\nid=a\nparts=1\npart=+0 status=ok", out, error));
   EXPECT_FALSE(parse_batch_answer(
       "answer-v2\nid=a\nparts= 1\npart=0 status=ok", out, error));
-  EXPECT_FALSE(parse_batch_answer(
-      "answer-v2\nid=a\nparts=1\npart=0 status=retry-after "
-      "retry-after-ms=-1",
-      out, error));
+  for (const char* ms : {"-1", "+5", ""}) {
+    EXPECT_FALSE(parse_batch_answer(
+        std::string("answer-v2\nid=a\nparts=1\npart=0 status=retry-after "
+                    "retry-after-ms=") + ms,
+        out, error))
+        << ms;
+  }
 }
 
-TEST(ServiceClientTest, BatchSubmitPollsAndFoldsV1Rejections) {
+TEST(ServiceClientTest, SubmitPublishesAtomicallyAndPollsAnswers) {
   TempDir tmp("snug_service_wire_batch_client");
   const std::string root = tmp.dir.string();
   ServiceClient client(root);
@@ -488,7 +328,17 @@ TEST(ServiceClientTest, BatchSubmitPollsAndFoldsV1Rejections) {
   q.items.push_back({"cores=4", "CC(50%)"});
   std::string error;
   ASSERT_TRUE(client.submit_batch(q, &error)) << error;
+  // The query file is fully published (no temp residue).
   EXPECT_TRUE(fs::exists(query_path(root, "b1")));
+  for (const auto& e : fs::directory_iterator(submit_dir(root))) {
+    EXPECT_EQ(e.path().filename().string().find(".tmp."),
+              std::string::npos);
+  }
+
+  ServiceBatchQuery bad_id = q;
+  bad_id.id = "../escape";
+  EXPECT_FALSE(client.submit_batch(bad_id, &error));
+  EXPECT_NE(error.find("bad query id"), std::string::npos) << error;
 
   ServiceBatchQuery oversized;
   oversized.id = "b2";
@@ -500,18 +350,15 @@ TEST(ServiceClientTest, BatchSubmitPollsAndFoldsV1Rejections) {
   ServiceBatchAnswer polled;
   EXPECT_FALSE(client.try_poll_batch("b1", polled)) << "no answer yet";
 
-  // A server that rejected the batch wholesale publishes answer-v1
-  // status=error; the client folds it into one error part.
-  ServiceAnswer v1;
-  v1.id = "b1";
-  v1.status = AnswerStatus::kError;
-  v1.error = "unparseable query";
-  std::ofstream(answer_path(root, "b1"), std::ios::binary)
-      << encode_answer(v1);
+  // A mangled answer file resolves the poll as one status=error part,
+  // never spinning the client forever.
+  std::ofstream(answer_path(root, "b1"), std::ios::binary) << "garbage";
   ASSERT_TRUE(client.try_poll_batch("b1", polled));
   ASSERT_EQ(polled.parts.size(), 1u);
   EXPECT_EQ(polled.parts[0].status, AnswerStatus::kError);
-  EXPECT_EQ(polled.parts[0].error, "unparseable query");
+  EXPECT_NE(polled.parts[0].error.find("unparseable answer"),
+            std::string::npos)
+      << polled.parts[0].error;
 
   // A real v2 answer parses through, and wait_batch resolves on it.
   ServiceBatchAnswer a;
