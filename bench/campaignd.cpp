@@ -1,15 +1,19 @@
-// campaignd — the campaign-as-a-service daemon (ISSUE 9 tentpole).
+// campaignd — the campaign-as-a-service daemon.
 //
-// A long-lived process that owns the shared EvalCache and a crash-safe
-// simulation backlog.  Clients drop ScenarioSpec x scheme query files
-// into <dir>/submit/ (wire protocol: src/sim/service/wire.hpp) and poll
+// A long-lived process that owns the shared EvalCache and a simulation
+// backlog.  Clients drop ScenarioSpec x scheme query files into
+// <dir>/submit/ (wire protocol: src/sim/service/wire.hpp) and poll
 // <dir>/answers/; cache-resident queries are answered immediately,
-// misses are deduplicated into the journaled backlog and simulated by
-// lease-supervised workers.  Kill -9 this process at any moment and
-// restart it with the same flags: the backlog journal replays every
-// completed cell and the surviving submit files re-supply every
-// unanswered query — no query lost, none answered twice, answers
-// bit-identical to an uninterrupted run (the CI chaos soak pins this).
+// misses are deduplicated into the backlog and simulated by
+// lease-supervised workers.  A finished cell's cache entry is its only
+// durable record, so a cache dir is required.  Kill -9 this process at
+// any moment and restart it with the same flags: the surviving submit
+// files re-supply every unanswered query, finished cells answer from
+// the cache, and a cell whose entry was lost re-simulates to the same
+// bytes — no query lost, none answered twice, answers bit-identical to
+// an uninterrupted run (the CI chaos soaks pin this).  A leftover
+// <dir>/backlog.journal from an older build is ignored: neither read
+// nor deleted.
 //
 //   campaignd --dir=svc --workers=4                 # serve forever
 //   campaignd --dir=svc --idle-exit-polls=50        # drain and exit
@@ -45,13 +49,12 @@ int main(int argc, char** argv) {
   sim::service::ServiceConfig cfg;
   cfg.root = args.get_string(
       "dir", ".snug_campaignd",
-      "service directory: submit/, answers/, backlog journal");
+      "service directory: submit/, answers/, warm_bank/");
   cfg.cache_dir = args.get_string(
       "cache-dir", sim::default_cache_dir(),
-      "shared simulation result cache (clients of other processes see "
-      "entries this server publishes, and vice versa)");
-  cfg.journal = args.get_string(
-      "journal", "", "backlog journal path (default <dir>/backlog.journal)");
+      "shared simulation result cache, required: the durable record of "
+      "every finished cell (clients of other processes see entries this "
+      "server publishes, and vice versa)");
   cfg.workers = static_cast<unsigned>(
       args.get_int("workers", 2, "simulation worker threads"));
   cfg.max_backlog = static_cast<std::size_t>(args.get_int(
@@ -108,8 +111,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Install before the server exists: the backlog journal and every
-  // runner's stores capture fault::env() at construction.
+  // Install before the server exists: the server and every runner's
+  // stores capture fault::env() at construction.
   std::optional<fault::ScopedFaultPlan> faults;
   if (!plan.empty()) faults.emplace(plan);
 
@@ -201,28 +204,21 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "campaignd: %zu poll(s): %llu ingested, %llu answered (%llu "
-        "rejected, %llu shed); cells %llu cached / %llu simulated / %llu "
-        "journal-replayed, %llu retries; leases %llu granted / %llu "
-        "denied / %llu expired (%llu reassigned, %llu poisoned); journal "
-        "%llu stale reaped, %llu torn byte(s), %llu append failure(s); "
-        "%llu cache entr(ies) visible\n",
+        "rejected, %llu shed); cells %llu cached / %llu simulated, %llu "
+        "retries; leases %llu granted / %llu denied / %llu expired (%llu "
+        "reassigned, %llu poisoned)\n",
         passes, static_cast<unsigned long long>(s.queries_ingested),
         static_cast<unsigned long long>(s.queries_answered),
         static_cast<unsigned long long>(s.queries_rejected),
         static_cast<unsigned long long>(s.queries_shed),
         static_cast<unsigned long long>(s.cells_from_cache),
         static_cast<unsigned long long>(s.cells_simulated),
-        static_cast<unsigned long long>(s.backlog.journal_hits),
         static_cast<unsigned long long>(s.retries),
         static_cast<unsigned long long>(s.leases.granted),
         static_cast<unsigned long long>(s.leases.denied),
         static_cast<unsigned long long>(s.leases_expired),
         static_cast<unsigned long long>(s.reassignments),
-        static_cast<unsigned long long>(s.leases.poisoned),
-        static_cast<unsigned long long>(s.journal_stale_reaped),
-        static_cast<unsigned long long>(s.journal_discarded_bytes),
-        static_cast<unsigned long long>(s.journal_append_failures),
-        static_cast<unsigned long long>(s.cache_entries_visible));
+        static_cast<unsigned long long>(s.leases.poisoned));
     std::fprintf(
         stderr,
         "campaignd: ring %llu submit(s) (%llu inline, %llu backlogged); "

@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   robust.install(faults);
 
   ProgressMeter meter(!quiet);
-  std::size_t done_before = 0;
+  std::size_t finished_before = 0;
   std::vector<std::vector<SchemeRow>> per_topology;
   for (const auto& spec : sweep) {
     sim::ExperimentRunner runner(spec.scenario, cache_dir);
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
       engine.journal_path = robust.journal + "." + spec.scenario.name;
     }
     engine.on_progress = [&](const sim::CampaignProgress& p) {
-      meter.report(done_before + p.done, total_tasks,
+      meter.report(finished_before + p.done, total_tasks,
                    spec.scenario.name + ": " + p.combo + " / " + p.scheme,
                    p.replayed ? "(journal)"
                               : (p.cached ? "(cached)" : "simulated"));
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     bench::print_robustness_summary(
         engine, runner,
         /*force=*/faults.has_value() || !robust.journal.empty());
-    done_before += spec.size();
+    finished_before += spec.size();
     per_topology.push_back(aggregate_scenario(spec, results));
   }
 

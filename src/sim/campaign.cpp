@@ -1,10 +1,8 @@
 #include "sim/campaign.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -171,25 +169,6 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     }
   }
 
-  // Transient-failure retry with deterministic exponential backoff.
-  std::atomic<std::uint64_t> retries{0};
-  const unsigned max_attempts = retry.max_attempts > 0
-                                    ? retry.max_attempts
-                                    : 1;
-  const auto with_retry = [&](const auto& attempt) {
-    for (unsigned a = 1;; ++a) {
-      try {
-        attempt();
-        return;
-      } catch (const fault::TransientError&) {
-        if (a >= max_attempts) throw;
-        retries.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(retry.backoff_ms << (a - 1)));
-      }
-    }
-  };
-
   // Name tasks for the watchdog: a flag line must identify the wedged
   // CELL (combo/scheme + run fingerprint), not just the worker index.
   // The label fn captures locals of this run(), so it is cleared before
@@ -210,12 +189,17 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     if (pending[i]) todo.push_back(i);
   }
   exec_.task_label = [&](std::size_t t) { return cell_label(todo[t]); };
+  // Transient failures retry with deterministic exponential backoff.
+  std::atomic<std::uint64_t> retries{0};
   exec_.run_indexed(todo.size(), [&](std::size_t t) {
     const std::size_t i = todo[t];
-    with_retry([&] {
-      slots[i] = runner_.run(combos[i / n_schemes],
-                             spec.schemes[i % n_schemes]);
-    });
+    run_with_retry(
+        retry,
+        [&] {
+          slots[i] = runner_.run(combos[i / n_schemes],
+                                 spec.schemes[i % n_schemes]);
+        },
+        [&] { retries.fetch_add(1, std::memory_order_relaxed); });
     finish_task(i);
   });
   stats_.retries = retries.load(std::memory_order_relaxed);

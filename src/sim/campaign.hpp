@@ -10,12 +10,15 @@
 // the whole grid.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -84,7 +87,32 @@ struct CampaignProgress {
 struct RetryPolicy {
   unsigned max_attempts = 3;
   std::uint64_t backoff_ms = 10;
+
+  /// Attempts actually made before giving up (0 counts as 1).
+  [[nodiscard]] unsigned attempts() const noexcept {
+    return max_attempts > 0 ? max_attempts : 1;
+  }
 };
+
+/// Runs `attempt()` under `policy`: when it throws fault::TransientError
+/// and attempts remain, calls `on_retry()` and sleeps the backoff before
+/// the next attempt; the last attempt's TransientError, and anything
+/// else thrown, propagates.
+template <typename Attempt, typename OnRetry>
+void run_with_retry(const RetryPolicy& policy, const Attempt& attempt,
+                    const OnRetry& on_retry) {
+  for (unsigned a = 1;; ++a) {
+    try {
+      attempt();
+      return;
+    } catch (const fault::TransientError&) {
+      if (a >= policy.attempts()) throw;
+      on_retry();
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(policy.backoff_ms << (a - 1)));
+    }
+  }
+}
 
 class CampaignEngine {
  public:

@@ -1,4 +1,4 @@
-// RingClient — the same-process client of a CampaignServer (ISSUE 10).
+// RingClient — the same-process client of a CampaignServer.
 //
 // A ServiceClient (wire.hpp) talks to any campaignd over the file wire:
 // durable, cross-process, ~milliseconds per round-trip.  A RingClient
@@ -6,8 +6,8 @@
 // lock-free submit ring: a warm batch answers in tens of microseconds.
 // The ring is latency-only — when it is saturated the client falls
 // back to the file wire transparently, and misses admitted off the
-// ring land in the same journaled backlog as wire queries, so crash
-// semantics are identical on either path.
+// ring land in the same backlog as wire queries, so crash semantics
+// are identical on either path.
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,17 @@
 // AnswerIndex — the reader-side fingerprint index over the EvalCache
-// (ISSUE 10 tentpole, tier 1 of the hit-path latency stack).
+// (tier 1 of the hit-path latency stack).
 //
-// Before this index, every warm query paid one file read per cell
-// (EvalCache::load) plus a journal append per hit — ~0.4 ms of syscalls
-// for a result that never changes.  The index front-loads that work:
-// on server open it scans the cache directory ONCE through the eval
-// cache's validated scan (EvalCache::scan: the same checks as
-// EvalCache::load), and pins the fingerprint -> IPC mapping in an
-// open-addressing hash table.  A warm lookup is then a couple of
-// L1-resident probes — zero directory scans, zero file reads, zero
-// journal traffic.
+// Without this index, every warm query would pay one file read per cell
+// (EvalCache::load) for a result that never changes.  The index
+// front-loads that work: on server open it scans the cache directory
+// ONCE through the eval cache's validated scan (EvalCache::scan: the
+// same checks as EvalCache::load), and pins the fingerprint -> IPC
+// mapping in an open-addressing hash table.  A warm lookup is then a couple of
+// L1-resident probes — zero directory scans, zero file reads.
 //
 // Freshness without rescans: the directory is listed once, at open.
-// Same-process completions are insert()ed as the server stores them.
+// Same-process completions are insert()ed as the server stores them;
+// the index is the server's only in-memory record of a finished cell.
 // An entry another process publishes later is found by name: a cell
 // that misses the index and is not already queued probes its own cache
 // file (ExperimentRunner::cached_ipc — one open(), no listing) and the

@@ -14,8 +14,8 @@
 // tens of microseconds end to end, no syscalls on the warm path.
 //
 // The ring is LATENCY-ONLY, never a durability tier: an op whose cells
-// miss the index is admitted into the same journaled backlog as a
-// file-wire query, so kill -9 semantics are unchanged — the op's answer
+// miss the index is admitted into the same backlog as a file-wire
+// query, so kill -9 semantics are unchanged — the op's answer
 // can also be published as a durable answer file (RingOp::publish) for
 // crash/resume byte-diffing.
 //
@@ -51,7 +51,7 @@ class RingOp {
  public:
   enum State : std::uint32_t {
     kPending = 0,  ///< queued or being served
-    kDone = 1,     ///< answer filled; client may read and destroy
+    kAnswered = 1, ///< answer filled; client may read and destroy
   };
 
   ServiceBatchQuery query;
@@ -60,7 +60,7 @@ class RingOp {
   /// either way.
   bool publish = false;
 
-  /// Valid only after wait()/state()==kDone.
+  /// Valid only after wait()/state()==kAnswered.
   ServiceBatchAnswer answer;
 
   [[nodiscard]] State state() const noexcept {
@@ -79,7 +79,7 @@ class RingOp {
   /// Server side: publishes `answer` to the waiting client.  Must be
   /// called exactly once per accepted op.
   void complete() noexcept {
-    state_.store(kDone, std::memory_order_release);
+    state_.store(kAnswered, std::memory_order_release);
     state_.notify_one();
   }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/require.hpp"
 #include "common/str.hpp"
 #include "sim/blob_store.hpp"
 
@@ -15,7 +16,9 @@ namespace snug::sim::service {
 namespace {
 
 ServiceConfig normalize(ServiceConfig cfg) {
-  if (cfg.journal.empty()) cfg.journal = cfg.root + "/backlog.journal";
+  SNUG_REQUIRE_MSG(!cfg.cache_dir.empty(),
+                   "campaignd needs a cache dir: a finished cell's cache "
+                   "entry is its only durable record");
   if (cfg.workers == 0) cfg.workers = 1;
   if (cfg.ring_capacity < 2) cfg.ring_capacity = 2;
   return cfg;
@@ -41,7 +44,7 @@ CampaignServer::CampaignServer(ServiceConfig cfg)
     : cfg_(normalize(std::move(cfg))),
       env_(&fault::env()),
       start_(std::chrono::steady_clock::now()),
-      backlog_(cfg_.max_backlog, cfg_.journal),
+      backlog_(cfg_.max_backlog),
       lease_(cfg_.lease_ms, cfg_.max_holds),
       index_(cfg_.cache_dir),
       ring_(cfg_.ring_capacity) {
@@ -196,10 +199,8 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
       // published the cell since open: probe its own cache file by name
       // (one open(), never a directory listing).
       if (runner == nullptr) runner = &runner_for(r->spec, r->runner_key);
-      if (index_.enabled()) {
-        cache_probes_.fetch_add(1, std::memory_order_relaxed);
-        hit = runner->cached_ipc(r->combos[i], r->scheme, cell.ipc);
-      }
+      cache_probes_.fetch_add(1, std::memory_order_relaxed);
+      hit = runner->cached_ipc(r->combos[i], r->scheme, cell.ipc);
       if (hit) {
         cache_probe_hits_.fetch_add(1, std::memory_order_relaxed);
         index_.insert(cell.fp, cell.ipc);
@@ -208,10 +209,10 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
       }
     }
     if (hit) {
-      // Hit path: answered from the in-memory index (or the probe) — no
-      // journal append.  The cache entry is the durable record: a crash
-      // before the answer publishes re-ingests the query, which hits the
-      // index again and reproduces the identical bytes.
+      // Hit path: answered from the in-memory index (or the probe).  The
+      // cache entry is the durable record: a crash before the answer
+      // publishes re-ingests the query, which hits the index again and
+      // reproduces the identical bytes.
       cell.resolved = true;
       cells_from_cache_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -277,13 +278,6 @@ bool CampaignServer::collect_answer(const TrackedQuery& tq,
           continue;
         }
         switch (backlog_.state(cell.fp)) {
-          case BacklogScheduler::State::kDone: {
-            AnswerCell ac;
-            ac.combo = cell.combo;
-            if (!backlog_.result(cell.fp, ac.ipc)) return false;
-            bp.cells.push_back(std::move(ac));
-            break;
-          }
           case BacklogScheduler::State::kPoisoned:
             // Graceful degradation: the part still answers — healthy
             // cells are included, the poisoned ones are named.
@@ -291,6 +285,15 @@ bool CampaignServer::collect_answer(const TrackedQuery& tq,
             if (!bp.error.empty()) bp.error += "; ";
             bp.error += backlog_.poison_error(cell.fp);
             break;
+          case BacklogScheduler::State::kUnknown: {
+            // Finished: the index holds it, or will once the worker that
+            // just completed it inserts — its wake_publish() re-runs us.
+            AnswerCell ac;
+            ac.combo = cell.combo;
+            if (!index_.lookup(cell.fp, ac.ipc)) return false;
+            bp.cells.push_back(std::move(ac));
+            break;
+          }
           default:
             return false;  // still pending or leased
         }
@@ -689,7 +692,7 @@ void CampaignServer::worker_loop(const std::stop_token& stop,
       continue;
     }
     run_cell(wid, cell);
-    // Every run_cell exit leaves the cell done or poisoned.
+    // Every run_cell exit leaves the cell finished or poisoned.
     wake_publish();
     lease_.release(cell.fp, wid);
   }
@@ -706,41 +709,36 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
     }
     item = it->second;
   }
-  const unsigned max_attempts =
-      cfg_.retry.max_attempts > 0 ? cfg_.retry.max_attempts : 1;
-  for (unsigned a = 1;; ++a) {
-    try {
-      (void)lease_.heartbeat(cell.fp, wid, now_ms());
-      const RunResult r = item.runner->run(item.combo, item.scheme);
-      (void)lease_.heartbeat(cell.fp, wid, now_ms());
-      // Keep the index warm.  The cell goes in before complete() makes
-      // it answerable, so a client repeating a just-answered query
-      // always finds it resident (a straggler's insert is a no-op: same
-      // fp, same IPCs).
-      index_.insert(cell.fp, r.ipc);
-      // complete() is the dedup point: a straggler whose lease expired
-      // mid-run may land after its replacement — only the first sticks.
-      const bool first = backlog_.complete(cell.fp, r.ipc);
-      forget_work(cell.fp);
-      if (first && cfg_.on_cell_completed) cfg_.on_cell_completed();
-      return;
-    } catch (const fault::TransientError& e) {
-      if (a >= max_attempts) {
-        backlog_.poison(cell.fp,
-                        strf("%s: %s (gave up after %u attempts)",
-                             cell.label.c_str(), e.what(), a));
-        forget_work(cell.fp);
-        return;
-      }
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      (void)lease_.heartbeat(cell.fp, wid, now_ms());
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cfg_.retry.backoff_ms << (a - 1)));
-    } catch (const std::exception& e) {
-      backlog_.poison(cell.fp, cell.label + ": " + e.what());
-      forget_work(cell.fp);
-      return;
-    }
+  try {
+    RunResult r;
+    run_with_retry(
+        cfg_.retry,
+        [&] {
+          (void)lease_.heartbeat(cell.fp, wid, now_ms());
+          r = item.runner->run(item.combo, item.scheme);
+          (void)lease_.heartbeat(cell.fp, wid, now_ms());
+        },
+        [&] {
+          retries_.fetch_add(1, std::memory_order_relaxed);
+          (void)lease_.heartbeat(cell.fp, wid, now_ms());
+        });
+    // complete() is the dedup point: a straggler whose lease expired
+    // mid-run may land after its replacement — only the first counts.
+    // It runs before the insert makes the cell answerable, so
+    // cells_simulated never lags a client's answer; a straggler's
+    // insert is a no-op (same fp, same IPCs).
+    const bool first = backlog_.complete(cell.fp);
+    index_.insert(cell.fp, r.ipc);
+    forget_work(cell.fp);
+    if (first && cfg_.on_cell_completed) cfg_.on_cell_completed();
+  } catch (const fault::TransientError& e) {
+    backlog_.poison(cell.fp, strf("%s: %s (gave up after %u attempts)",
+                                  cell.label.c_str(), e.what(),
+                                  cfg_.retry.attempts()));
+    forget_work(cell.fp);
+  } catch (const std::exception& e) {
+    backlog_.poison(cell.fp, cell.label + ": " + e.what());
+    forget_work(cell.fp);
   }
 }
 
@@ -763,15 +761,11 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.reassignments = reassignments_.load(std::memory_order_relaxed);
   s.publish_failures = publish_failures_.load(std::memory_order_relaxed);
   s.backlog = backlog_.counters();
-  // Workers complete cells only after simulating them, and the backlog
-  // counts a completion under the same lock that makes the cell
-  // answerable — so a client holding an answer always sees its cell.
+  // Workers complete cells only after simulating them, and before the
+  // index insert that makes a cell answerable — so a client holding an
+  // answer always sees its cell counted.
   s.cells_simulated = s.backlog.completed;
   s.leases = lease_.counters();
-  s.journal_replayed = backlog_.journal_replayed();
-  s.journal_stale_reaped = backlog_.journal_stale_reaped();
-  s.journal_discarded_bytes = backlog_.journal_discarded_bytes();
-  s.journal_append_failures = backlog_.journal_append_failures();
   s.parts_total = parts_total_.load(std::memory_order_relaxed);
   s.parts_rejected = parts_rejected_.load(std::memory_order_relaxed);
   s.parts_shed = parts_shed_.load(std::memory_order_relaxed);
@@ -795,7 +789,6 @@ CampaignServer::Stats CampaignServer::stats() const {
     const std::lock_guard<std::mutex> lock(state_mu_);
     s.work_items = work_.size();
   }
-  s.cache_entries_visible = s.index.entries;
   return s;
 }
 

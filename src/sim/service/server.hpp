@@ -1,6 +1,6 @@
 // CampaignServer — `campaignd`'s engine: a long-lived process that owns
-// the EvalCache and a crash-safe simulation backlog (ISSUE 9 tentpole),
-// serving queries through a three-tier latency stack (ISSUE 10):
+// the EvalCache and a simulation backlog, serving queries through a
+// three-tier latency stack:
 //
 //   tier 1  AnswerIndex (sim/service/index.hpp): an in-memory
 //           fingerprint index over the EvalCache, built once at open
@@ -8,17 +8,18 @@
 //           probes its own cache file by name before it is queued, so
 //           other processes' entries are found without a directory
 //           listing.  A warm cell resolves with zero
-//           directory scans, zero file reads and zero journal appends
-//           (the cache entry itself is the durable record: a crash
-//           before the answer publishes re-ingests the query, which
-//           hits the index again and reproduces the identical answer).
+//           directory scans and zero file reads.  The index is the only
+//           in-memory record of a finished cell, and its cache entry
+//           the only durable one: a crash before the answer publishes
+//           re-ingests the query, which hits the cache again and
+//           reproduces the identical answer.
 //   tier 2  SubmitRing (sim/service/ring.hpp): same-process clients
 //           enqueue RingOp pointers into a bounded lock-free MPSC ring
 //           and spin-wait; the drain thread answers warm batches
 //           entirely in memory — tens of microseconds, no syscalls.
 //           Ring ops whose cells miss the index are admitted into the
-//           SAME journaled backlog as file-wire queries, so the ring
-//           is latency-only, never a weaker durability tier.
+//           SAME backlog as file-wire queries, so the ring is
+//           latency-only, never a weaker durability tier.
 //   tier 3  the file wire (sim/service/wire.hpp): query-v2 files in
 //           <root>/submit/, answer-v2 files published atomically in
 //           <root>/answers/.  The durability and cross-process tier.
@@ -30,8 +31,8 @@
 //   ingest     new query files are parsed into per-part cell lists
 //              keyed by run_fingerprint.
 //              Index-resident cells are answered in memory (hit path —
-//              no simulation, no journal); the rest are deduplicated
-//              into the journaled backlog (sim/service/backlog.hpp).
+//              no simulation); the rest are deduplicated into the
+//              backlog (sim/service/backlog.hpp).
 //              Admission control is PART-granular: a part whose fresh
 //              cells would overflow the bounded backlog is shed whole
 //              with status=retry-after while the rest of the batch
@@ -56,11 +57,15 @@
 // Worker threads drain the backlog under lease + heartbeat, running
 // cells through per-machine ExperimentRunners that share one cache
 // directory, with the campaign engine's deterministic retry/backoff for
-// TransientErrors.  Kill -9 the server at any moment: on restart the
-// backlog journal replays every completed cell and the submit dir
-// re-supplies every unanswered query — no query lost, none answered
-// twice, answers bit-identical to an uninterrupted run (pinned by
-// tests/sim/service_server_test.cpp and the CI chaos soaks).
+// TransientErrors.  A worker completes a cell in the backlog, then
+// inserts it into the index; a query waiting on it resolves through the
+// index.  Kill -9 the server at any moment: on restart the submit dir
+// re-supplies every unanswered query, finished cells answer from the
+// cache, and a cell whose entry was lost re-simulates (simulation is
+// deterministic) — no query lost, none answered twice, answers
+// bit-identical to an uninterrupted run (pinned by
+// tests/sim/service_server_test.cpp and the CI chaos soaks).  A
+// leftover <root>/backlog.journal from an older build is ignored.
 #pragma once
 
 #include <semaphore.h>
@@ -91,10 +96,10 @@
 namespace snug::sim::service {
 
 struct ServiceConfig {
-  std::string root;       ///< service dir: submit/, answers/, journal
-  std::string cache_dir;  ///< shared EvalCache directory
-  /// Backlog journal path; "" resolves to <root>/backlog.journal.
-  std::string journal;
+  std::string root;       ///< service dir: submit/, answers/, warm_bank/
+  /// Shared EvalCache directory.  Required: a finished cell's cache
+  /// entry is its only durable record.
+  std::string cache_dir;
   unsigned workers = 2;
   std::size_t max_backlog = 256;    ///< admission-control bound (0 = off)
   std::uint64_t lease_ms = 10'000;  ///< unrenewed leases expire after this
@@ -104,7 +109,7 @@ struct ServiceConfig {
   RetryPolicy retry;                ///< TransientError retry/backoff
   bool verbose = false;             ///< supervision log lines to stderr
   /// Test seam: runs on the worker thread right after a simulated cell
-  /// is completed and journaled, before the worker claims its next
+  /// is completed and indexed, before the worker claims its next
   /// cell.  Lets a test stop a server at an exact backlog position
   /// instead of sleep-polling its stats.  Unset in production.
   std::function<void()> on_cell_completed;
@@ -138,13 +143,7 @@ class CampaignServer {
     std::uint64_t publish_failures = 0;  ///< answer writes retried
     BacklogScheduler::Counters backlog;
     LeaseTable::Counters leases;
-    std::uint64_t journal_replayed = 0;  ///< cells resumed at startup
-    std::uint64_t journal_stale_reaped = 0;
-    std::uint64_t journal_discarded_bytes = 0;
-    std::uint64_t journal_append_failures = 0;
-    /// Cache entries the AnswerIndex holds (index.entries).
-    std::uint64_t cache_entries_visible = 0;
-    // --- ISSUE 10: batching, ring and index telemetry ---
+    // Batching, ring and index telemetry.
     std::uint64_t parts_total = 0;       ///< query parts seen (incl. ring)
     /// Per-part status=error at ingest (a malformed file is one part).
     std::uint64_t parts_rejected = 0;
@@ -227,8 +226,8 @@ class CampaignServer {
   };
 
   /// One cell of one part, in combo order.  `resolved` cells carry
-  /// their IPCs inline (index hits — never journaled); the rest resolve
-  /// through the backlog at publish time.
+  /// their IPCs inline (index hits); the rest resolve at publish time:
+  /// through the backlog while unfinished, then through the index.
   struct TrackedCell {
     std::string combo;
     std::uint64_t fp = 0;

@@ -1,34 +1,17 @@
-// BacklogScheduler tests (ISSUE 9): FIFO dispatch with fingerprint
-// dedup, admission control that sheds whole queries atomically, the
-// done/poisoned terminal states with duplicate-completion suppression,
-// and the crash-safety property — completions journaled through
-// CampaignJournal replay into a brand-new scheduler as if the process
-// had never died.
+// BacklogScheduler tests: FIFO dispatch with fingerprint dedup,
+// admission control that sheds whole queries atomically, completion
+// that removes a cell from the backlog (also for a straggler finishing
+// a requeued cell), duplicate-completion suppression, and the poisoned
+// terminal state.
 #include "sim/service/backlog.hpp"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 namespace snug::sim::service {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-  explicit TempDir(const char* name) {
-    dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  ~TempDir() { fs::remove_all(dir); }
-  [[nodiscard]] std::string journal() const {
-    return (dir / "backlog.journal").string();
-  }
-  fs::path dir;
-};
 
 BacklogCell cell(std::uint64_t fp, const std::string& combo = "mixA",
                  const std::string& scheme = "SNUG") {
@@ -42,7 +25,7 @@ BacklogCell cell(std::uint64_t fp, const std::string& combo = "mixA",
 }
 
 TEST(BacklogScheduler, FifoDispatchWithDedup) {
-  BacklogScheduler sched(/*max_pending=*/0, /*journal_path=*/"");
+  BacklogScheduler sched(/*max_pending=*/0);
   std::vector<std::uint64_t> fresh;
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, &fresh));
   ASSERT_TRUE(sched.admit({cell(2), cell(3)}, &fresh));
@@ -64,7 +47,7 @@ TEST(BacklogScheduler, FifoDispatchWithDedup) {
 }
 
 TEST(BacklogScheduler, AdmissionCapShedsTheWholeQuery) {
-  BacklogScheduler sched(/*max_pending=*/2, /*journal_path=*/"");
+  BacklogScheduler sched(/*max_pending=*/2);
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
   // A query with one known and two fresh cells would reach 4 > 2:
   // refused, and NOTHING of it is enqueued (no partial admission).
@@ -77,12 +60,12 @@ TEST(BacklogScheduler, AdmissionCapShedsTheWholeQuery) {
   // Draining the backlog reopens admission.
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
-  ASSERT_TRUE(sched.complete(out.fp, {1.0}));
+  ASSERT_TRUE(sched.complete(out.fp));
   EXPECT_TRUE(sched.admit({cell(3)}, nullptr));
 }
 
 TEST(BacklogScheduler, RequeueOnlyMovesLeasedCells) {
-  BacklogScheduler sched(0, "");
+  BacklogScheduler sched(0);
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
   sched.requeue(1);  // pending, not leased: no-op
   EXPECT_EQ(sched.counters().requeued, 0u);
@@ -99,72 +82,48 @@ TEST(BacklogScheduler, RequeueOnlyMovesLeasedCells) {
 }
 
 TEST(BacklogScheduler, DuplicateCompletionsAreSuppressed) {
-  BacklogScheduler sched(0, "");
+  BacklogScheduler sched(0);
   ASSERT_TRUE(sched.admit({cell(1)}, nullptr));
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
-  ASSERT_TRUE(sched.complete(1, {1.5, 2.5}));
-  // A reassigned straggler lands late: ignored, first answer sticks.
-  EXPECT_FALSE(sched.complete(1, {9.9, 9.9}));
+  ASSERT_TRUE(sched.complete(1));
+  EXPECT_EQ(sched.state(1), BacklogScheduler::State::kUnknown)
+      << "a finished cell leaves the backlog";
+  // A reassigned straggler lands late: ignored, counted once.
+  EXPECT_FALSE(sched.complete(1));
+  EXPECT_EQ(sched.counters().completed, 1u);
   EXPECT_EQ(sched.counters().duplicate_completions, 1u);
-  std::vector<double> ipc;
-  ASSERT_TRUE(sched.result(1, ipc));
-  EXPECT_EQ(ipc, (std::vector<double>{1.5, 2.5}));
+}
+
+TEST(BacklogScheduler, StragglerCompletingARequeuedCellLeavesTheQueue) {
+  BacklogScheduler sched(0);
+  ASSERT_TRUE(sched.admit({cell(1)}, nullptr));
+  BacklogCell out;
+  ASSERT_TRUE(sched.next_pending(out));
+  // The lease expires and the cell goes back to the queue, but the
+  // original worker finishes before anyone re-claims it.
+  sched.requeue(1);
+  ASSERT_EQ(sched.state(1), BacklogScheduler::State::kPending);
+  EXPECT_TRUE(sched.complete(1));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.backlog(), 0u);
+  EXPECT_FALSE(sched.next_pending(out)) << "nobody re-runs a finished cell";
 }
 
 TEST(BacklogScheduler, PoisonIsTerminalAndCarriesTheDiagnostic) {
-  BacklogScheduler sched(0, "");
+  BacklogScheduler sched(0);
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
   sched.poison(1, "mixA/SNUG: wedged past max_holds");
   EXPECT_EQ(sched.state(1), BacklogScheduler::State::kPoisoned);
   EXPECT_EQ(sched.poison_error(1), "mixA/SNUG: wedged past max_holds");
-  EXPECT_FALSE(sched.complete(1, {1.0})) << "poison is terminal";
+  EXPECT_FALSE(sched.complete(1)) << "poison is terminal";
   EXPECT_EQ(sched.backlog(), 1u) << "the healthy cell is unaffected";
   // Poisoning a pending cell removes it from the queue too.
   sched.poison(2, "also bad");
   EXPECT_FALSE(sched.next_pending(out));
   EXPECT_EQ(sched.backlog(), 0u);
-}
-
-TEST(BacklogScheduler, JournaledCompletionsResumeAcrossRestart) {
-  TempDir tmp("snug_backlog_resume");
-  const std::vector<double> ipc1{1.25, 2.5};
-  const std::vector<double> ipc9{0.75};
-  {
-    BacklogScheduler sched(0, tmp.journal());
-    ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
-    BacklogCell out;
-    ASSERT_TRUE(sched.next_pending(out));
-    ASSERT_TRUE(sched.complete(1, ipc1));
-    sched.inject_done(cell(9), ipc9);  // cache-hit cells journal too
-    // Process dies here with cell 2 still pending.
-  }
-  BacklogScheduler sched(0, tmp.journal());
-  EXPECT_EQ(sched.journal_replayed(), 2u);
-  // Re-admitting the same query resolves cell 1 from the journal —
-  // bit-identical IPCs, no re-simulation — and only cell 2 is fresh.
-  std::vector<std::uint64_t> fresh;
-  ASSERT_TRUE(sched.admit({cell(1), cell(2)}, &fresh));
-  EXPECT_EQ(fresh, (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(sched.state(1), BacklogScheduler::State::kDone);
-  EXPECT_EQ(sched.counters().journal_hits, 1u);
-  std::vector<double> ipc;
-  ASSERT_TRUE(sched.result(1, ipc));
-  EXPECT_EQ(ipc, ipc1);
-  // The injected cache hit replays the same way.
-  ASSERT_TRUE(sched.admit({cell(9)}, &fresh));
-  ASSERT_TRUE(sched.result(9, ipc));
-  EXPECT_EQ(ipc, ipc9);
-}
-
-TEST(BacklogScheduler, InjectDoneIgnoresKnownCells) {
-  BacklogScheduler sched(0, "");
-  ASSERT_TRUE(sched.admit({cell(1)}, nullptr));
-  sched.inject_done(cell(1), {9.0});
-  EXPECT_EQ(sched.state(1), BacklogScheduler::State::kPending)
-      << "a pending cell is not overwritten by a late cache probe";
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(RingOpTest, CompleteWakesWait) {
     op.complete();
   });
   op.wait();
-  EXPECT_EQ(op.state(), RingOp::kDone);
+  EXPECT_EQ(op.state(), RingOp::kAnswered);
   EXPECT_EQ(op.answer.id, "done");
 }
 
@@ -336,7 +336,7 @@ TEST(RingClientTest, ServerShutdownCompletesOutstandingOpsWithError) {
     // Submit a miss but never serve it: destruction must still answer.
     ASSERT_TRUE(server.ring_submit(&op));
   }
-  ASSERT_EQ(op.state(), RingOp::kDone)
+  ASSERT_EQ(op.state(), RingOp::kAnswered)
       << "the dtor must complete every accepted op";
   ASSERT_EQ(op.answer.parts.size(), 1u);
   EXPECT_EQ(op.answer.parts[0].status, AnswerStatus::kError);

@@ -1,18 +1,19 @@
-// CampaignServer end-to-end tests (ISSUE 9 tentpole acceptance): the
+// CampaignServer end-to-end tests: the
 // file-based submit/answer round trip produces exactly the IPCs a
 // direct ExperimentRunner computes; a second server instance answers
 // from the shared EvalCache without simulating; admission control sheds
 // with an explicit retry-after; a cell that fails past the retry budget
 // poisons into a status=error answer instead of hanging; an expired
 // lease reassigns the cell and the answer is still exact; a server
-// destroyed mid-backlog resumes — journal + surviving submit files —
-// into byte-identical answers; a corrupt cache entry degrades to
-// recompute-and-heal, never a wrong answer; an entry another writer
-// publishes after open is found by the by-name probe, over the ring
-// and the file wire, without simulating; a finished cell wakes the
-// publish pass instead of waiting out the poll interval; finished
-// misses leave no per-miss state behind; and opening reaps the temps
-// dead clients left in submit/.  Every file-wire query here is a
+// destroyed mid-backlog resumes — cache entries + surviving submit
+// files — into byte-identical answers, even when one of its entries is
+// lost; a server without a cache dir is refused; a corrupt cache entry
+// degrades to recompute-and-heal, never a wrong answer; an entry
+// another writer publishes after open is found by the by-name probe,
+// over the ring and the file wire, without simulating; a finished cell
+// wakes the publish pass instead of waiting out the poll interval;
+// finished misses leave no per-miss state behind; and opening reaps the
+// temps dead clients left in submit/.  Every file-wire query here is a
 // one-part query; a leftover file in the retired single-query format
 // answers a v2 error, and a submit whose answer already exists is
 // retired without re-answering.
@@ -158,7 +159,7 @@ TEST(CampaignServerTest, AnswersMatchDirectSimulationBitExactly) {
   const CampaignServer::Stats s = server.stats();
   EXPECT_EQ(s.queries_answered, 1u);
   EXPECT_EQ(s.cells_simulated, 1u);
-  EXPECT_GE(s.cache_entries_visible, 1u);
+  EXPECT_GE(s.index.entries, 1u);
 }
 
 TEST(CampaignServerTest, MalformedQueriesAnswerStatusError) {
@@ -182,9 +183,9 @@ TEST(CampaignServerTest, SecondServerAnswersFromSharedCache) {
     first = serve_until_answered(server, cfg.root, "q1");
     ASSERT_EQ(first.status, AnswerStatus::kOk) << first.error;
   }
-  // A different server instance — fresh root and journal, no shared
-  // memory — sees the first server's cache entries (multi-process
-  // EvalCache read-sharing) and answers without simulating.
+  // A different server instance — fresh root, no shared memory — sees
+  // the first server's cache entries (multi-process EvalCache
+  // read-sharing) and answers without simulating.
   ServiceConfig cfg2 = cfg;
   cfg2.root = tmp.path("svc2");
   CampaignServer server2(cfg2);
@@ -292,85 +293,125 @@ TEST(CampaignServerTest, ExpiredLeaseReassignsAndStillAnswersExactly) {
   EXPECT_GE(s.leases.granted, 2u);
 }
 
+constexpr const char* kFourCells =
+    "cores=4 workload=1A+1C variants=4 warmup-cycles=10000 "
+    "measure-cycles=40000";
+
+/// The answer file bytes of one uninterrupted server answering
+/// kFourCells as "big", in its own root and cache.
+std::string clean_four_cell_answer(const TempDir& tmp) {
+  ServiceConfig cfg = small_config(tmp);
+  cfg.root = tmp.path("clean_svc");
+  cfg.cache_dir = tmp.path("clean_cache");
+  CampaignServer clean(cfg);
+  EXPECT_TRUE(submit(cfg.root, "big", kFourCells, "SNUG"));
+  const BatchPart a = serve_until_answered(clean, cfg.root, "big");
+  EXPECT_EQ(a.status, AnswerStatus::kOk) << a.error;
+  EXPECT_EQ(a.cells.size(), 4u);
+  return file_bytes(answer_path(cfg.root, "big"));
+}
+
+/// The one-worker victim config of the kill-resume tests.
+ServiceConfig victim_config(const TempDir& tmp) {
+  ServiceConfig c = small_config(tmp);
+  c.workers = 1;
+  return c;
+}
+
+/// Submits kFourCells as "big" and destroys the server after the first
+/// cells complete but before the answer exists — the in-process
+/// equivalent of kill -9 mid-backlog (finished cells have their cache
+/// entries, the answer is not published, the submit file survives).
+/// The test drives the victim's poller itself: one pass ingests the
+/// query, and no later pass runs, so the answer can never be published
+/// however fast the worker is.  The stop point is the worker's second
+/// completion.
+void kill_after_two_completions(const ServiceConfig& cfg) {
+  std::promise<void> two_done;
+  std::atomic<int> done{0};
+  ServiceConfig c = cfg;
+  c.on_cell_completed = [&] {
+    if (done.fetch_add(1) + 1 == 2) two_done.set_value();
+  };
+  CampaignServer victim(c);
+  ASSERT_TRUE(submit(c.root, "big", kFourCells, "SNUG"));
+  ASSERT_GT(victim.poll_once(), 0u) << "the query must be ingested";
+  two_done.get_future().wait();
+  ASSERT_GE(victim.stats().backlog.completed, 2u);
+  ASSERT_FALSE(fs::exists(answer_path(c.root, "big")))
+      << "the victim must die before publishing";
+  ASSERT_TRUE(fs::exists(query_path(c.root, "big")))
+      << "the submit file is the durable record of the query";
+}  // ~CampaignServer: the worker stops at its next claim
+
+/// The `.snugc` entries in `cache_dir`.
+std::vector<fs::path> cache_entries(const std::string& cache_dir) {
+  std::vector<fs::path> out;
+  for (const auto& e : fs::directory_iterator(cache_dir)) {
+    if (e.path().extension() == ".snugc") out.push_back(e.path());
+  }
+  return out;
+}
+
 TEST(CampaignServerTest, KilledMidBacklogResumesByteIdentically) {
   TempDir tmp("snug_service_resume");
-  // Reference: one uninterrupted server in its own directories.
-  ServiceConfig clean_cfg = small_config(tmp);
-  clean_cfg.root = tmp.path("clean_svc");
-  clean_cfg.cache_dir = tmp.path("clean_cache");
-  std::string clean_bytes;
-  {
-    CampaignServer clean(clean_cfg);
-    ASSERT_TRUE(submit(clean_cfg.root, "big",
-                       "cores=4 workload=1A+1C variants=4 "
-                       "warmup-cycles=10000 measure-cycles=40000",
-                       "SNUG"));
-    const BatchPart a = serve_until_answered(clean, clean_cfg.root, "big");
-    ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
-    ASSERT_EQ(a.cells.size(), 4u);
-    clean_bytes = file_bytes(answer_path(clean_cfg.root, "big"));
-  }
+  const std::string clean_bytes = clean_four_cell_answer(tmp);
+  const ServiceConfig victim_cfg = victim_config(tmp);
+  ASSERT_NO_FATAL_FAILURE(kill_after_two_completions(victim_cfg));
 
-  // Victim: same query, one worker, destroyed after the first cells
-  // complete but before the answer exists — the in-process equivalent
-  // of kill -9 mid-backlog (completed cells are journaled, the answer
-  // is not published, the submit file survives).  The test drives the
-  // victim's poller itself: one pass ingests the query, and no later
-  // pass runs, so the answer can never be published however fast the
-  // worker is.  The stop point is the worker's second completion.
-  const ServiceConfig victim_cfg = [&] {
-    ServiceConfig c = small_config(tmp);
-    c.workers = 1;
-    return c;
-  }();
-  {
-    std::promise<void> two_done;
-    std::atomic<int> done{0};
-    ServiceConfig c = victim_cfg;
-    c.on_cell_completed = [&] {
-      if (done.fetch_add(1) + 1 == 2) two_done.set_value();
-    };
-    CampaignServer victim(c);
-    ASSERT_TRUE(submit(c.root, "big",
-                       "cores=4 workload=1A+1C variants=4 "
-                       "warmup-cycles=10000 measure-cycles=40000",
-                       "SNUG"));
-    ASSERT_GT(victim.poll_once(), 0u) << "the query must be ingested";
-    two_done.get_future().wait();
-    ASSERT_GE(victim.stats().backlog.completed, 2u);
-    ASSERT_FALSE(fs::exists(answer_path(c.root, "big")))
-        << "the victim must die before publishing";
-    ASSERT_TRUE(fs::exists(query_path(c.root, "big")))
-        << "the submit file is the durable record of the query";
-  }  // ~CampaignServer: the worker stops at its next claim
-
-  // Restart: same directories.  The journal replays the completed
-  // cells, the submit file re-supplies the query, only the missing
-  // cells simulate — and the answer is byte-identical to the clean
-  // run's.
+  // Restart: same directories.  The submit file re-supplies the query,
+  // the finished cells answer from their cache entries, only the
+  // missing cells simulate — and the answer is byte-identical to the
+  // clean run's.
   CampaignServer resumed(victim_cfg);
   const BatchPart a = serve_until_answered(resumed, victim_cfg.root, "big");
   ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
   EXPECT_EQ(file_bytes(answer_path(victim_cfg.root, "big")), clean_bytes);
   const CampaignServer::Stats s = resumed.stats();
-  EXPECT_GE(s.backlog.journal_hits + s.cells_from_cache, 2u)
-      << "completed cells must come back from journal or cache, not "
+  EXPECT_GE(s.cells_from_cache, 2u)
+      << "completed cells must come back from the cache, not "
          "re-simulation";
   EXPECT_LE(s.cells_simulated, 2u);
+  EXPECT_FALSE(fs::exists(fs::path(victim_cfg.root) / "backlog.journal"))
+      << "the cache entry is the only durable record of a finished cell";
+}
+
+TEST(CampaignServerTest, LostCacheEntryAfterKillResimulatesToTheSameBytes) {
+  TempDir tmp("snug_service_lost_entry");
+  const std::string clean_bytes = clean_four_cell_answer(tmp);
+  const ServiceConfig victim_cfg = victim_config(tmp);
+  ASSERT_NO_FATAL_FAILURE(kill_after_two_completions(victim_cfg));
+
+  // One finished cell loses its record: simulation is deterministic, so
+  // it re-simulates to the bytes it had.
+  std::vector<fs::path> entries = cache_entries(victim_cfg.cache_dir);
+  ASSERT_GE(entries.size(), 2u);
+  ASSERT_TRUE(fs::remove(entries.front()));
+  const std::size_t surviving = entries.size() - 1;
+
+  CampaignServer resumed(victim_cfg);
+  const BatchPart a = serve_until_answered(resumed, victim_cfg.root, "big");
+  ASSERT_EQ(a.status, AnswerStatus::kOk) << a.error;
+  EXPECT_EQ(file_bytes(answer_path(victim_cfg.root, "big")), clean_bytes);
+  const CampaignServer::Stats s = resumed.stats();
+  EXPECT_EQ(s.cells_simulated, 4u - surviving)
+      << "exactly the cells with no surviving entry simulate";
+  EXPECT_EQ(s.cells_from_cache, surviving);
+}
+
+TEST(CampaignServerDeathTest, EmptyCacheDirAbortsInTheConstructor) {
+  TempDir tmp("snug_service_no_cache");
+  ServiceConfig cfg = small_config(tmp);
+  cfg.cache_dir.clear();
+  EXPECT_DEATH({ CampaignServer server(cfg); }, "needs a cache dir");
 }
 
 /// Flips one payload byte of the only entry in `cache_dir`; returns its
 /// path (empty when there is not exactly one entry).
 fs::path rot_only_cache_entry(const std::string& cache_dir) {
-  fs::path entry;
-  int entries = 0;
-  for (const auto& e : fs::directory_iterator(cache_dir)) {
-    if (e.path().extension() == ".snugc") {
-      entry = e.path();
-      ++entries;
-    }
-  }
-  if (entries != 1) return {};
+  const std::vector<fs::path> entries = cache_entries(cache_dir);
+  if (entries.size() != 1) return {};
+  const fs::path& entry = entries.front();
   std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(30);  // past the 24-byte header, into the payload
   char byte = 0;
