@@ -78,8 +78,10 @@ int main(int argc, char** argv) {
       "retry-after-ms", 250, "backoff hint sent with shed queries"));
   const std::int64_t poll_ms =
       args.get_int("poll-ms", 20,
-                   "file-wire and lease poll interval (a finished cell "
-                   "wakes the serving loop at once)");
+                   "backstop wait of the serving loop: paces lease "
+                   "supervision, and the file wire where the filesystem "
+                   "raises no events (a query file, a finished cell or a "
+                   "ring op wakes it at once)");
   const std::int64_t idle_exit = args.get_int(
       "idle-exit-polls", 0,
       "exit after this many consecutive idle polls — no new queries, "
@@ -87,7 +89,8 @@ int main(int argc, char** argv) {
   const std::string fault_plan_text = args.get_string(
       "fault-plan", "",
       "deterministic fault-injection plan (grammar in src/common/fault.hpp; "
-      "service ops: fail@lease, fail@heartbeat)");
+      "service ops: fail@lease, fail@heartbeat; crash@task:after=N exits "
+      "at the (N+1)-th task start, for kill-resume tests)");
   const std::string ring_queries_file = args.get_string(
       "ring-queries", "",
       "submit the '<scheme>|<scenario>' lines of this file as ONE "

@@ -56,8 +56,20 @@ BusGrant SnoopBus::transact(Cycle now, BusOp op) {
     // by the pressure retirement above.)
   } else {
     // First-fit: earliest gap at/after `now` (and the floor) that holds
-    // `dur` cycles.
+    // `dur` cycles.  Tenures ending at or before `t` can neither host
+    // the grant (they start before t + dur) nor push it, and ends are
+    // ordered: binary-search past them instead of walking the whole
+    // kRetireSlack window from the head.
     std::size_t insert_pos = 0;
+    for (std::size_t n = size_; n > 0;) {
+      const std::size_t half = n / 2;
+      if (at(insert_pos + half).end <= t) {
+        insert_pos += half + 1;
+        n -= half + 1;
+      } else {
+        n = half;
+      }
+    }
     for (; insert_pos < size_; ++insert_pos) {
       const Tenure& iv = at(insert_pos);
       if (t + dur <= iv.start) break;  // fits entirely before this tenure

@@ -90,7 +90,9 @@ struct BusGrant {
 // list, no erase scan.  The common grant (`now` at/after the last
 // tenure's end — a first-fit scan provably lands there) appends at the
 // tail in O(1); only a transaction issued while later tenures are
-// already booked walks the ring for its first-fit gap.  Busy cycles
+// already booked searches the ring for its first-fit gap: a binary
+// search skips the tenures that end before `now`, then a short walk
+// finds the gap.  Busy cycles
 // accumulate in a running counter, so utilisation() never touches the
 // ring.  If an adversarial schedule keeps more than kRingCapacity
 // tenures in flight, the bus falls back to granting after the last

@@ -1,9 +1,12 @@
 #include "common/fault.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +20,9 @@
 
 namespace snug::fault {
 namespace {
+
+/// What a shell reports for a process killed by SIGKILL (128 + 9).
+constexpr int kCrashExitStatus = 137;
 
 // ---- real filesystem -----------------------------------------------------
 
@@ -106,6 +112,7 @@ class Injector {
  public:
   explicit Injector(FaultPlan plan) : plan_(std::move(plan)) {
     counters_.resize(plan_.clauses.size());
+    crash_starts_.resize(plan_.clauses.size());
   }
 
   /// Decides whether one occurrence of (kind, op, key) faults.  The
@@ -145,6 +152,22 @@ class Injector {
     return fired;
   }
 
+  /// crash@task: true at the (after+1)-th matching task start.  The
+  /// count spans every key, so the crash point depends on the plan
+  /// alone, not on which cell a worker happened to claim.
+  bool crash_due(const std::string& key) {
+    for (std::size_t ci = 0; ci < plan_.clauses.size(); ++ci) {
+      const Clause& c = plan_.clauses[ci];
+      if (c.kind != Kind::kCrash) continue;
+      if (!c.match.empty() && key.find(c.match) == std::string::npos) {
+        continue;
+      }
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (crash_starts_[ci]++ == c.after) return true;
+    }
+    return false;
+  }
+
   [[nodiscard]] FaultStats stats() const {
     FaultStats s;
     s.short_writes = short_writes_.load(std::memory_order_relaxed);
@@ -177,6 +200,8 @@ class Injector {
       case Kind::kStall:
         stalls_.fetch_add(1, std::memory_order_relaxed);
         break;
+      case Kind::kCrash:
+        break;  // never fires through fire(): see crash_due()
       case Kind::kFail:
         switch (op) {
           case Op::kTask:
@@ -200,6 +225,8 @@ class Injector {
   std::mutex mu_;
   /// Per-clause, per-key occurrence counters (first=/every= windows).
   std::vector<std::map<std::string, std::uint64_t>> counters_;
+  /// Per-clause task starts seen by crash clauses, across all keys.
+  std::vector<std::uint64_t> crash_starts_;
   std::atomic<std::uint64_t> short_writes_{0};
   std::atomic<std::uint64_t> enospc_{0};
   std::atomic<std::uint64_t> torn_renames_{0};
@@ -363,6 +390,7 @@ const char* kind_name(Kind kind) {
     case Kind::kBitFlip: return "bit-flip";
     case Kind::kStall: return "stall";
     case Kind::kFail: return "fail";
+    case Kind::kCrash: return "crash";
   }
   return "?";
 }
@@ -381,7 +409,8 @@ const char* op_name(Op op) {
 
 bool kind_from_name(const std::string& s, Kind& kind) {
   for (const Kind k : {Kind::kShortWrite, Kind::kEnospc, Kind::kTornRename,
-                       Kind::kBitFlip, Kind::kStall, Kind::kFail}) {
+                       Kind::kBitFlip, Kind::kStall, Kind::kFail,
+                       Kind::kCrash}) {
     if (s == kind_name(k)) {
       kind = k;
       return true;
@@ -415,6 +444,8 @@ bool op_allowed(Kind kind, Op op) {
              op == Op::kHeartbeat;
     case Kind::kStall:
       return true;
+    case Kind::kCrash:
+      return op == Op::kTask;
   }
   return false;
 }
@@ -446,7 +477,8 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
     Clause clause;
     if (!kind_from_name(trim(clause_text.substr(0, at)), clause.kind)) {
       error = "unknown fault kind in '" + clause_text +
-              "' (short-write, enospc, torn-rename, bit-flip, stall, fail)";
+              "' (short-write, enospc, torn-rename, bit-flip, stall, fail, "
+              "crash)";
       return false;
     }
     const std::size_t colon = clause_text.find(':', at);
@@ -476,6 +508,15 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
         }
         const std::string key = trim(kv.substr(0, eq));
         const std::string val = trim(kv.substr(eq + 1));
+        if ((clause.kind == Kind::kCrash) != (key == "after") &&
+            key != "match") {
+          error = clause.kind == Kind::kCrash
+                      ? "crash clauses take only after= and match= in '" +
+                            clause_text + "'"
+                      : "after= applies only to crash clauses in '" +
+                            clause_text + "'";
+          return false;
+        }
         if (key == "p") {
           char* end = nullptr;
           clause.prob = std::strtod(val.c_str(), &end);
@@ -502,6 +543,12 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
                     "'";
             return false;
           }
+        } else if (key == "after") {
+          if (!parse_u64(val, clause.after)) {
+            error = "after= must be a non-negative integer in '" +
+                    clause_text + "'";
+            return false;
+          }
         } else if (key == "match") {
           if (val.empty()) {
             error = "match= must not be empty in '" + clause_text + "'";
@@ -510,7 +557,7 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
           clause.match = val;
         } else {
           error = "unknown parameter '" + key + "' in '" + clause_text +
-                  "' (p, first, every, ms, match)";
+                  "' (p, first, every, ms, after, match)";
           return false;
         }
       }
@@ -548,6 +595,9 @@ std::string FaultPlan::summary() const {
     }
     if (c.stall_ms > 0) {
       add(strf("ms=%llu", static_cast<unsigned long long>(c.stall_ms)));
+    }
+    if (c.kind == Kind::kCrash) {
+      add(strf("after=%llu", static_cast<unsigned long long>(c.after)));
     }
     if (!c.match.empty()) add("match=" + c.match);
     out += params;
@@ -589,6 +639,11 @@ FaultStats ScopedFaultPlan::stats() const { return impl_->injector->stats(); }
 void maybe_fail_task(const std::string& label) {
   Injector* inj = g_task_injector.load(std::memory_order_acquire);
   if (inj == nullptr) return;
+  if (inj->crash_due(label)) {
+    std::fprintf(stderr, "snug: fault plan: crash@task at the start of %s\n",
+                 label.c_str());
+    ::_exit(kCrashExitStatus);
+  }
   std::uint64_t ms = 0;
   if (inj->fire(Kind::kStall, Op::kTask, label, nullptr, &ms) && ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));

@@ -28,11 +28,18 @@
 //                       sees the lease expire (the classic lost-heartbeat
 //                       partition; see src/sim/service/lease.hpp)
 //   stall@lease/heartbeat  the supervision call sleeps ms= first
+//   crash@task          the process _exits (status 137, as after kill -9)
+//                       at the (after+1)-th matching task start, counted
+//                       process-wide — a kill at a point fixed by the
+//                       plan, not by a timer racing the workers
 //
 // Determinism: a clause fires as a pure function of (plan seed, clause
 // index, operation key, per-key occurrence number) — never of wall
 // clock, thread schedule or iteration order — so a faulty campaign is
-// exactly reproducible and CI can pin "faulted run == clean run".  The
+// exactly reproducible and CI can pin "faulted run == clean run".  (A
+// crash clause counts task starts across all keys instead: which cell
+// is the (after+1)-th to start may vary with the schedule, how many
+// cells started before the crash does not.)  The
 // key of a read or write is its path, except that a publish temp
 // (`<target>.tmp.<pid>.<seq>`, common/temp_name.hpp) is keyed by its
 // `<target>.tmp` stem: the same clause tears the same publishes in
@@ -42,13 +49,18 @@
 //   plan    := clause (';' clause)*
 //   clause  := 'seed=' N | kind '@' op [':' key '=' val (',' key '=' val)*]
 //   kind    := short-write | enospc | torn-rename | bit-flip | stall | fail
+//              | crash
 //   op      := read | write | rename | task | lease | heartbeat
 //   keys    := p=<0..1>       fire probability (default 1)
 //              first=N        only the first N matching occurrences fire
 //              every=N        every Nth matching occurrence fires
 //              ms=N           stall duration (stall clauses)
+//              after=N        task starts survived before the crash
+//                             (crash clauses, which take only after= and
+//                             match=; default 0)
 //              match=S        only keys (paths / task labels) containing S
 // e.g. "seed=7; short-write@write:p=0.25; fail@task:match=mixA/SNUG,first=2"
+//      "crash@task:after=3"
 #pragma once
 
 #include <cstddef>
@@ -75,6 +87,7 @@ enum class Kind : std::uint8_t {
   kBitFlip,
   kStall,
   kFail,
+  kCrash,  ///< @task only: _exit the process (see maybe_fail_task)
 };
 
 /// One injection rule; see the grammar above.
@@ -85,6 +98,7 @@ struct Clause {
   std::uint64_t first = 0;    ///< first=N matching occurrences (0 = all)
   std::uint64_t every = 0;    ///< every=N matching occurrences (0 = all)
   std::uint64_t stall_ms = 0; ///< ms= for stall clauses
+  std::uint64_t after = 0;    ///< after= for crash clauses
   std::string match;          ///< substring filter on the operation key
 };
 
@@ -185,9 +199,11 @@ class ScopedFaultPlan {
 };
 
 /// Consults the installed plan's @task clauses for one simulation cell
-/// (label "combo/scheme"): stall clauses sleep, fail clauses throw
-/// TransientError.  No-op when no plan is installed — zero cost on the
-/// production path beyond one relaxed atomic load.
+/// (label "combo/scheme"): a due crash clause ends the process with
+/// _exit(137) — no destructors, no flushes, like kill -9 — stall
+/// clauses sleep, fail clauses throw TransientError.  No-op when no
+/// plan is installed — zero cost on the production path beyond one
+/// relaxed atomic load.
 void maybe_fail_task(const std::string& label);
 
 /// Consults the installed plan's @lease clauses for one lease grant

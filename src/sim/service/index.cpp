@@ -9,10 +9,9 @@ constexpr std::size_t kInitialSlots = 1024;  // power of two
 
 }  // namespace
 
-AnswerIndex::AnswerIndex(std::string cache_dir) : dir_(std::move(cache_dir)) {
+AnswerIndex::AnswerIndex(const std::string& cache_dir) {
   slots_.resize(kInitialSlots);
-  if (dir_.empty()) return;
-  const EvalCache cache(dir_);
+  const EvalCache cache(cache_dir);
   const std::unique_lock<std::shared_mutex> lock(mu_);
   const BlobStore::ScanCounts scanned =
       cache.scan([this](std::uint64_t fp, const std::vector<double>& ipc) {
@@ -24,7 +23,7 @@ AnswerIndex::AnswerIndex(std::string cache_dir) : dir_(std::move(cache_dir)) {
 }
 
 bool AnswerIndex::lookup(std::uint64_t fp, std::vector<double>& ipc) {
-  if (fp != 0 && !dir_.empty()) {
+  if (fp != 0) {
     const std::shared_lock<std::shared_mutex> lock(mu_);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = fp & mask;; i = (i + 1) & mask) {
@@ -43,7 +42,7 @@ bool AnswerIndex::lookup(std::uint64_t fp, std::vector<double>& ipc) {
 }
 
 void AnswerIndex::insert(std::uint64_t fp, const std::vector<double>& ipc) {
-  if (dir_.empty() || fp == 0 || ipc.empty() ||
+  if (fp == 0 || ipc.empty() ||
       ipc.size() > EvalCache::kMaxEntries) {
     return;
   }

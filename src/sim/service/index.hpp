@@ -46,9 +46,8 @@ class AnswerIndex {
     std::uint64_t quarantined = 0;     ///< corrupt entries moved aside
   };
 
-  /// Opens over `cache_dir` ("" disables: every lookup misses) and runs
-  /// the one full scan.
-  explicit AnswerIndex(std::string cache_dir);
+  /// Opens over `cache_dir` and runs the one full scan.
+  explicit AnswerIndex(const std::string& cache_dir);
 
   AnswerIndex(const AnswerIndex&) = delete;
   AnswerIndex& operator=(const AnswerIndex&) = delete;
@@ -63,7 +62,6 @@ class AnswerIndex {
   void insert(std::uint64_t fp, const std::vector<double>& ipc);
 
   [[nodiscard]] Counters counters() const;
-  [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
 
  private:
   struct Slot {
@@ -76,8 +74,6 @@ class AnswerIndex {
   void insert_locked(std::uint64_t fp, const double* ipc,
                      std::uint32_t count);
   void grow_locked();
-
-  std::string dir_;
 
   mutable std::shared_mutex mu_;
   std::vector<Slot> slots_;     ///< open addressing, power-of-two size

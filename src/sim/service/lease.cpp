@@ -48,7 +48,15 @@ bool LeaseTable::heartbeat(std::uint64_t fp, unsigned worker,
 void LeaseTable::release(std::uint64_t fp, unsigned worker) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = live_.find(fp);
-  if (it != live_.end() && it->second.worker == worker) live_.erase(it);
+  if (it != live_.end()) {
+    // A straggler releasing after its replacement was granted: the
+    // replacement's release drops the grant count.
+    if (it->second.worker != worker) return;
+    live_.erase(it);
+  }
+  // The task is finished or failed terminally: no grant can follow, so
+  // its grant count goes too.
+  holds_.erase(fp);
 }
 
 std::vector<LeaseTable::Expiry> LeaseTable::scan(std::uint64_t now_ms) {
@@ -56,7 +64,10 @@ std::vector<LeaseTable::Expiry> LeaseTable::scan(std::uint64_t now_ms) {
   std::vector<Expiry> out;
   for (auto it = live_.begin(); it != live_.end();) {
     const Lease& lease = it->second;
-    if (now_ms - lease.renewed_ms < lease_ms_) {
+    // The caller reads its clock before taking the lock, so a worker may
+    // have renewed (or been granted) the lease at a later ms: that lease
+    // is fresh, not 2^64 ms old.
+    if (lease.renewed_ms >= now_ms || now_ms - lease.renewed_ms < lease_ms_) {
       ++it;
       continue;
     }
@@ -64,11 +75,17 @@ std::vector<LeaseTable::Expiry> LeaseTable::scan(std::uint64_t now_ms) {
     e.fp = it->first;
     e.label = lease.label;
     e.worker = lease.worker;
-    e.holds = holds_[it->first];
+    const auto holds = holds_.find(it->first);
+    e.holds = holds != holds_.end() ? holds->second : 0;
     e.held_ms = now_ms - lease.acquired_ms;
     e.poisoned = e.holds >= max_holds_;
     ++counters_.expired;
-    if (e.poisoned) ++counters_.poisoned;
+    if (e.poisoned) {
+      // Quarantined for good: the grant count has done its job.  An
+      // expiry that is requeued keeps it, so max_holds still counts.
+      ++counters_.poisoned;
+      holds_.erase(holds);
+    }
     out.push_back(std::move(e));
     it = live_.erase(it);
   }
@@ -78,6 +95,11 @@ std::vector<LeaseTable::Expiry> LeaseTable::scan(std::uint64_t now_ms) {
 std::size_t LeaseTable::live() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return live_.size();
+}
+
+std::size_t LeaseTable::tracked_holds() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return holds_.size();
 }
 
 LeaseTable::Counters LeaseTable::counters() const {

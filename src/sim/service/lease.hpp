@@ -71,7 +71,9 @@ class LeaseTable {
                                std::uint64_t now_ms);
 
   /// Releases `worker`'s lease on `fp` (task finished or failed
-  /// terminally).  No-op if the lease already expired.
+  /// terminally) and forgets the fp's grant count.  A lease that
+  /// already expired is not touched; one another worker now holds is
+  /// left whole, grant count included.
   void release(std::uint64_t fp, unsigned worker);
 
   /// Expires every lease whose last renewal is >= lease_ms old,
@@ -80,6 +82,8 @@ class LeaseTable {
   [[nodiscard]] std::vector<Expiry> scan(std::uint64_t now_ms);
 
   [[nodiscard]] std::size_t live() const;
+  /// Fps with a remembered grant count: live, or expired and requeued.
+  [[nodiscard]] std::size_t tracked_holds() const;
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] std::uint64_t lease_ms() const noexcept { return lease_ms_; }
 
@@ -96,7 +100,9 @@ class LeaseTable {
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, Lease> live_;         ///< fp -> live lease
-  std::map<std::uint64_t, std::uint32_t> holds_;  ///< fp -> lifetime grants
+  /// fp -> grants so far, from the first grant until the task is
+  /// released after its run or poisoned.
+  std::map<std::uint64_t, std::uint32_t> holds_;
   Counters counters_;
 };
 

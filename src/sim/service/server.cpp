@@ -1,10 +1,12 @@
 #include "sim/service/server.hpp"
 
-#include <semaphore.h>
-#include <time.h>
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <utility>
 
@@ -38,6 +40,13 @@ void fail_ring_op(RingOp* op, const std::string& why) {
   op->complete();
 }
 
+/// Resets the eventfd counter (non-blocking: a no-op when unset).
+void drain_eventfd(int fd) {
+  std::uint64_t count = 0;
+  while (::read(fd, &count, sizeof count) > 0) {
+  }
+}
+
 }  // namespace
 
 CampaignServer::CampaignServer(ServiceConfig cfg)
@@ -47,8 +56,10 @@ CampaignServer::CampaignServer(ServiceConfig cfg)
       backlog_(cfg_.max_backlog),
       lease_(cfg_.lease_ms, cfg_.max_holds),
       index_(cfg_.cache_dir),
-      ring_(cfg_.ring_capacity) {
-  ::sem_init(&publish_wake_, /*pshared=*/0, /*value=*/0);
+      ring_(cfg_.ring_capacity),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  SNUG_ENSURE_MSG(wake_fd_ >= 0, "campaignd: eventfd failed (errno %d)",
+                  errno);
   env_->create_directories(submit_dir(cfg_.root));
   env_->create_directories(answer_dir(cfg_.root));
   gc_answers();
@@ -81,7 +92,7 @@ CampaignServer::~CampaignServer() {
       fail_ring_op(tq.ring, "server shut down before the answer resolved");
     }
   }
-  ::sem_destroy(&publish_wake_);
+  ::close(wake_fd_);
 }
 
 std::uint64_t CampaignServer::now_ms() const {
@@ -186,7 +197,17 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
     part.error = r->error;
     return part;
   }
+  if (std::shared_ptr<const BatchPart> memo = r->part.load()) {
+    // Every cell answered from the index before, and an indexed cell
+    // never changes: the whole part is the memo.
+    cells_from_cache_.fetch_add(memo->cells.size(),
+                                std::memory_order_relaxed);
+    parts_from_memo_.fetch_add(1, std::memory_order_relaxed);
+    part.memo = std::move(memo);
+    return part;
+  }
   std::vector<std::size_t> missing;
+  bool all_resolved = true;
   ExperimentRunner* runner = nullptr;
   part.cells.reserve(r->combos.size());
   for (std::size_t i = 0; i < r->combos.size(); ++i) {
@@ -216,7 +237,22 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
       cell.resolved = true;
       cells_from_cache_.fetch_add(1, std::memory_order_relaxed);
     }
+    all_resolved &= hit;
     part.cells.push_back(std::move(cell));
+  }
+  if (all_resolved) {
+    // No pending, leased or poisoned cell: memoise the answer part for
+    // the item's later queries.  Racing callers store equal parts.
+    auto memo = std::make_shared<BatchPart>();
+    memo->cells.reserve(part.cells.size());
+    for (TrackedCell& cell : part.cells) {
+      memo->cells.push_back(
+          AnswerCell{std::move(cell.combo), std::move(cell.ipc)});
+    }
+    part.cells.clear();
+    r->part.store(memo);
+    part.memo = std::move(memo);
+    return part;
   }
   if (!missing.empty()) {
     const std::string scheme_id = r->scheme.id();
@@ -267,6 +303,10 @@ bool CampaignServer::collect_answer(const TrackedQuery& tq,
   out.parts.clear();
   out.parts.reserve(tq.parts.size());
   for (const TrackedPart& part : tq.parts) {
+    if (part.memo != nullptr) {
+      out.parts.push_back(*part.memo);
+      continue;
+    }
     BatchPart bp;
     bp.status = part.status;
     bp.error = part.error;
@@ -345,7 +385,12 @@ std::size_t CampaignServer::ingest() {
     return 0;
   }
   submit_force_rescan_ = false;
-  submit_epoch_ = now;
+  // Remember the signature only if it had settled before this listing.
+  // An unsettled one can stay identical across a same-tick rename that
+  // lands just after the listing, and the gate must not trust it once
+  // it settles: the pass that event wakes may run after the settle
+  // margin.
+  submit_epoch_ = epoch_settled(now) ? now : DirEpoch{};
 
   std::size_t progress = 0;
   for (const std::string& name : env_->list_dir(sdir)) {
@@ -506,14 +551,22 @@ std::size_t CampaignServer::poll_once() {
 
 std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
                                   std::uint64_t poll_ms) {
+  // A query publish renames into submit/: its event wakes the wait
+  // below at once.  The watch lives as long as this call.
+  const RenameWatch submits(submit_dir(cfg_.root));
+  struct pollfd fds[2] = {{wake_fd_, POLLIN, 0}, {submits.fd(), POLLIN, 0}};
+  const nfds_t nfds = submits.fd() >= 0 ? 2 : 1;
+  const int timeout_ms = static_cast<int>(
+      std::clamp<std::uint64_t>(poll_ms, 1, INT_MAX));
   std::size_t passes = 0;
   std::size_t idle = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Consume the wake-ups this pass answers.  One posted during the
-    // pass stays posted, so the wait below returns at once: the pass
-    // may have collected its query before the cell finished.
-    while (::sem_trywait(&publish_wake_) == 0) {
-    }
+    // Consume the wake-ups this pass answers.  One raised during the
+    // pass stays raised, so the wait below returns at once: the pass
+    // may have collected its query before the cell finished, or listed
+    // submit/ just before the query landed.
+    drain_eventfd(wake_fd_);
+    submits.drain();
     const std::size_t progress = poll_once();
     ++passes;
     bool is_idle = progress == 0 && backlog_.backlog() == 0 &&
@@ -527,17 +580,7 @@ std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
     } else {
       idle = 0;
     }
-    const std::uint64_t wait_ms = poll_ms > 0 ? poll_ms : 1;
-    struct timespec deadline{};
-    ::clock_gettime(CLOCK_MONOTONIC, &deadline);
-    deadline.tv_sec += static_cast<time_t>(wait_ms / 1000);
-    deadline.tv_nsec += static_cast<long>(wait_ms % 1000) * 1'000'000;
-    if (deadline.tv_nsec >= 1'000'000'000) {
-      ++deadline.tv_sec;
-      deadline.tv_nsec -= 1'000'000'000;
-    }
-    while (::sem_clockwait(&publish_wake_, CLOCK_MONOTONIC, &deadline) != 0 &&
-           errno == EINTR) {
+    while (::poll(fds, nfds, timeout_ms) < 0 && errno == EINTR) {
     }
   }
   return passes;
@@ -545,10 +588,15 @@ std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
 
 void CampaignServer::request_stop() {
   stop_.store(true, std::memory_order_relaxed);
-  (void)::sem_post(&publish_wake_);
+  wake_publish();
 }
 
-void CampaignServer::wake_publish() { (void)::sem_post(&publish_wake_); }
+void CampaignServer::wake_publish() {
+  const std::uint64_t one = 1;
+  // Cannot fail short of a counter overflow, and then it is set anyway.
+  const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  (void)n;
+}
 
 void CampaignServer::wake_workers() {
   // Taking wake_mu_ orders this wake after any worker's predicate
@@ -756,6 +804,7 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
   s.queries_shed = queries_shed_.load(std::memory_order_relaxed);
   s.cells_from_cache = cells_from_cache_.load(std::memory_order_relaxed);
+  s.parts_from_memo = parts_from_memo_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.leases_expired = leases_expired_.load(std::memory_order_relaxed);
   s.reassignments = reassignments_.load(std::memory_order_relaxed);

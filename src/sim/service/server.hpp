@@ -50,9 +50,20 @@
 //              file removed, so a crash at any point re-ingests the
 //              query on restart.
 //
-// serve() runs the next pass as soon as a worker finishes a cell or the
-// ring thread starts tracking an op, and otherwise every poll_ms, which
-// paces only the file wire and lease supervision.
+// serve() runs the next pass as soon as a query file is renamed into
+// <root>/submit/ (an inotify watch, sim/service/wire.hpp), a worker
+// finishes a cell or the ring thread starts tracking an op; it waits on
+// all of them in one poll(2).  poll_ms is only the backstop: the pace
+// of lease supervision, and of the file wire on a filesystem that
+// raises no events.
+//
+// Answer parts are memoised.  Once every cell of a (scenario, scheme)
+// item has resolved from the index or a by-name probe, its whole
+// answer part is kept with the item's resolution, and a later query
+// for the item copies that part instead of looking up and rebuilding
+// each cell.  An indexed cell never changes (simulation is
+// deterministic), so the memo is never stale; a part with a pending,
+// shed or poisoned cell is never memoised.
 //
 // Worker threads drain the backlog under lease + heartbeat, running
 // cells through per-machine ExperimentRunners that share one cache
@@ -67,8 +78,6 @@
 // tests/sim/service_server_test.cpp and the CI chaos soaks).  A
 // leftover <root>/backlog.journal from an older build is ignored.
 #pragma once
-
-#include <semaphore.h>
 
 #include <atomic>
 #include <chrono>
@@ -121,9 +130,10 @@ struct ServiceConfig {
 inline constexpr std::size_t kAnswerKeepCap = 256;
 
 /// Bound on the (scenario, scheme) resolve memo.  Every never-seen item
-/// adds an entry (~1 KB), so the cap bounds per-miss memory; overflow
-/// clears the map wholesale (the memo is pure gain, never a correctness
-/// input — a sweep's items are re-resolved once after a clear).
+/// adds an entry (~1 KB, plus its answer part once every cell has
+/// resolved), so the cap bounds per-miss memory; overflow clears the
+/// map wholesale (the memo is pure gain, never a correctness input — a
+/// sweep's items are re-resolved once after a clear).
 inline constexpr std::size_t kResolveMemoCap = 256;
 
 class CampaignServer {
@@ -136,6 +146,9 @@ class CampaignServer {
     /// Queries whose every part was shed (status=retry-after).
     std::uint64_t queries_shed = 0;
     std::uint64_t cells_from_cache = 0;  ///< index hit path, no simulation
+    /// Parts answered whole from the resolve memo (their cells count in
+    /// cells_from_cache too).
+    std::uint64_t parts_from_memo = 0;
     std::uint64_t cells_simulated = 0;   ///< == backlog.completed
     std::uint64_t retries = 0;           ///< TransientError re-attempts
     std::uint64_t leases_expired = 0;
@@ -174,12 +187,12 @@ class CampaignServer {
   /// meant to be driven from one serving thread.
   std::size_t poll_once();
 
-  /// Drives poll_once() — at once after a cell finishes or a ring op is
-  /// tracked, else after poll_ms — until request_stop(), or — when
-  /// idle_exit_polls > 0 — until that many consecutive passes saw no
-  /// progress, no tracked query, no pending cell and no live lease
-  /// (campaignd's drain-and-exit mode for scripted/CI use; 0 serves
-  /// forever).  Returns the number of passes.
+  /// Drives poll_once() — at once after a query file lands in submit/,
+  /// a cell finishes or a ring op is tracked, else after poll_ms — until
+  /// request_stop(), or — when idle_exit_polls > 0 — until that many
+  /// consecutive passes saw no progress, no tracked query, no pending
+  /// cell and no live lease (campaignd's drain-and-exit mode for
+  /// scripted/CI use; 0 serves forever).  Returns the number of passes.
   std::size_t serve(std::size_t idle_exit_polls, std::uint64_t poll_ms);
 
   /// Makes serve() return after its current pass (waking it from its
@@ -214,7 +227,8 @@ class CampaignServer {
   /// Memoised resolution of one (scenario text, scheme id) item: the
   /// parse + validate + combo expansion + fingerprint work that is
   /// identical for every repeat of the item.  Warm ring queries skip
-  /// straight from here to index lookups.
+  /// straight from here to index lookups — or, once every cell has
+  /// resolved, to the memoised answer part.
   struct ResolvedItem {
     bool ok = false;
     std::string error;  ///< !ok: status=error diagnostic
@@ -223,6 +237,9 @@ class CampaignServer {
     std::vector<trace::WorkloadCombo> combos;
     std::vector<std::uint64_t> fps;  ///< run_fingerprint per combo
     std::uint64_t runner_key = 0;
+    /// The item's status=ok answer part, set by the first build_part
+    /// that resolved every cell from the index or a probe.
+    mutable std::atomic<std::shared_ptr<const BatchPart>> part;
   };
 
   /// One cell of one part, in combo order.  `resolved` cells carry
@@ -235,11 +252,13 @@ class CampaignServer {
     bool resolved = false;
   };
 
+  /// A part answers either whole from `memo` (no cells) or cell by cell.
   struct TrackedPart {
     AnswerStatus status = AnswerStatus::kOk;
     std::string error;
     std::uint64_t retry_after_ms = 0;
     std::vector<TrackedCell> cells;
+    std::shared_ptr<const BatchPart> memo;
   };
 
   /// One client query being tracked until every part resolves.
@@ -260,9 +279,11 @@ class CampaignServer {
                                std::uint64_t runner_key);
   [[nodiscard]] std::shared_ptr<const ResolvedItem> resolve_item(
       const BatchItem& item);
-  /// Builds one part: resolve, index-lookup each cell, probe the cache
-  /// file of a cell that is neither indexed nor queued, admit the rest
-  /// (whole-part shed on admission refusal).
+  /// Builds one part: resolve, then answer from the item's memoised
+  /// part, or index-lookup each cell, probe the cache file of a cell
+  /// that is neither indexed nor queued, admit the rest (whole-part
+  /// shed on admission refusal) — memoising the part when every cell
+  /// resolved.
   [[nodiscard]] TrackedPart build_part(const BatchItem& item);
   /// True when every part is resolved; fills the complete answer
   /// (poisoned cells turn their part status=error, healthy cells stay).
@@ -315,6 +336,7 @@ class CampaignServer {
   bool submit_force_rescan_ = false;
 
   std::atomic<std::uint64_t> cells_from_cache_{0};
+  std::atomic<std::uint64_t> parts_from_memo_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> leases_expired_{0};
   std::atomic<std::uint64_t> reassignments_{0};
@@ -339,9 +361,10 @@ class CampaignServer {
   std::mutex wake_mu_;
   std::condition_variable_any wake_cv_;  ///< pending work for workers
 
-  /// serve()'s wait, posted by wake_publish() and request_stop().  A
-  /// semaphore because sem_post is async-signal-safe.
-  sem_t publish_wake_;
+  /// serve()'s wake: an eventfd written by wake_publish() and
+  /// request_stop() (write(2) is async-signal-safe) and polled beside
+  /// the submit/ watch.
+  const int wake_fd_;
 
   /// Ring drain parking (eventcount-lite): producers bump ring_pushes_
   /// after a push and notify only when the drain thread has parked.

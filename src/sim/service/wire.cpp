@@ -1,8 +1,15 @@
 #include "sim/service/wire.hpp"
 
+#include <poll.h>
+#include <sys/inotify.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -361,10 +368,47 @@ bool parse_batch_answer(const std::string& text, ServiceBatchAnswer& out,
   return true;
 }
 
+RenameWatch::RenameWatch(const std::string& dir)
+    : fd_(::inotify_init1(IN_NONBLOCK | IN_CLOEXEC)) {
+  if (fd_ >= 0 && ::inotify_add_watch(fd_, dir.c_str(), IN_MOVED_TO) < 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+RenameWatch::~RenameWatch() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void RenameWatch::drain() const {
+  if (fd_ < 0) return;
+  alignas(struct inotify_event) char buf[4096];
+  while (::read(fd_, buf, sizeof buf) > 0) {
+  }
+}
+
+void RenameWatch::wait_ms(std::uint64_t ms) const {
+  const int timeout = static_cast<int>(std::min<std::uint64_t>(ms, INT_MAX));
+  if (fd_ < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(timeout));
+    return;
+  }
+  struct pollfd pfd{fd_, POLLIN, 0};
+  while (::poll(&pfd, 1, timeout) < 0 && errno == EINTR) {
+  }
+}
+
 ServiceClient::ServiceClient(std::string root)
     : env_(&fault::env()), root_(std::move(root)) {
   env_->create_directories(submit_dir(root_));
   env_->create_directories(answer_dir(root_));
+}
+
+const RenameWatch& ServiceClient::answer_watch() const {
+  std::call_once(watch_once_, [this] {
+    watch_ = std::make_unique<RenameWatch>(answer_dir(root_));
+  });
+  return *watch_;
 }
 
 bool ServiceClient::submit_batch(const ServiceBatchQuery& query,
@@ -417,13 +461,20 @@ bool ServiceClient::wait_batch(const std::string& id,
                                ServiceBatchAnswer& out,
                                std::uint64_t timeout_ms,
                                std::uint64_t poll_ms) const {
+  // An answer already there needs no watch.
+  if (try_poll_batch(id, out)) return true;
+  const RenameWatch& watch = answer_watch();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (true) {
+    watch.drain();
     if (try_poll_batch(id, out)) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(poll_ms > 0 ? poll_ms : 1));
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return false;
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+    watch.wait_ms(std::min<std::uint64_t>(poll_ms > 0 ? poll_ms : 1,
+                                          static_cast<std::uint64_t>(left)));
   }
 }
 

@@ -51,9 +51,19 @@
 // a server killed at any point re-ingests the query on restart and the
 // client's poll loop never hangs on a lost query.  Re-publishing an
 // identical answer is idempotent.
+//
+// Waiting is event-driven.  Every publish lands by rename, so both
+// sides wait on an inotify watch (RenameWatch) for files renamed into
+// the directory they read, with their poll interval as the timeout.
+// The watch is only a wake hint: every read, write and rename still
+// goes through fault::Env, and a directory that raises no events (a
+// refused watch, a network filesystem) is still served, one poll
+// interval late.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -128,9 +138,44 @@ struct ServiceBatchAnswer {
                                       ServiceBatchAnswer& out,
                                       std::string& error);
 
-/// Client side of the queue: submits query files and polls for answers.
-/// Stateless; one client may be shared by threads, and any number of
-/// client processes may point at one service root.
+/// A wake hint: an inotify watch for files renamed into one directory
+/// (IN_MOVED_TO — how publish_verified lands every wire file).  When the
+/// kernel refuses the watch, fd() is -1 and wait_ms() just sleeps.
+///
+/// Closing an inotify fd that held a watch blocked for 15-20 ms in most
+/// closes measured on a Linux 6.18 VM, so a watch belongs in a
+/// long-lived owner, not in one wait.
+class RenameWatch {
+ public:
+  explicit RenameWatch(const std::string& dir);
+  ~RenameWatch();
+
+  RenameWatch(const RenameWatch&) = delete;
+  RenameWatch& operator=(const RenameWatch&) = delete;
+
+  /// The pollable fd (readable while events are queued), or -1.
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
+  /// Discards every queued event.  Drain BEFORE checking the directory:
+  /// a rename that lands after the check then still wakes the next wait.
+  void drain() const;
+
+  /// Returns once an event is queued or `ms` pass.
+  void wait_ms(std::uint64_t ms) const;
+
+ private:
+  int fd_ = -1;
+};
+
+/// Client side of the queue: submits query files and waits for answers.
+/// One client may be shared by threads, and any number of client
+/// processes may point at one service root.  The only state is the
+/// answers/ watch, opened by the first wait_batch() that has to wait
+/// and kept for the client's lifetime, so a client that never waits —
+/// a RingClient's file-wire fallback that is never taken — pays no
+/// watch set-up or close.  Threads waiting through one shared client
+/// share its watch: when one of them consumes the event for another's
+/// answer, that one waits up to its poll_ms.
 class ServiceClient {
  public:
   explicit ServiceClient(std::string root);
@@ -147,13 +192,19 @@ class ServiceClient {
   /// never spins forever on a mangled file.
   bool try_poll_batch(const std::string& id, ServiceBatchAnswer& out) const;
 
-  /// Polls every poll_ms until the answer lands or timeout_ms passes.
+  /// Waits until the answer lands or timeout_ms passes.  Wakes on the
+  /// answer's rename into answers/; poll_ms is only the backstop for a
+  /// wake that never comes (no watch, another waiter took the event).
   bool wait_batch(const std::string& id, ServiceBatchAnswer& out,
                   std::uint64_t timeout_ms, std::uint64_t poll_ms = 2) const;
 
  private:
+  [[nodiscard]] const RenameWatch& answer_watch() const;
+
   const fault::Env* env_;  ///< resolved at construction (fault seam)
   std::string root_;
+  mutable std::once_flag watch_once_;
+  mutable std::unique_ptr<RenameWatch> watch_;  ///< see answer_watch()
 };
 
 }  // namespace snug::sim::service

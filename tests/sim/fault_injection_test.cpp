@@ -2,13 +2,16 @@
 // (common/fault.hpp) and the recovery behaviour it forces out of the
 // stores and the campaign engine — short writes, poisoned reads and
 // torn renames self-heal, injected transient task failures retry, a
-// seeded faulty campaign is bit-identical to a clean one, and a wedged
-// worker is flagged (not killed) by the executor watchdog.
+// seeded faulty campaign is bit-identical to a clean one, a crash
+// clause ends the process at a task start fixed by the plan, and a
+// wedged worker is flagged (not killed) by the executor watchdog.
 #include "common/fault.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -124,6 +127,52 @@ TEST(FaultPlan, RejectsBadClausesWithNamedErrors) {
                                        error));
   EXPECT_FALSE(fault::FaultPlan::parse("bit-flip@write:p=nope", plan,
                                        error));
+}
+
+TEST(FaultPlan, CrashClauseParsesOnTaskOnlyWithAfterAndMatch) {
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::FaultPlan::parse(
+      "seed=3; crash@task:after=4; crash@task:match=mixA", plan, error))
+      << error;
+  ASSERT_EQ(plan.clauses.size(), 2u);
+  EXPECT_EQ(plan.clauses[0].kind, fault::Kind::kCrash);
+  EXPECT_EQ(plan.clauses[0].op, fault::Op::kTask);
+  EXPECT_EQ(plan.clauses[0].after, 4u);
+  EXPECT_EQ(plan.clauses[1].after, 0u) << "default: the first task start";
+  fault::FaultPlan again;
+  ASSERT_TRUE(fault::FaultPlan::parse(plan.summary(), again, error))
+      << plan.summary() << ": " << error;
+  EXPECT_EQ(again.summary(), plan.summary());
+
+  EXPECT_FALSE(fault::FaultPlan::parse("crash@write", plan, error));
+  EXPECT_FALSE(fault::FaultPlan::parse("crash@task:first=2", plan, error));
+  EXPECT_NE(error.find("after="), std::string::npos) << error;
+  EXPECT_FALSE(fault::FaultPlan::parse("fail@task:after=2", plan, error));
+  EXPECT_NE(error.find("crash"), std::string::npos) << error;
+  EXPECT_FALSE(fault::FaultPlan::parse("crash@task:after=x", plan, error));
+}
+
+TEST(FaultPlanDeathTest, CrashExitsAtTheStartAfterNCountedAcrossCells) {
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::FaultPlan::parse("crash@task:after=3", plan, error))
+      << error;
+  // Three task starts of three different cells survive; the fourth
+  // start ends the process as kill -9 would, before the cell runs.
+  EXPECT_EXIT(
+      {
+        const fault::ScopedFaultPlan scoped(plan);
+        fault::maybe_fail_task("mixA/SNUG");
+        fault::maybe_fail_task("mixB/SNUG");
+        fault::maybe_fail_task("mixA/DSR");
+        std::fprintf(stderr, "three starts survived\n");
+        fault::maybe_fail_task("mixC/SNUG");
+        std::fprintf(stderr, "fourth start survived\n");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(137),
+      "three starts survived.*crash@task at the start of mixC/SNUG");
 }
 
 TEST(FaultPlan, RejectsAnEmptyPlanAndReportsNoInstallation) {

@@ -37,15 +37,6 @@ void publish_entry(const std::string& dir, const std::string& key,
   cache.store(key, fp, ipc);
 }
 
-TEST(AnswerIndexTest, DisabledIndexAlwaysMisses) {
-  AnswerIndex index("");
-  EXPECT_FALSE(index.enabled());
-  std::vector<double> ipc;
-  EXPECT_FALSE(index.lookup(42, ipc));
-  index.insert(42, {1.0});
-  EXPECT_FALSE(index.lookup(42, ipc)) << "a disabled index stores nothing";
-}
-
 TEST(AnswerIndexTest, InitialScanIndexesPublishedEntries) {
   TempDir tmp("snug_index_scan");
   const std::string dir = tmp.dir.string();

@@ -55,6 +55,17 @@ TEST(LeaseTable, ScanExpiresOnlyUnrenewedLeases) {
   EXPECT_FALSE(table.heartbeat(1, 0, 121));
 }
 
+TEST(LeaseTable, LeaseRenewedAfterTheScanClockReadIsFresh) {
+  LeaseTable table(/*lease_ms=*/100, /*max_holds=*/3);
+  // The supervisor reads its clock (ms 102), then a worker is granted
+  // and renews at later ms before the scan takes the lock.
+  ASSERT_TRUE(table.acquire(1, "mixA/SNUG", 0, 103));
+  EXPECT_TRUE(table.heartbeat(1, 0, 105));
+  EXPECT_TRUE(table.scan(102).empty()) << "a lease from the future is fresh";
+  EXPECT_EQ(table.live(), 1u);
+  EXPECT_EQ(table.counters().expired, 0u);
+}
+
 TEST(LeaseTable, PoisonsAfterMaxHoldsGrants) {
   LeaseTable table(/*lease_ms=*/10, /*max_holds=*/2);
   // Grant 1 expires, grant 2 expires — holds reaches max_holds, so the
@@ -73,6 +84,42 @@ TEST(LeaseTable, PoisonsAfterMaxHoldsGrants) {
   const LeaseTable::Counters c = table.counters();
   EXPECT_EQ(c.expired, 2u);
   EXPECT_EQ(c.poisoned, 1u);
+}
+
+TEST(LeaseTable, FinishedAndPoisonedTasksLeaveNoGrantCount) {
+  LeaseTable table(/*lease_ms=*/10, /*max_holds=*/2);
+  // A long-lived service leases each cell once and releases it after
+  // its run: nothing per cell may stay behind.
+  constexpr std::uint64_t kCells = 100;
+  for (std::uint64_t fp = 1; fp <= kCells; ++fp) {
+    ASSERT_TRUE(table.acquire(fp, "cell/SNUG", 0, fp));
+    EXPECT_TRUE(table.heartbeat(fp, 0, fp + 1));
+    table.release(fp, 0);
+  }
+  EXPECT_EQ(table.live(), 0u);
+  EXPECT_EQ(table.tracked_holds(), 0u);
+
+  // An expiry that is requeued keeps its grant count; a straggler's
+  // release leaves the replacement's lease and count whole; the
+  // replacement's release drops both.
+  ASSERT_TRUE(table.acquire(500, "slow/SNUG", 0, 0));
+  ASSERT_EQ(table.scan(10).size(), 1u);
+  EXPECT_EQ(table.tracked_holds(), 1u);
+  ASSERT_TRUE(table.acquire(500, "slow/SNUG", 1, 11));
+  table.release(500, 0);
+  EXPECT_EQ(table.live(), 1u);
+  EXPECT_EQ(table.tracked_holds(), 1u);
+  table.release(500, 1);
+  EXPECT_EQ(table.tracked_holds(), 0u);
+
+  // A poisoned task is dropped by the scan that poisons it.
+  ASSERT_TRUE(table.acquire(600, "wedge/SNUG", 0, 100));
+  ASSERT_EQ(table.scan(110).size(), 1u);
+  ASSERT_TRUE(table.acquire(600, "wedge/SNUG", 1, 120));
+  const std::vector<LeaseTable::Expiry> e = table.scan(130);
+  ASSERT_EQ(e.size(), 1u);
+  EXPECT_TRUE(e[0].poisoned);
+  EXPECT_EQ(table.tracked_holds(), 0u);
 }
 
 TEST(LeaseTable, ScanReportsMultipleExpiriesInFingerprintOrder) {

@@ -11,8 +11,12 @@
 // degrades to recompute-and-heal, never a wrong answer; an entry
 // another writer publishes after open is found by the by-name probe,
 // over the ring and the file wire, without simulating; a finished cell
-// wakes the publish pass instead of waiting out the poll interval;
-// finished misses leave no per-miss state behind; and opening reaps the
+// wakes the publish pass, and a query or answer file wakes its reader,
+// instead of waiting out the poll interval; a part whose cells all
+// answered from the index is memoised, bit-identical to the per-cell
+// path, and one with a pending or poisoned cell never is; finished
+// misses leave no per-miss state behind; a query renamed into submit/
+// within the tick of the last listing is still found; and opening reaps the
 // temps dead clients left in submit/.  Every file-wire query here is a
 // one-part query; a leftover file in the retired single-query format
 // answers a v2 error, and a submit whose answer already exists is
@@ -21,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -35,6 +42,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/fsepoch.hpp"
 #include "service_test_util.hpp"
 #include "sim/service/client.hpp"
 #include "sim/service/wire.hpp"
@@ -462,24 +470,30 @@ class ServingThread {
   std::thread thread_;
 };
 
+/// One ring query of `items` as `id`; fails the test unless it answers
+/// over the ring with one part per item.
+ServiceBatchAnswer ring_batch(CampaignServer& server, const std::string& id,
+                              const std::vector<BatchItem>& items) {
+  ServiceBatchQuery q;
+  q.id = id;
+  q.items = items;
+  ServiceBatchAnswer a;
+  std::string error;
+  RingClient ring(server);
+  EXPECT_TRUE(ring.query(q, a, /*publish=*/false, &error)) << error;
+  EXPECT_EQ(ring.wire_fallbacks(), 0u);
+  EXPECT_EQ(a.parts.size(), items.size()) << id;
+  return a;
+}
+
 /// One single-item query over the ring; fails the test unless it
 /// answers one ok part.
 std::vector<AnswerCell> ring_query(CampaignServer& server,
                                    const std::string& id,
                                    const std::string& scenario,
                                    const std::string& scheme) {
-  ServiceBatchQuery q;
-  q.id = id;
-  q.items = {{scenario, scheme}};
-  ServiceBatchAnswer a;
-  std::string error;
-  RingClient ring(server);
-  EXPECT_TRUE(ring.query(q, a, /*publish=*/false, &error)) << error;
-  EXPECT_EQ(ring.wire_fallbacks(), 0u);
-  if (a.parts.size() != 1) {
-    ADD_FAILURE() << id << ": " << a.parts.size() << " parts";
-    return {};
-  }
+  const ServiceBatchAnswer a = ring_batch(server, id, {{scenario, scheme}});
+  if (a.parts.size() != 1) return {};
   EXPECT_EQ(a.parts[0].status, AnswerStatus::kOk) << a.parts[0].error;
   return a.parts[0].cells;
 }
@@ -560,6 +574,172 @@ TEST(CampaignServerTest, FinishedCellWakesThePublishPass) {
   EXPECT_EQ(server.stats().ring_backlogged, 1u)
       << "the cell was simulated, so the publish pass answered it";
   EXPECT_LT(took, std::chrono::milliseconds(kPollMs / 4));
+}
+
+// Both waits of the file wire are event-driven: under a poll interval
+// no test run waits out, a query file wakes the server (its rename
+// into submit/) and the answer wakes the client (its rename into
+// answers/).  A lost wake shows as a 60-s stall, never as a flake.
+TEST(CampaignServerTest, FileWireWakesBothSidesOnPublishes) {
+  TempDir tmp("snug_service_file_wake");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  constexpr std::uint64_t kPollMs = 60'000;
+  const ServingThread serving(server, kPollMs);
+  const ServiceClient client(cfg.root);
+  const std::vector<AnswerCell> want = direct_cells(kScenarioA, "SNUG");
+  const auto t0 = std::chrono::steady_clock::now();
+  // The cold query's answer comes from a worker's wake; the warm one is
+  // submitted while serve() waits, so only its submit event wakes it.
+  for (const char* id : {"cold", "warm"}) {
+    ASSERT_TRUE(submit(cfg.root, id, kScenarioA, "SNUG"));
+    ServiceBatchAnswer a;
+    ASSERT_TRUE(client.wait_batch(id, a, /*timeout_ms=*/kPollMs,
+                                  /*poll_ms=*/kPollMs))
+        << id;
+    const BatchPart part = only_part(a);
+    ASSERT_EQ(part.status, AnswerStatus::kOk) << part.error;
+    expect_cells_equal(part.cells, want);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(kPollMs / 4));
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.cells_simulated, 1u);
+  EXPECT_EQ(s.cells_from_cache, 1u);
+}
+
+/// Four-core class-1 combos: one part of several cells per scheme.
+constexpr const char* kScenarioClass =
+    "cores=4 workload=class1 warmup-cycles=10000 measure-cycles=40000";
+
+std::size_t combos_of(const std::string& scenario) {
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse_scenario(scenario, spec, error)) << error;
+  return spec.combos().size();
+}
+
+TEST(CampaignServerTest, MemoisedPartsAreBitIdenticalToThePerCellPath) {
+  TempDir tmp("snug_service_part_memo");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  const ServingThread serving(server, /*poll_ms=*/1);
+  const std::vector<BatchItem> items = {{kScenarioClass, "SNUG"},
+                                        {kScenarioClass, "L2P"}};
+  const std::size_t cells = items.size() * combos_of(kScenarioClass);
+  ASSERT_GT(cells, items.size()) << "parts of several cells";
+
+  // Cold: the cells were pending when the parts were built, so they
+  // resolve through the backlog and nothing is memoised.
+  const ServiceBatchAnswer cold = ring_batch(server, "cold", items);
+  const CampaignServer::Stats s0 = server.stats();
+  EXPECT_EQ(s0.cells_simulated, cells);
+  EXPECT_EQ(s0.parts_from_memo, 0u);
+  // First warm query: every cell is an index hit, answered cell by
+  // cell; the parts are memoised on the way.
+  const ServiceBatchAnswer warm = ring_batch(server, "warm", items);
+  const CampaignServer::Stats s1 = server.stats();
+  EXPECT_EQ(s1.parts_from_memo, 0u);
+  EXPECT_EQ(s1.cells_from_cache - s0.cells_from_cache, cells);
+  EXPECT_EQ(s1.index.hits - s0.index.hits, cells);
+  // Second warm query: whole parts from the memo, no index lookups, the
+  // same cells_from_cache count.
+  const ServiceBatchAnswer memo = ring_batch(server, "memo", items);
+  const CampaignServer::Stats s2 = server.stats();
+  EXPECT_EQ(s2.parts_from_memo, items.size());
+  EXPECT_EQ(s2.cells_from_cache - s1.cells_from_cache, cells);
+  EXPECT_EQ(s2.index.hits, s1.index.hits);
+  EXPECT_EQ(s2.cells_simulated, cells);
+  EXPECT_EQ(s2.ring_inline_answers, 2u);
+
+  for (std::size_t p = 0; p < items.size(); ++p) {
+    ASSERT_EQ(cold.parts[p].status, AnswerStatus::kOk) << cold.parts[p].error;
+    ASSERT_EQ(memo.parts[p].status, AnswerStatus::kOk) << memo.parts[p].error;
+    expect_cells_equal(warm.parts[p].cells, cold.parts[p].cells);
+    expect_cells_equal(memo.parts[p].cells, cold.parts[p].cells);
+  }
+  // The file wire serves the memo too, to the same bytes.
+  ASSERT_TRUE(submit_batch(cfg.root, "file", items));
+  ServiceBatchAnswer file;
+  ASSERT_TRUE(ServiceClient(cfg.root).wait_batch("file", file, 30'000));
+  ServiceBatchAnswer expect = cold;
+  expect.id = "file";
+  EXPECT_EQ(file_bytes(answer_path(cfg.root, "file")),
+            encode_batch_answer(expect));
+  EXPECT_EQ(server.stats().parts_from_memo, 2 * items.size());
+}
+
+TEST(CampaignServerTest, PartsWithAPendingCellAreNeverMemoised) {
+  TempDir tmp("snug_service_memo_pending");
+  // The stall keeps the cell in the backlog far longer than the two
+  // passes the test runs itself, so the second query's part is built
+  // while its only cell is pending.
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(
+      fault::FaultPlan::parse("seed=2; stall@task:ms=400", plan, error))
+      << error;
+  const fault::ScopedFaultPlan scoped(plan);
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  ASSERT_TRUE(submit(cfg.root, "first", kScenarioA, "SNUG"));
+  ASSERT_GT(server.poll_once(), 0u);
+  ASSERT_TRUE(submit(cfg.root, "pending", kScenarioA, "SNUG"));
+  ASSERT_GT(server.poll_once(), 0u);
+  EXPECT_FALSE(fs::exists(answer_path(cfg.root, "pending")))
+      << "a part with a pending cell waits for it";
+  EXPECT_EQ(server.stats().parts_from_memo, 0u);
+
+  const ServingThread serving(server, /*poll_ms=*/1);
+  const std::vector<AnswerCell> want = direct_cells(kScenarioA, "SNUG");
+  for (const char* id : {"first", "pending"}) {
+    const BatchPart part = wait_part(cfg.root, id, /*timeout_ms=*/30'000);
+    ASSERT_EQ(part.status, AnswerStatus::kOk) << part.error;
+    expect_cells_equal(part.cells, want);
+  }
+  EXPECT_EQ(server.stats().parts_from_memo, 0u);
+  // Once the cell is indexed, the next build memoises the part and the
+  // one after answers from it.
+  expect_cells_equal(ring_query(server, "indexed", kScenarioA, "SNUG"), want);
+  expect_cells_equal(ring_query(server, "memo", kScenarioA, "SNUG"), want);
+  EXPECT_EQ(server.stats().parts_from_memo, 1u);
+}
+
+TEST(CampaignServerTest, PartsWithAPoisonedCellAreNeverMemoised) {
+  TempDir tmp("snug_service_memo_poison");
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_scenario(kScenarioClass, spec, error)) << error;
+  const std::vector<trace::WorkloadCombo> combos = spec.combos();
+  ASSERT_GT(combos.size(), 1u);
+  // Every run of the first combo fails: its cell poisons, the rest of
+  // the part stays healthy.
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::parse(
+      "seed=5; fail@task:match=" + combos[0].name + "/SNUG", plan, error))
+      << error;
+  const fault::ScopedFaultPlan scoped(plan);
+  ServiceConfig cfg = small_config(tmp);
+  cfg.retry.max_attempts = 2;
+  cfg.retry.backoff_ms = 1;
+  CampaignServer server(cfg);
+  const ServingThread serving(server, /*poll_ms=*/1);
+
+  std::vector<ServiceBatchAnswer> answers;
+  for (const char* id : {"first", "second", "third"}) {
+    answers.push_back(ring_batch(server, id, {{kScenarioClass, "SNUG"}}));
+    const BatchPart& part = answers.back().parts.at(0);
+    EXPECT_EQ(part.status, AnswerStatus::kError) << id;
+    EXPECT_NE(part.error.find(combos[0].name), std::string::npos)
+        << part.error;
+    EXPECT_EQ(part.cells.size(), combos.size() - 1)
+        << "the healthy cells still answer";
+    expect_cells_equal(part.cells, answers.front().parts.at(0).cells);
+  }
+  const CampaignServer::Stats s = server.stats();
+  EXPECT_EQ(s.parts_from_memo, 0u);
+  EXPECT_EQ(s.backlog.poisoned, 1u);
+  EXPECT_EQ(s.cells_simulated, combos.size() - 1);
 }
 
 TEST(CampaignServerTest, CorruptCacheEntryRecomputesAndHeals) {
@@ -671,6 +851,48 @@ TEST(CampaignServerTest, V1QueryFileIsRejectedWithAV2Error) {
   EXPECT_EQ(s.queries_rejected, 1u);
   EXPECT_EQ(s.queries_answered, 1u);
   EXPECT_EQ(s.cells_simulated, 0u);
+}
+
+// The submit poller skips its listing only on a directory signature
+// that had settled when it was last listed.  A query renamed in within
+// the same timestamp tick as the listed signature leaves it unchanged;
+// the poller must still find it once that signature settles.  The tick
+// is forced here by setting submit/'s mtime.
+TEST(CampaignServerTest, SameTickSubmitIsIngestedAfterTheEpochSettles) {
+  TempDir tmp("snug_service_same_tick");
+  const ServiceConfig cfg = small_config(tmp);
+  CampaignServer server(cfg);
+  const std::string sdir = submit_dir(cfg.root);
+  // A signature 300 ms in the future stays unsettled for the first pass.
+  const auto set_mtime = [&sdir](const struct timespec& t) {
+    const struct timespec times[2] = {{0, UTIME_OMIT}, t};
+    ASSERT_EQ(::utimensat(AT_FDCWD, sdir.c_str(), times, 0), 0);
+  };
+  struct timespec tick{};
+  ASSERT_EQ(::clock_gettime(CLOCK_REALTIME, &tick), 0);
+  tick.tv_nsec += 300'000'000;
+  if (tick.tv_nsec >= 1'000'000'000) {
+    ++tick.tv_sec;
+    tick.tv_nsec -= 1'000'000'000;
+  }
+
+  ASSERT_TRUE(submit(cfg.root, "first", kScenarioA, "NOPE"));
+  set_mtime(tick);
+  const DirEpoch listed = dir_epoch(sdir);
+  ASSERT_FALSE(epoch_settled(listed));
+  ASSERT_GT(server.poll_once(), 0u) << "the first query is ingested";
+  ASSERT_TRUE(fs::exists(answer_path(cfg.root, "first")));
+
+  // The second query lands in the listed tick: same mtime, same size.
+  ASSERT_TRUE(submit(cfg.root, "second", kScenarioA, "NOPE"));
+  set_mtime(tick);
+  ASSERT_EQ(dir_epoch(sdir), listed);
+  while (!epoch_settled(dir_epoch(sdir))) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(dir_epoch(sdir), listed);
+  EXPECT_GT(server.poll_once(), 0u) << "the same-tick query is ingested";
+  EXPECT_TRUE(fs::exists(answer_path(cfg.root, "second")));
 }
 
 TEST(CampaignServerTest, SubmitWhoseAnswerExistsIsRetiredWithoutReanswering) {

@@ -3,13 +3,15 @@
 // query-id hygiene (ids become file names — no traversal, no
 // separators), exact %.17g IPC round-tripping, a literal pin of the
 // answer bytes, the verified publish under a torn write, and the
-// ServiceClient's atomic submit / poll behaviour.
+// ServiceClient's atomic submit / poll behaviour and its event-driven
+// wait.
 #include "sim/service/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
@@ -374,6 +377,48 @@ TEST(ServiceClientTest, SubmitPublishesAtomicallyAndPollsAnswers) {
   ASSERT_EQ(polled.parts.size(), 2u);
   EXPECT_EQ(polled.parts[0].cells[0].ipc, a.parts[0].cells[0].ipc);
   EXPECT_EQ(polled.parts[1].retry_after_ms, 99u);
+}
+
+// wait_batch wakes on the answer's rename into answers/, not on its
+// poll interval: with a 60-s interval the wait must still end within
+// moments of the publish, and another query's answer landing first is
+// only a spurious wake.
+TEST(ServiceClientTest, WaitBatchWakesOnTheAnswerRename) {
+  TempDir tmp("snug_service_wire_wake");
+  const std::string root = tmp.dir.string();
+  const ServiceClient client(root);
+  ServiceBatchAnswer a;
+  a.parts.resize(1);
+  a.parts[0].cells.push_back({"mixA", {0.5, 1.25}});
+  const auto publish = [&](const std::string& id) {
+    a.id = id;
+    const std::string text = encode_batch_answer(a);
+    ASSERT_TRUE(publish_verified(fault::env(), answer_path(root, id),
+                                 reinterpret_cast<const std::byte*>(
+                                     text.data()),
+                                 text.size()));
+  };
+  constexpr std::uint64_t kPollMs = 60'000;
+  for (int round = 0; round < 3; ++round) {
+    const std::string id = "w" + std::to_string(round);
+    const auto t0 = std::chrono::steady_clock::now();
+    // The publisher lets the client reach its wait first (either order
+    // must answer; this one exercises the wake).
+    std::thread publisher([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      publish("other" + std::to_string(round));
+      publish(id);
+    });
+    ServiceBatchAnswer got;
+    const bool ok = client.wait_batch(id, got, /*timeout_ms=*/kPollMs,
+                                      /*poll_ms=*/kPollMs);
+    publisher.join();
+    ASSERT_TRUE(ok) << id;
+    EXPECT_EQ(got.id, id);
+    EXPECT_EQ(got.parts.at(0).cells.at(0).ipc, a.parts[0].cells[0].ipc);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(kPollMs / 4));
+  }
 }
 
 }  // namespace
