@@ -72,6 +72,11 @@ struct CoreStats {
 template <typename Port>
 class Core {
  public:
+  /// Instructions pulled from the stream per InstrStream::fill_batch
+  /// call: one virtual dispatch amortised over the batch (and the batch
+  /// size of sim::Lookahead's rings).
+  static constexpr std::size_t kFetchBatch = 64;
+
   Core(CoreId id, const CoreConfig& cfg, trace::InstrStream& stream,
        Port& mem)
       : id_(id), cfg_(cfg), stream_(stream), mem_(mem) {
@@ -272,9 +277,6 @@ class Core {
   };
 
   static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
-  /// Instructions pulled from the stream per InstrStream::fill call: one
-  /// virtual dispatch amortised over the batch.
-  static constexpr std::size_t kFetchBatch = 64;
 
   void append_rob(const RobEntry& entry, RobEntry* rob,
                   std::uint32_t rob_entries) noexcept {

@@ -110,20 +110,41 @@ void CampaignServer::gc_answers() {
       reap_orphaned_temps(*env_, adir) +
           reap_orphaned_temps(*env_, submit_dir(cfg_.root)),
       std::memory_order_relaxed);
+  const std::uint64_t reaped = reap_acked_answers();
+  if (reaped > 0) {
+    std::fprintf(stderr,
+                 "snug: campaignd: reaped %llu acked answers over the "
+                 "%zu-entry retention cap\n",
+                 static_cast<unsigned long long>(reaped), kAnswerKeepCap);
+  }
+}
+
+std::uint64_t CampaignServer::reap_acked_answers() {
   // Reap acked answers (no matching submit file — the client saw them
   // or abandoned them) beyond the retention cap, oldest name first:
   // the same bounded-evidence pattern as the stores' quarantine cap.
-  std::vector<std::string> published;
+  // An answer published since the last reap is in flight: its client
+  // may not have read it yet.
+  std::vector<std::string> fresh;
+  fresh.swap(fresh_answers_);
+  std::sort(fresh.begin(), fresh.end());
+  const std::string adir = answer_dir(cfg_.root);
+  std::vector<std::string> acked;
+  std::size_t remaining = 0;
   for (const std::string& name : env_->list_dir(adir)) {
-    if (name.size() > 7 && name.rfind(".answer") == name.size() - 7) {
-      published.push_back(name);
+    if (name.size() <= 7 || name.rfind(".answer") != name.size() - 7) {
+      continue;
+    }
+    ++remaining;
+    if (!std::binary_search(fresh.begin(), fresh.end(),
+                            name.substr(0, name.size() - 7))) {
+      acked.push_back(name);
     }
   }
-  if (published.size() <= kAnswerKeepCap) return;
-  std::sort(published.begin(), published.end());
-  std::size_t remaining = published.size();
+  if (remaining <= kAnswerKeepCap) return 0;
+  std::sort(acked.begin(), acked.end());
   std::uint64_t reaped = 0;
-  for (const std::string& name : published) {
+  for (const std::string& name : acked) {
     if (remaining <= kAnswerKeepCap) break;
     const std::string id = name.substr(0, name.size() - 7);
     std::vector<std::byte> probe;
@@ -134,13 +155,8 @@ void CampaignServer::gc_answers() {
     ++reaped;
     --remaining;
   }
-  answers_reaped_.store(reaped, std::memory_order_relaxed);
-  if (reaped > 0) {
-    std::fprintf(stderr,
-                 "snug: campaignd: reaped %llu acked answers over the "
-                 "%zu-entry retention cap\n",
-                 static_cast<unsigned long long>(reaped), kAnswerKeepCap);
-  }
+  answers_reaped_.fetch_add(reaped, std::memory_order_relaxed);
+  return reaped;
 }
 
 ExperimentRunner& CampaignServer::runner_for(const ScenarioSpec& spec,
@@ -367,6 +383,7 @@ bool CampaignServer::finish_tracked(const TrackedQuery& tq,
     // Only AFTER a successful publish is the submit file removed — the
     // crash contract.
     env_->remove(query_path(cfg_.root, tq.id));
+    fresh_answers_.push_back(tq.id);
   }
   return true;
 }
@@ -546,6 +563,15 @@ std::size_t CampaignServer::poll_once() {
   progress += ingest();
   progress += supervise();
   progress += publish();
+  // A long-lived server keeps answers/ bounded as it serves, at one
+  // directory listing per kAnswerKeepCap file-wire answers.
+  if (fresh_answers_.size() >= kAnswerKeepCap) {
+    const std::uint64_t reaped = reap_acked_answers();
+    if (cfg_.verbose && reaped > 0) {
+      std::fprintf(stderr, "snug: campaignd: reaped %llu acked answers\n",
+                   static_cast<unsigned long long>(reaped));
+    }
+  }
   return progress;
 }
 

@@ -49,6 +49,10 @@
 //              clients); only AFTER a successful publish is the submit
 //              file removed, so a crash at any point re-ingests the
 //              query on restart.
+//   reap       once per kAnswerKeepCap file-wire answers published,
+//              acked answers beyond the cap are reaped from
+//              <root>/answers/ (the open-time rule, minus the answers
+//              published since the last reap).
 //
 // serve() runs the next pass as soon as a query file is renamed into
 // <root>/submit/ (an inotify watch, sim/service/wire.hpp), a worker
@@ -124,8 +128,9 @@ struct ServiceConfig {
   std::function<void()> on_cell_completed;
 };
 
-/// Bound on retained answer files: on open, acked answers (no matching
-/// submit file) beyond this cap are reaped oldest-name-first — the same
+/// Bound on retained answer files: acked answers (no matching submit
+/// file) beyond this cap are reaped oldest-name-first, on open and
+/// again after every kAnswerKeepCap file-wire publishes — the same
 /// pattern as the stores' quarantine bound (kQuarantineCap).
 inline constexpr std::size_t kAnswerKeepCap = 256;
 
@@ -164,7 +169,7 @@ class CampaignServer {
     std::uint64_t ring_submits = 0;      ///< ops popped off the ring
     std::uint64_t ring_inline_answers = 0;  ///< every cell from the index
     std::uint64_t ring_backlogged = 0;   ///< a cell missed the index
-    std::uint64_t answers_reaped = 0;       ///< acked answers GC'd at open
+    std::uint64_t answers_reaped = 0;  ///< acked answers GC'd (open + serving)
     /// Dead writers' answer and query temps reaped at open.
     std::uint64_t answer_temps_reaped = 0;
     std::uint64_t submit_scans_skipped = 0;  ///< epoch-gated poller skips
@@ -181,7 +186,7 @@ class CampaignServer {
   CampaignServer(const CampaignServer&) = delete;
   CampaignServer& operator=(const CampaignServer&) = delete;
 
-  /// One ingest + supervise + publish pass; returns how much happened
+  /// One ingest + supervise + publish (+ reap) pass; returns how much happened
   /// (queries ingested + expiries handled + answers published) so a
   /// caller can detect idleness.  Thread-safe against the workers but
   /// meant to be driven from one serving thread.
@@ -302,8 +307,13 @@ class CampaignServer {
   void wake_workers();
   /// Drops a terminal (done or poisoned) cell's work_ entry.
   void forget_work(std::uint64_t fp);
-  /// Open-time answer-directory GC (see kAnswerKeepCap).
+  /// Open-time answer-directory GC: dead writers' temps, then
+  /// reap_acked_answers.
   void gc_answers();
+  /// Reaps acked answers beyond kAnswerKeepCap, oldest name first,
+  /// sparing those published since the last reap (their clients may not
+  /// have read them yet); returns the count.  Serving thread only.
+  std::uint64_t reap_acked_answers();
 
   const ServiceConfig cfg_;
   const fault::Env* env_;
@@ -334,6 +344,9 @@ class CampaignServer {
   /// though the directory did not change).
   DirEpoch submit_epoch_;
   bool submit_force_rescan_ = false;
+  /// Ids of the file-wire answers published since the last reap
+  /// (serving thread only: ring ops never publish through this path).
+  std::vector<std::string> fresh_answers_;
 
   std::atomic<std::uint64_t> cells_from_cache_{0};
   std::atomic<std::uint64_t> parts_from_memo_{0};

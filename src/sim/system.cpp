@@ -10,6 +10,9 @@
 
 namespace snug::sim {
 
+static_assert(Lookahead::kBatch == cpu::Core<CmpSystem>::kFetchBatch,
+              "a ring batch is one core fetch batch");
+
 CmpSystem::CmpSystem(const SystemConfig& cfg,
                      const schemes::SchemeSpec& spec,
                      const trace::WorkloadCombo& combo,
@@ -54,12 +57,14 @@ void CmpSystem::build(const schemes::SchemeSpec& spec,
     scfg.stream_seed = c;
     streams_.push_back(
         std::make_unique<trace::SyntheticStream>(prof, scfg));
-
+  }
+  front_end_ = std::make_unique<FrontEnd>(streams_);
+  for (CoreId c = 0; c < cfg.num_cores; ++c) {
     cpu::CoreConfig core_cfg = cfg.core;
-    core_cfg.code_blocks = prof.code_blocks;
+    core_cfg.code_blocks = streams_[c]->profile().code_blocks;
     core_cfg.line_bytes = cfg.l1i.line_bytes();
     cores_.push_back(std::make_unique<cpu::Core<CmpSystem>>(
-        c, core_cfg, *streams_[c], *this));
+        c, core_cfg, front_end_->lane(c), *this));
   }
   core_wake_.assign(cfg.num_cores, 0);
 }
@@ -78,6 +83,8 @@ void CmpSystem::run(Cycle cycles) {
   // `end` (see Core::step); a core parked at a shared-state event wakes
   // at that event's cycle like any other, so no park outlives the
   // window.
+  ran_ = true;
+  const FrontEnd::Attached pipelined(*front_end_);
   const Cycle end = now_ + cycles;
   schemes::L2Scheme* const scheme = scheme_.get();
   Cycle boundary = scheme->has_periodic_work()
@@ -216,8 +223,8 @@ void CmpSystem::warm_functional(Cycle cycles) {
       }
       if (c == cfg_.num_cores) break;  // every cursor reached slice_end
       FunctionalCursor& f = cursors[c];
-      trace::SyntheticStream& stream = *streams_[c];
-      const std::uint64_t code_blocks = stream.profile().code_blocks;
+      Lookahead& stream = front_end_->lane(c);
+      const std::uint64_t code_blocks = streams_[c]->profile().code_blocks;
       const Cycle burst_end =
           f.now + kBurst < slice_end ? f.now + kBurst : slice_end;
       while (f.now < burst_end) {
@@ -273,6 +280,9 @@ void CmpSystem::warm_functional(Cycle cycles) {
 }
 
 std::vector<std::byte> CmpSystem::save_warm_state() const {
+  SNUG_ENSURE_MSG(!ran_,
+                  "save_warm_state() after run(): only a built, warmed or "
+                  "restored machine has a warm state");
   StateWriter w;
   w.pod(now_);
   std::vector<std::byte> arena;
@@ -290,6 +300,9 @@ std::vector<std::byte> CmpSystem::save_warm_state() const {
 }
 
 void CmpSystem::load_warm_state(const std::vector<std::byte>& blob) {
+  SNUG_ENSURE_MSG(!ran_,
+                  "load_warm_state() after run(): restore into a freshly "
+                  "built machine");
   StateReader r(blob);
   now_ = r.pod<Cycle>();
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {

@@ -11,6 +11,7 @@
 #include "cpu/core.hpp"
 #include "schemes/factory.hpp"
 #include "sim/config.hpp"
+#include "sim/front_end.hpp"
 #include "sim/scenario.hpp"
 #include "trace/synth_stream.hpp"
 #include "trace/workloads.hpp"
@@ -31,7 +32,11 @@ class CmpSystem final {
   /// — plain instructions, L1 hits, retirement — in one call, parking at
   /// shared-state events (L1 misses) so those still execute in exact
   /// global (cycle, core) order.  Resumable: no park survives a window,
-  /// so run(a) + run(b) is bit-identical to run(a + b).
+  /// so run(a) + run(b) is bit-identical to run(a + b).  For its span
+  /// the cores' lookahead rings are attached to the process-wide
+  /// front-end helper (sim/front_end.hpp), which synthesises their
+  /// instruction batches ahead of them; what it made and run() did not
+  /// consume waits in the rings for the next run().
   void run(Cycle cycles);
 
   /// Functional fast-forward warm-up (warmup-mode=functional): drives
@@ -46,14 +51,19 @@ class CmpSystem final {
   /// and remain in their just-built state.  Must be called on a freshly
   /// built machine, before any run(); afterwards the machine state is
   /// the closed set save_warm_state() serializes, and run() continues
-  /// in full timing from `now()`.
+  /// in full timing from `now()`.  Synchronous: it consumes the streams
+  /// on the calling thread, so each stream's cursor stands exactly where
+  /// its consumer does.
   void warm_functional(Cycle cycles);
 
   /// Serializes the post-functional-warm-up machine (now_, L1 arenas,
   /// stream cursors, scheme warm state) into a self-contained blob.
   /// load_warm_state on a freshly built same-config machine restores it
   /// bit-exactly: restore + run() is identical to warm_functional +
-  /// run() in-process (pinned by tests/sim/warm_state_test.cpp).
+  /// run() in-process (pinned by tests/sim/warm_state_test.cpp).  Both
+  /// die on a machine that has run(): the blob holds neither the cores'
+  /// pipelines nor the lookahead the front end made beyond the stream
+  /// cursors it records.
   [[nodiscard]] std::vector<std::byte> save_warm_state() const;
   void load_warm_state(const std::vector<std::byte>& blob);
 
@@ -128,7 +138,10 @@ class CmpSystem final {
   [[nodiscard]] dram::DramModel& dram() { return *dram_; }
   [[nodiscard]] cpu::Core<CmpSystem>& core(CoreId c);
   [[nodiscard]] cache::SetAssocCache& l1d(CoreId c);
+  /// The core's stream itself, behind its lookahead ring: draw from it
+  /// only on a machine that has not run.
   [[nodiscard]] trace::SyntheticStream& stream(CoreId c);
+  [[nodiscard]] FrontEnd& front_end() { return *front_end_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
 
  private:
@@ -144,6 +157,8 @@ class CmpSystem final {
   std::vector<cache::SetAssocCache> l1i_;
   std::vector<cache::SetAssocCache> l1d_;
   std::vector<std::unique_ptr<trace::SyntheticStream>> streams_;
+  // The cores consume their streams through these lookahead rings.
+  std::unique_ptr<FrontEnd> front_end_;
   // Cores are templated on this system: the per-instruction probe/miss
   // calls are direct and inline.
   std::vector<std::unique_ptr<cpu::Core<CmpSystem>>> cores_;
@@ -152,6 +167,7 @@ class CmpSystem final {
   std::vector<Cycle> core_wake_;
   Cycle now_ = 0;
   Cycle window_start_ = 0;
+  bool ran_ = false;  ///< run() was called (see save_warm_state)
 };
 
 }  // namespace snug::sim

@@ -73,11 +73,13 @@ SyntheticStream::SyntheticStream(const BenchmarkProfile& profile,
   store_thr_ = to_threshold(profile_.store_fraction);
   offset_bits_ = log2i(cfg_.line_bytes);
   index_bits_ = log2i(cfg_.num_sets);
+  memo_covers_line_ = cfg_.line_bytes <= 64;
   enter_phase(0);
 
   // Seed the L1-local target with one allocated block so the very first
   // local reference has something to touch.
   last_block_ = next_l2_ref();
+  last_writable_ = writable_block(last_block_);
 }
 
 void SyntheticStream::enter_phase(std::size_t idx) {
@@ -194,6 +196,7 @@ void SyntheticStream::load_state(StateReader& r) {
   SNUG_ENSURE(demand_.size() == cfg_.num_sets);
   l2_refs_ = r.pod<std::uint64_t>();
   last_block_ = r.pod<Addr>();
+  last_writable_ = writable_block(last_block_);
   // Derived per-phase tables (alias samplers, streaming threshold) are
   // rebuilt, NOT re-entered: enter_phase would clamp stacks and recompute
   // the phase deadline, both of which the snapshot already fixes.
@@ -252,27 +255,35 @@ Addr SyntheticStream::next_l2_ref() {
   return make_block_addr(set, uid);
 }
 
-std::uint8_t SyntheticStream::gen_code(Addr& addr) {
-  const std::uint64_t u = rng_.next();
+std::uint8_t SyntheticStream::gen_code(Rng& rng, Addr& addr) {
+  const std::uint64_t u = rng.next();
   // One unpredictable branch per instruction: memory op or not (the
   // wrap-around compare folds `branch_thr_ <= u < mem_thr_` into a
   // single unsigned test).  Everything else is branchless flag
   // arithmetic — data-dependent mispredicts on uniformly random draws
   // cost more than the cmovs that replace them.
   if (u - branch_thr_ < mem_span_) {
-    const bool wants_store = rng_.next() < store_thr_;
+    const bool wants_store = rng.next() < store_thr_;
+    bool writable;
     if (u < mem_l2_thr_) {  // exact conditional draw within the mem band
+      // The rare out-of-line path draws from rng_ itself: the local copy
+      // never escapes, so it stays in registers on the common path.
+      rng_ = rng;
       addr = next_l2_ref();
+      rng = rng_;
       last_block_ = addr;
+      last_writable_ = writable_block(addr);
+      writable = last_writable_;
     } else {
       // Intra-block locality: re-reference the last block at some offset.
-      addr = last_block_ | (rng_.next() & (cfg_.line_bytes - 1) & ~Addr{7});
+      addr = last_block_ | (rng.next() & (cfg_.line_bytes - 1) & ~Addr{7});
+      writable = memo_covers_line_ ? last_writable_ : writable_block(addr);
     }
     // Stores only dirty the program's store footprint; everything else is
     // read-only data and the op degrades to a load.  Non-short-circuit on
-    // purpose: the hash is cheaper than a data-dependent mispredict.
+    // purpose: the flag is cheaper than a data-dependent mispredict.
     return static_cast<std::uint8_t>(InstrKind::kLoad) +
-           static_cast<std::uint8_t>(wants_store & writable_block(addr));
+           static_cast<std::uint8_t>(wants_store & writable);
   }
   // Branch or compute; the mispredict flag is an exact conditional draw
   // (computes have u >= mem_thr_ > branch_mispred_thr_, so it stays 0).
@@ -284,15 +295,17 @@ std::uint8_t SyntheticStream::gen_code(Addr& addr) {
 
 std::size_t SyntheticStream::fill_batch(std::uint8_t* code, Addr* addr,
                                         std::size_t n) {
+  Rng rng = rng_;
   for (std::size_t i = 0; i < n; ++i) {
-    code[i] = gen_code(addr[i]);
+    code[i] = gen_code(rng, addr[i]);
   }
+  rng_ = rng;
   return n;
 }
 
 Instr SyntheticStream::gen_next() {
   Addr addr = 0;
-  const std::uint8_t code = gen_code(addr);
+  const std::uint8_t code = gen_code(rng_, addr);
   Instr instr;
   instr.kind = static_cast<InstrKind>(code & 7);
   instr.mispredict = (code & kInstrMispredictBit) != 0;

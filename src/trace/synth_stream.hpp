@@ -98,7 +98,11 @@ class SyntheticStream final : public InstrStream {
   /// decodes it into an Instr — keeping the two paths draw-for-draw
   /// identical by construction (pinned by
   /// tests/trace/synth_stream_test.cpp BatchAndNextAreSameStream).
-  std::uint8_t gen_code(Addr& addr);
+  /// `rng` is rng_ itself (gen_next) or fill_batch's local copy of it:
+  /// the batch's byte and address stores may alias the member's lanes,
+  /// which would then be reloaded every instruction.  The copy is synced
+  /// with rng_ around next_l2_ref, which draws from rng_.
+  std::uint8_t gen_code(Rng& rng, Addr& addr);
   Instr gen_next();
 
   BenchmarkProfile profile_;
@@ -156,6 +160,13 @@ class SyntheticStream final : public InstrStream {
   std::uint64_t l2_refs_ = 0;
   Addr last_block_ = 0;  // target of L1-local re-references
   std::uint32_t writable_threshold_ = 0;  // writable_fraction * 2^16
+  // writable_block(last_block_), memoised: about 96% of data references
+  // re-touch last_block_.  Derived (recomputed on load, never saved).
+  // writable_block hashes addr >> 6, so the memo also answers the
+  // re-references at any offset exactly when lines are <= 64 bytes;
+  // wider lines hash each re-reference instead.
+  bool last_writable_ = false;
+  bool memo_covers_line_ = true;  // line_bytes <= 64
 };
 
 }  // namespace snug::trace

@@ -17,7 +17,8 @@
 // path, and one with a pending or poisoned cell never is; finished
 // misses leave no per-miss state behind; a query renamed into submit/
 // within the tick of the last listing is still found; and opening reaps the
-// temps dead clients left in submit/.  Every file-wire query here is a
+// temps dead clients left in submit/, and a serving one keeps
+// answers/ bounded.  Every file-wire query here is a
 // one-part query; a leftover file in the retired single-query format
 // answers a v2 error, and a submit whose answer already exists is
 // retired without re-answering.
@@ -1028,6 +1029,55 @@ TEST(CampaignServerTest, OpenReapsDeadClientsQueryTemps) {
   EXPECT_FALSE(fs::exists(dead)) << "a dead client's temp is reaped";
   EXPECT_TRUE(fs::exists(live)) << "a live client's temp is its own";
   EXPECT_EQ(server.stats().answer_temps_reaped, 1u);
+}
+
+// A long-lived server keeps answers/ bounded while it serves: every
+// kAnswerKeepCap file-wire answers it reaps the acked ones beyond the
+// cap, sparing those published since the previous reap, so 3 x
+// kAnswerKeepCap sweeps leave kAnswerKeepCap answers behind.  An answer
+// whose submit file is still live is never reaped.
+TEST(CampaignServerTest, ServingReapsAckedAnswersOncePerRetentionCap) {
+  TempDir tmp("snug_service_serving_reap");
+  const ServiceConfig cfg = small_config(tmp);
+  // Every sweep answers from the index: no simulation.
+  publish_from_another_writer(cfg.cache_dir, kScenarioA, "L2P");
+  const ServiceClient client(cfg.root);  // creates submit/ and answers/
+  // A submit the server never retires (its id is not one it answers)
+  // stays live for the whole run, beside its answer — the oldest name.
+  const std::string pinned = "pinned answer";
+  std::ofstream(answer_path(cfg.root, pinned), std::ios::binary)
+      << "answer-v2\nid=pinned\nparts=1\npart=0 status=ok\n";
+  std::ofstream(query_path(cfg.root, pinned), std::ios::binary)
+      << "query-v2\nid=pinned\nquery=L2P|cores=4\n";
+
+  CampaignServer server(cfg);
+  {
+    const ServingThread serving(server, /*poll_ms=*/50);
+    constexpr std::size_t kSweeps = 3 * kAnswerKeepCap;
+    for (std::size_t i = 0; i < kSweeps; ++i) {
+      char id[16];
+      std::snprintf(id, sizeof id, "s%04zu", i);
+      ASSERT_TRUE(submit(cfg.root, id, kScenarioA, "L2P"));
+      ServiceBatchAnswer a;
+      ASSERT_TRUE(client.wait_batch(id, a, /*timeout_ms=*/30'000)) << id;
+      ASSERT_EQ(only_part(a).status, AnswerStatus::kOk) << id;
+    }
+  }  // serve() returns after the pass that published the last answer
+  std::size_t kept = 0;
+  for (const auto& e : fs::directory_iterator(answer_dir(cfg.root))) {
+    if (e.path().extension() == ".answer") ++kept;
+  }
+  // The third reap ran on the last sweep's publish and spared exactly
+  // the answers published since the second: nothing else is in flight.
+  EXPECT_EQ(kept, kAnswerKeepCap + 1) << "the cap, plus the pinned answer";
+  EXPECT_EQ(server.stats().answers_reaped, 2 * kAnswerKeepCap);
+  EXPECT_TRUE(fs::exists(answer_path(cfg.root, pinned)))
+      << "a live submit file pins its answer";
+  EXPECT_FALSE(fs::exists(answer_path(cfg.root, "s0000")));
+  EXPECT_FALSE(fs::exists(answer_path(cfg.root, "s0511")));
+  EXPECT_TRUE(fs::exists(answer_path(cfg.root, "s0512")));
+  EXPECT_TRUE(fs::exists(answer_path(cfg.root, "s0767")));
+  EXPECT_EQ(server.stats().cells_simulated, 0u);
 }
 
 }  // namespace
