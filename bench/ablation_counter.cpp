@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
       sim::SystemConfig cfg = sim::paper_system_config();
       cfg.scheme_ctx.snug.monitor.p = p;
       cfg.scheme_ctx.snug.monitor.taker_biased = biased;
-      sim::ExperimentRunner runner(cfg, scale,
-                                   sim::default_cache_dir() + "_counter");
+      sim::ExperimentRunner runner(cfg, scale, sim::default_cache_dir());
       const auto base = runner.run(combo, {schemes::SchemeKind::kL2P, 0});
       const auto snug_result =
           runner.run(combo, {schemes::SchemeKind::kSNUG, 0});

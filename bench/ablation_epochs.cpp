@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
     // Warm past the second harvest for every epoch setting.
     scale.warmup_cycles = 2 * identify + identify * 4 + 1'000'000;
     scale.measure_cycles = identify * 5;
-    sim::ExperimentRunner runner(cfg, scale,
-                                 sim::default_cache_dir() + "_epochs");
+    sim::ExperimentRunner runner(cfg, scale, sim::default_cache_dir());
     const auto base = runner.run(combo, {schemes::SchemeKind::kL2P, 0});
     const auto snug_result =
         runner.run(combo, {schemes::SchemeKind::kSNUG, 0});

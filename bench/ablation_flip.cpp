@@ -33,11 +33,7 @@ int main(int argc, char** argv) {
     for (const bool flip : {true, false}) {
       sim::SystemConfig cfg = sim::paper_system_config();
       cfg.scheme_ctx.snug.flip_enabled = flip;
-      // Distinct cache key: disable the cache for the no-flip variant by
-      // running through a dedicated directory.
-      sim::ExperimentRunner runner(
-          cfg, scale,
-          sim::default_cache_dir() + (flip ? "" : "_noflip"));
+      sim::ExperimentRunner runner(cfg, scale, sim::default_cache_dir());
       if (!quiet) {
         runner.on_progress = [](const std::string& c, const std::string& s,
                                 bool cached) {

@@ -6,13 +6,8 @@
 
 namespace snug::cache {
 
-SetAssocCache::SetAssocCache(std::string name, const CacheGeometry& geo,
-                             ReplacementKind repl, Rng* rng)
-    : name_(std::move(name)),
-      geo_(geo),
-      assoc_(geo.associativity()),
-      repl_kind_(repl),
-      rng_(rng) {
+SetAssocCache::SetAssocCache(std::string name, const CacheGeometry& geo)
+    : name_(std::move(name)), geo_(geo), assoc_(geo.associativity()) {
   SNUG_REQUIRE_MSG(assoc_ >= 1 && assoc_ <= kMaxReplAssoc,
                    "cache '%s': associativity %u outside 1..%u",
                    name_.c_str(), assoc_, kMaxReplAssoc);
@@ -34,8 +29,7 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry& geo,
       tags[w] = 0;
       meta[w] = kMetaInvalid;
     }
-    repl::init(repl_kind_,
-               reinterpret_cast<std::uint8_t*>(block + repl_offset()),
+    repl::init(reinterpret_cast<std::uint8_t*>(block + repl_offset()),
                assoc_);
   }
 }
@@ -66,8 +60,7 @@ Eviction SetAssocCache::fill_local(Addr addr, bool dirty, CoreId owner) {
   return {displaced, s};
 }
 
-Eviction SetAssocCache::insert_cc(Addr addr, CoreId owner, bool flipped,
-                                  bool demoted) {
+Eviction SetAssocCache::insert_cc(Addr addr, CoreId owner, bool flipped) {
   const SetIndex home = geo_.set_of(addr);
   const SetIndex target = flipped ? geo_.buddy_set(home) : home;
   const CacheSet set = set_view(target);
@@ -75,10 +68,10 @@ Eviction SetAssocCache::insert_cc(Addr addr, CoreId owner, bool flipped,
   // is never spilled while the owner still holds it, so no duplicate can
   // legally exist here.
   SNUG_REQUIRE(set.find_cc(geo_.tag_of(addr), flipped) == kInvalidWay);
-  // Plain LRU victim choice: guests claim stale host lines progressively
-  // and age out naturally.  (choose_victim_prefer_guests is the
-  // replica-first ablation; measurements showed plain LRU hosts guests
-  // better when hosts hold dead-but-valid lines.)
+  // Plain LRU victim, MRU insertion: guests claim stale host lines
+  // progressively and age out naturally.  Inserting guests at LRU and
+  // Chang & Sohi's replica-first victim (the coldest guest before any
+  // host line) both measured as fig9 losses (ROADMAP, negative results).
   const WayIndex victim = set.choose_victim();
   CacheLine incoming;
   incoming.tag = geo_.tag_of(addr);
@@ -87,8 +80,7 @@ Eviction SetAssocCache::insert_cc(Addr addr, CoreId owner, bool flipped,
   incoming.cc = true;
   incoming.flipped = flipped;
   incoming.owner = owner;
-  const CacheLine displaced = demoted ? set.fill_demoted(victim, incoming)
-                                      : set.fill(victim, incoming);
+  const CacheLine displaced = set.fill(victim, incoming);
   ++stats_.cc_inserted();
   if (displaced.valid) {
     if (displaced.cc) {
@@ -116,15 +108,6 @@ void SetAssocCache::invalidate(SetIndex s, WayIndex way) {
   const CacheSet set = set_view(s);
   if (set.valid_cc(way)) ++stats_.cc_invalidated();
   set.invalidate(way);
-}
-
-void SetAssocCache::invalidate_all() {
-  for (SetIndex s = 0; s < geo_.num_sets(); ++s) {
-    const CacheSet set = set_view(s);
-    for (WayIndex w = 0; w < assoc_; ++w) {
-      if (set.valid(w)) set.invalidate(w);
-    }
-  }
 }
 
 CacheSet SetAssocCache::set(SetIndex s) const {

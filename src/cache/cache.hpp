@@ -14,16 +14,15 @@
 // Storage is set-blocked structure-of-arrays (AoSoA), owned flat by the
 // cache: each set occupies one fixed-stride, cache-line-aligned block
 // holding its contiguous tag run, its valid-way occupancy word, its live
-// guest count, its packed LineMeta run and its replacement-state bytes —
-// in that order.  Within a set the runs are still SoA (the scans in
+// guest count, its packed LineMeta run and its LRU rank bytes — in that
+// order.  Within a set the runs are still SoA (the scans in
 // cache/set.hpp walk contiguous same-type runs), but everything one
 // lookup touches now lives in the same block: a 4-way L1 set is exactly
 // ONE host cache line where the former parallel-array layout touched
-// four, and a 16-way L2 set is three.  Replacement updates dispatch
-// statically on the policy kind (cache/replacement.hpp) instead of
-// through a per-set heap-allocated virtual ReplacementState.  set()
-// hands out CacheSet views into the block (shallow-const, like
-// std::span).
+// four, and a 16-way L2 set is three.  Every cache is true LRU
+// (cache/replacement.hpp), the policy the paper's capacity-demand math
+// assumes.  set() hands out CacheSet views into the block
+// (shallow-const, like std::span).
 #pragma once
 
 #include <cstddef>
@@ -97,9 +96,7 @@ struct CacheStats final : stats::CounterWords<CacheStats, 9> {
 
 class SetAssocCache {
  public:
-  SetAssocCache(std::string name, const CacheGeometry& geo,
-                ReplacementKind repl = ReplacementKind::kLru,
-                Rng* rng = nullptr);
+  SetAssocCache(std::string name, const CacheGeometry& geo);
 
   [[nodiscard]] const CacheGeometry& geometry() const noexcept { return geo_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -149,10 +146,9 @@ class SetAssocCache {
 
   /// Installs a cooperative line for home address `addr` spilled by
   /// `owner`.  With flipped==true the line is placed in the buddy set and
-  /// its f bit is set (paper Section 3.2).  `demoted` inserts at LRU
-  /// instead of MRU (ablation knob; the paper inserts at MRU).
-  Eviction insert_cc(Addr addr, CoreId owner, bool flipped,
-                     bool demoted = false);
+  /// its f bit is set (paper Section 3.2).  The guest displaces the
+  /// set's LRU line and is inserted at MRU, as the paper does.
+  Eviction insert_cc(Addr addr, CoreId owner, bool flipped);
 
   /// Searches both legal placements (home set with f==0, buddy set with
   /// f==1) for a cooperative copy of `addr`.
@@ -176,9 +172,6 @@ class SetAssocCache {
   /// Invalidates a specific line.
   void invalidate(SetIndex set, WayIndex way);
 
-  /// Flash-invalidates everything (used between experiment runs).
-  void invalidate_all();
-
   // ------------------------------------------------------------ inspection
 
   [[nodiscard]] std::uint32_t num_sets() const noexcept {
@@ -200,10 +193,9 @@ class SetAssocCache {
   }
 
   /// Copies the whole AoSoA arena (tags, occupancy, guest counts, meta,
-  /// replacement state) out of / back into the cache, bit-exactly.  The
-  /// image is only meaningful for a cache of identical geometry and
-  /// replacement kind — the warm-state bank guards this with its
-  /// fingerprint (sim/warm_state.hpp).
+  /// LRU ranks) out of / back into the cache, bit-exactly.  The image is
+  /// only meaningful for a cache of identical geometry — the warm-state
+  /// bank guards this with its fingerprint (sim/warm_state.hpp).
   void export_state(std::byte* out) const noexcept;
   void import_state(const std::byte* in) noexcept;
 
@@ -233,16 +225,12 @@ class SetAssocCache {
             reinterpret_cast<std::uint8_t*>(block + repl_offset()),
             reinterpret_cast<std::uint64_t*>(block + occ_offset()),
             reinterpret_cast<std::uint16_t*>(block + cc_offset()),
-            assoc_,
-            repl_kind_,
-            rng_};
+            assoc_};
   }
 
   std::string name_;
   CacheGeometry geo_;
   std::uint32_t assoc_;
-  ReplacementKind repl_kind_;
-  Rng* rng_;
   std::vector<std::byte> arena_storage_;  ///< blocks + alignment slack
   std::byte* arena_ = nullptr;            ///< 64-aligned first set block
   std::size_t set_stride_ = 0;            ///< block bytes, 64-multiple

@@ -1,88 +1,47 @@
-// Per-set replacement policies over flat byte-packed state.
+// True-LRU replacement over flat byte-packed state.
 //
-// The paper assumes true LRU everywhere (its capacity-demand math relies on
-// the LRU stack property, Mattson et al. 1970).  FIFO, Random and Tree-PLRU
-// are provided for the ablation benches, which quantify how much of SNUG's
-// benefit survives under cheaper policies.
+// The paper assumes true LRU everywhere: its capacity-demand math relies
+// on the LRU stack property (Mattson et al. 1970), which is what lets
+// SNUG's shadow sets and cache::LruStackProfiler measure per-set demand.
+// LRU is therefore the only policy the cache layer implements.
 //
-// Every set's policy state is `assoc` bytes inside one flat array owned by
-// the cache — no per-set allocation, no virtual dispatch.  Callers pass the
-// set's byte slice to the free functions below, which switch on the policy
-// kind once per operation (a perfectly predicted branch, hoisted out of the
-// way-scan loops).  Per-policy interpretation of the slice:
-//
-//   kLru       state[w] = recency rank (0 == MRU, assoc-1 == LRU)
-//   kFifo      state[w] = fill-recency rank (0 == newest fill); hits do
-//              not touch it, so the rank-(assoc-1) way is the oldest fill —
-//              the classic FIFO queue expressed as ranks.  rank_of and
-//              victim are O(1)/O(assoc) byte reads instead of the old
-//              sequence-number counting (O(assoc²) rank_of), and demote
-//              always produces a unique oldest way (the old sequence
-//              representation pinned demoted ways at order 0, so two
-//              demotions with an oldest sequence of 0 became
-//              indistinguishable to victim()).
-//   kRandom    state[0] = way demoted since the last victim pick
-//              (kNoDemotedWay when none)
-//   kTreePlru  state[1..assoc-1] = heap-indexed tree bits, root at 1
+// Every set's recency state is `assoc` bytes inside one flat array owned
+// by the cache — no per-set allocation, no virtual dispatch.  Callers pass
+// the set's byte slice to the free functions below; state[w] is way w's
+// recency rank (0 == MRU, assoc-1 == LRU), so the slice is always a
+// permutation of [0, assoc).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
-#include "common/bitutil.hpp"
 #include "common/require.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace snug::cache {
 
-enum class ReplacementKind : std::uint8_t {
-  kLru,
-  kFifo,
-  kRandom,
-  kTreePlru,
-};
-
-[[nodiscard]] const char* to_string(ReplacementKind k) noexcept;
-
 /// The victim scan and the cache's per-set occupancy word build 64-bit
 /// way bitmasks, so 64 ways is the hard ceiling (ranks and way indices
-/// also fit a byte, and kRandom reserves 0xFF as its "no demoted way"
-/// sentinel).
+/// also fit a byte).
 inline constexpr std::uint32_t kMaxReplAssoc = 64;
-inline constexpr std::uint8_t kNoDemotedWay = 0xFF;
 
 namespace repl {
 
-// ------------------------------------------------------ rank primitives
-// Shared by kLru and kFifo: `state` is a permutation of [0, assoc).
-
-/// Moves `way` to `target` rank, ageing / rejuvenating the ways in
-/// between by one.  The loop body is branch-light over contiguous bytes.
-inline void rank_move(std::uint8_t* state, std::uint32_t assoc,
-                      WayIndex way, std::uint32_t target) noexcept {
-  const std::uint32_t old_rank = state[way];
-  if (old_rank == target) return;
-  if (target < old_rank) {
-    // Everything in [target, old) ages by one.
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      const std::uint8_t r = state[w];
-      state[w] = static_cast<std::uint8_t>(
-          r + ((r >= target && r < old_rank) ? 1 : 0));
-    }
-  } else {
-    // Everything in (old, target] rejuvenates by one.
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      const std::uint8_t r = state[w];
-      state[w] = static_cast<std::uint8_t>(
-          r - ((r > old_rank && r <= target) ? 1 : 0));
-    }
+/// Initialises one set's ranks to the identity (way 0 MRU).
+/// Configuration errors abort in every build type.
+inline void init(std::uint8_t* state, std::uint32_t assoc) noexcept {
+  SNUG_REQUIRE_MSG(assoc >= 1 && assoc <= kMaxReplAssoc,
+                   "replacement state supports 1..%u ways (got %u)",
+                   kMaxReplAssoc, assoc);
+  for (std::uint32_t w = 0; w < assoc; ++w) {
+    state[w] = static_cast<std::uint8_t>(w);
   }
-  state[way] = static_cast<std::uint8_t>(target);
 }
 
 /// Moves `way` to the MRU rank: every warmer way ages by one.  Fully
 /// branchless — the aging predicate folds into the arithmetic, and when
-/// `way` is already MRU the loop adds zeros.
+/// `way` is already MRU the loop adds zeros.  A hit and a fill both
+/// make the way MRU.
 inline void rank_touch(std::uint8_t* state, std::uint32_t assoc,
                        WayIndex way) noexcept {
   const std::uint8_t old_rank = state[way];
@@ -103,17 +62,6 @@ inline void rank_touch(std::uint8_t* state, std::uint32_t assoc,
   state[way] = 0;
 }
 
-/// Moves `way` to the LRU rank: every colder way rejuvenates by one.
-inline void rank_demote(std::uint8_t* state, std::uint32_t assoc,
-                        WayIndex way) noexcept {
-  const std::uint8_t old_rank = state[way];
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    const std::uint8_t r = state[w];
-    state[w] = static_cast<std::uint8_t>(r - (r > old_rank ? 1 : 0));
-  }
-  state[way] = static_cast<std::uint8_t>(assoc - 1);
-}
-
 /// The way at the coldest rank.  Ranks are a permutation, so the match is
 /// unique; the mask scan is branch-free over one cache line of bytes.
 [[nodiscard]] inline WayIndex rank_victim(const std::uint8_t* state,
@@ -125,213 +73,6 @@ inline void rank_demote(std::uint8_t* state, std::uint32_t assoc,
   }
   SNUG_ENSURE(m != 0);  // rank state corrupt: not a permutation
   return static_cast<WayIndex>(std::countr_zero(m));
-}
-
-// -------------------------------------------------- tree-plru primitives
-
-/// Walks from the root pointing every bit AWAY from `way` (a touch).
-inline void plru_touch(std::uint8_t* state, std::uint32_t assoc,
-                       WayIndex way) noexcept {
-  const std::uint32_t levels = log2i(assoc);
-  std::uint32_t node = 1;
-  for (std::uint32_t level = 0; level < levels; ++level) {
-    const std::uint32_t bit = (way >> (levels - 1 - level)) & 1U;
-    state[node] = static_cast<std::uint8_t>(bit ^ 1U);
-    node = node * 2 + bit;
-  }
-}
-
-/// Walks from the root pointing every bit TOWARD `way` (a demotion).
-inline void plru_demote(std::uint8_t* state, std::uint32_t assoc,
-                        WayIndex way) noexcept {
-  const std::uint32_t levels = log2i(assoc);
-  std::uint32_t node = 1;
-  for (std::uint32_t level = 0; level < levels; ++level) {
-    const std::uint32_t bit = (way >> (levels - 1 - level)) & 1U;
-    state[node] = static_cast<std::uint8_t>(bit);
-    node = node * 2 + bit;
-  }
-}
-
-[[nodiscard]] inline WayIndex plru_victim(const std::uint8_t* state,
-                                          std::uint32_t assoc) noexcept {
-  const std::uint32_t levels = log2i(assoc);
-  std::uint32_t node = 1;
-  std::uint32_t way = 0;
-  for (std::uint32_t level = 0; level < levels; ++level) {
-    const std::uint32_t bit = state[node];
-    way = (way << 1) | bit;
-    node = node * 2 + bit;
-  }
-  return static_cast<WayIndex>(way);
-}
-
-[[nodiscard]] inline std::uint32_t plru_rank_of(const std::uint8_t* state,
-                                                std::uint32_t assoc,
-                                                WayIndex way) noexcept {
-  // Approximate: count path bits pointing toward `way` (more == colder).
-  const std::uint32_t levels = log2i(assoc);
-  std::uint32_t node = 1;
-  std::uint32_t toward = 0;
-  for (std::uint32_t level = 0; level < levels; ++level) {
-    const std::uint32_t bit = (way >> (levels - 1 - level)) & 1U;
-    if (state[node] == bit) ++toward;
-    node = node * 2 + bit;
-  }
-  return toward * (assoc - 1) / (levels == 0 ? 1 : levels);
-}
-
-// ------------------------------------------------------------- dispatch
-
-/// Initialises one set's state slice.  Configuration errors (Tree-PLRU on
-/// a non-power-of-two associativity) abort in every build type.
-inline void init(ReplacementKind kind, std::uint8_t* state,
-                 std::uint32_t assoc) noexcept {
-  SNUG_REQUIRE_MSG(assoc >= 1 && assoc <= kMaxReplAssoc,
-                   "replacement state supports 1..%u ways (got %u)",
-                   kMaxReplAssoc, assoc);
-  switch (kind) {
-    case ReplacementKind::kLru:
-      for (std::uint32_t w = 0; w < assoc; ++w) {
-        state[w] = static_cast<std::uint8_t>(w);
-      }
-      break;
-    case ReplacementKind::kFifo:
-      // The old sequence representation started with order_[w] == w (way 0
-      // oldest); as fill-recency ranks that is rank assoc-1-w.
-      for (std::uint32_t w = 0; w < assoc; ++w) {
-        state[w] = static_cast<std::uint8_t>(assoc - 1 - w);
-      }
-      break;
-    case ReplacementKind::kRandom:
-      state[0] = kNoDemotedWay;
-      break;
-    case ReplacementKind::kTreePlru:
-      SNUG_REQUIRE_MSG(is_pow2(assoc) && assoc >= 2,
-                       "tree-plru needs a power-of-two associativity >= 2 "
-                       "(got %u)",
-                       assoc);
-      for (std::uint32_t w = 0; w < assoc; ++w) state[w] = 0;
-      break;
-  }
-}
-
-/// A hit touched `way`.
-inline void on_access(ReplacementKind kind, std::uint8_t* state,
-                      std::uint32_t assoc, WayIndex way) noexcept {
-  SNUG_REQUIRE(way < assoc);
-  switch (kind) {
-    case ReplacementKind::kLru:
-      rank_touch(state, assoc, way);
-      break;
-    case ReplacementKind::kFifo:
-    case ReplacementKind::kRandom:
-      break;  // hits do not update FIFO/Random state
-    case ReplacementKind::kTreePlru:
-      plru_touch(state, assoc, way);
-      break;
-  }
-}
-
-/// A new line was installed in `way`.
-inline void on_fill(ReplacementKind kind, std::uint8_t* state,
-                    std::uint32_t assoc, WayIndex way) noexcept {
-  SNUG_REQUIRE(way < assoc);
-  switch (kind) {
-    case ReplacementKind::kLru:
-    case ReplacementKind::kFifo:
-      rank_touch(state, assoc, way);
-      break;
-    case ReplacementKind::kRandom:
-      break;
-    case ReplacementKind::kTreePlru:
-      plru_touch(state, assoc, way);
-      break;
-  }
-}
-
-/// Chooses the victim way among all valid ways; never returns
-/// kInvalidWay.  `rng` is consulted by kRandom only (and may be nullptr
-/// for the deterministic policies).
-[[nodiscard]] inline WayIndex victim(ReplacementKind kind,
-                                     std::uint8_t* state,
-                                     std::uint32_t assoc,
-                                     Rng* rng) noexcept {
-  switch (kind) {
-    case ReplacementKind::kLru:
-    case ReplacementKind::kFifo:
-      return rank_victim(state, assoc);
-    case ReplacementKind::kRandom: {
-      if (state[0] != kNoDemotedWay) {
-        const WayIndex w = state[0];
-        state[0] = kNoDemotedWay;
-        return w;
-      }
-      SNUG_ENSURE(rng != nullptr);  // kRandom without an Rng is a config bug
-      return static_cast<WayIndex>(rng->below(assoc));
-    }
-    case ReplacementKind::kTreePlru:
-      return plru_victim(state, assoc);
-  }
-  SNUG_ENSURE(false);
-  return kInvalidWay;
-}
-
-/// Moves `way` to the least-recently-used position so it is evicted next.
-/// Cooperative-caching schemes use this to make received blocks cheap to
-/// displace without evicting local blocks eagerly.
-inline void demote(ReplacementKind kind, std::uint8_t* state,
-                   std::uint32_t assoc, WayIndex way) noexcept {
-  SNUG_REQUIRE(way < assoc);
-  switch (kind) {
-    case ReplacementKind::kLru:
-    case ReplacementKind::kFifo:
-      rank_demote(state, assoc, way);
-      break;
-    case ReplacementKind::kRandom:
-      state[0] = static_cast<std::uint8_t>(way);
-      break;
-    case ReplacementKind::kTreePlru:
-      plru_demote(state, assoc, way);
-      break;
-  }
-}
-
-/// Places `way` at recency rank `rank` (0 == MRU).  Exact for LRU; other
-/// policies approximate (rank in the colder half degrades to demote).
-inline void place_at(ReplacementKind kind, std::uint8_t* state,
-                     std::uint32_t assoc, WayIndex way,
-                     std::uint32_t rank) noexcept {
-  SNUG_REQUIRE(way < assoc);
-  SNUG_REQUIRE(rank < assoc);
-  if (kind == ReplacementKind::kLru) {
-    rank_move(state, assoc, way, rank);
-  } else if (rank == 0) {
-    on_access(kind, state, assoc, way);
-  } else {
-    demote(kind, state, assoc, way);
-  }
-}
-
-/// Recency rank of `way`: 0 == MRU, assoc-1 == LRU.  Exact for LRU and
-/// FIFO (a direct byte read); the other policies return an approximation
-/// good enough for stats.
-[[nodiscard]] inline std::uint32_t rank_of(ReplacementKind kind,
-                                           const std::uint8_t* state,
-                                           std::uint32_t assoc,
-                                           WayIndex way) noexcept {
-  SNUG_REQUIRE(way < assoc);
-  switch (kind) {
-    case ReplacementKind::kLru:
-    case ReplacementKind::kFifo:
-      return state[way];
-    case ReplacementKind::kRandom:
-      return way == state[0] ? assoc - 1 : 0;
-    case ReplacementKind::kTreePlru:
-      return plru_rank_of(state, assoc, way);
-  }
-  SNUG_ENSURE(false);
-  return 0;
 }
 
 }  // namespace repl

@@ -4,14 +4,10 @@
 
 namespace snug::cache {
 
-SoloSet::SoloSet(std::uint32_t assoc, ReplacementKind kind, Rng* rng)
-    : tags_(assoc, 0),
-      meta_(assoc, kMetaInvalid),
-      repl_(assoc, 0),
-      kind_(kind),
-      rng_(rng) {
+SoloSet::SoloSet(std::uint32_t assoc)
+    : tags_(assoc, 0), meta_(assoc, kMetaInvalid), repl_(assoc, 0) {
   SNUG_REQUIRE_MSG(assoc >= 1, "a set needs at least one way");
-  repl::init(kind, repl_.data(), assoc);
+  repl::init(repl_.data(), assoc);
 }
 
 }  // namespace snug::cache

@@ -1,9 +1,10 @@
 // One cache set, as a *view*: CacheSet is a non-owning window onto one
 // set's slice of the structure-of-arrays storage owned by SetAssocCache
 // (cache/cache.hpp) — a contiguous tag run, a packed LineMeta run and the
-// replacement-state bytes.  The lookup scans are branch-light loops over
-// those contiguous runs, and replacement updates dispatch statically
-// (cache/replacement.hpp); nothing here allocates or makes virtual calls.
+// LRU rank bytes.  The lookup scans are branch-light loops over those
+// contiguous runs, and recency updates call the LRU rank primitives
+// (cache/replacement.hpp) directly; nothing here allocates or makes
+// virtual calls.
 //
 // The set offers mechanism only (lookup / touch / victim / fill /
 // invalidate); all policy — whether to spill a victim, where received
@@ -20,6 +21,7 @@
 
 #include "cache/line.hpp"
 #include "cache/replacement.hpp"
+#include "common/bitutil.hpp"
 #include "common/types.hpp"
 
 namespace snug::cache {
@@ -35,15 +37,13 @@ class CacheSet {
   /// every peer probe of a retrieve broadcast.
   CacheSet(std::uint64_t* tags, LineMeta* meta, std::uint8_t* repl_state,
            std::uint64_t* occupancy, std::uint16_t* cc_count,
-           std::uint32_t assoc, ReplacementKind kind, Rng* rng) noexcept
+           std::uint32_t assoc) noexcept
       : tags_(tags),
         meta_(meta),
         repl_(repl_state),
         occ_(occupancy),
         cc_count_(cc_count),
-        assoc_(assoc),
-        kind_(kind),
-        rng_(rng) {}
+        assoc_(assoc) {}
 
   [[nodiscard]] std::uint32_t assoc() const noexcept { return assoc_; }
 
@@ -101,14 +101,6 @@ class CacheSet {
     return kInvalidWay;
   }
 
-  /// Any valid line with this tag regardless of CC/f; or kInvalidWay.
-  [[nodiscard]] WayIndex find_any(std::uint64_t tag) const noexcept {
-    for (WayIndex w = 0; w < assoc_; ++w) {
-      if (tags_[w] == tag && (meta_[w] & kMetaValid) != 0) return w;
-    }
-    return kInvalidWay;
-  }
-
   /// First invalid way, or kInvalidWay when the set is full.
   [[nodiscard]] WayIndex find_invalid() const noexcept {
     const std::uint64_t empty = ~*occ_ & low_mask(assoc_);
@@ -130,7 +122,7 @@ class CacheSet {
   void touch(WayIndex way) const noexcept {
     SNUG_REQUIRE(way < assoc_);
     SNUG_REQUIRE(valid(way));
-    repl::on_access(kind_, repl_, assoc_, way);
+    repl::rank_touch(repl_, assoc_, way);
   }
 
   /// Marks `way` dirty (an L1 write-back landed on it).
@@ -140,11 +132,11 @@ class CacheSet {
   }
 
   /// Chooses the way a new line would displace: an invalid way if one
-  /// exists, otherwise the replacement policy's victim.
+  /// exists, otherwise the LRU way.
   [[nodiscard]] WayIndex choose_victim() const noexcept {
     const WayIndex inv = find_invalid();
     if (inv != kInvalidWay) return inv;
-    return repl::victim(kind_, repl_, assoc_, rng_);
+    return repl::rank_victim(repl_, assoc_);
   }
 
   /// Installs `line` into `way` and returns the displaced line (invalid if
@@ -162,39 +154,8 @@ class CacheSet {
       *cc_count_ = static_cast<std::uint16_t>(
           static_cast<int>(*cc_count_) + cc_delta);
     }
-    repl::on_fill(kind_, repl_, assoc_, way);
+    repl::rank_touch(repl_, assoc_, way);
     return displaced;
-  }
-
-  /// Installs `line` into `way` at the LRU position (used for received
-  /// cooperative blocks under the "demoted insertion" ablation).
-  CacheLine fill_demoted(WayIndex way, const CacheLine& line) const noexcept {
-    const CacheLine displaced = fill(way, line);
-    repl::demote(kind_, repl_, assoc_, way);
-    return displaced;
-  }
-
-  /// Victim choice for an incoming cooperative guest: an invalid way if
-  /// any, else the coldest existing guest, else the policy victim.
-  /// Guest-first eviction (Chang & Sohi's replica-first rule) bounds the
-  /// capacity a host can lose to spills: once guests occupy a set, new
-  /// guests displace old guests, never the host's local lines — givers
-  /// donate capacity "with little performance degradation" (Section 1).
-  [[nodiscard]] WayIndex choose_victim_prefer_guests() const noexcept {
-    const WayIndex inv = find_invalid();
-    if (inv != kInvalidWay) return inv;
-    WayIndex coldest_guest = kInvalidWay;
-    std::uint32_t coldest_rank = 0;
-    for (WayIndex w = 0; w < assoc_; ++w) {
-      if (!valid_cc(w)) continue;
-      const std::uint32_t r = repl::rank_of(kind_, repl_, assoc_, w);
-      if (coldest_guest == kInvalidWay || r > coldest_rank) {
-        coldest_guest = w;
-        coldest_rank = r;
-      }
-    }
-    if (coldest_guest != kInvalidWay) return coldest_guest;
-    return repl::victim(kind_, repl_, assoc_, rng_);
   }
 
   void invalidate(WayIndex way) const noexcept {
@@ -205,26 +166,14 @@ class CacheSet {
     tags_[way] = 0;
     meta_[way] = kMetaInvalid;
     *occ_ &= ~(std::uint64_t{1} << way);
-    // An invalid way is picked before the policy victim, so no policy
-    // update is required here.
-  }
-
-  /// Moves `way` to the LRU position without invalidating it.
-  void demote(WayIndex way) const noexcept {
-    SNUG_REQUIRE(way < assoc_);
-    repl::demote(kind_, repl_, assoc_, way);
+    // An invalid way is picked before the LRU way, so the ranks need no
+    // update here.
   }
 
   /// The line at `way`, unpacked (a value — storage stays SoA).
   [[nodiscard]] CacheLine line(WayIndex way) const noexcept {
     SNUG_REQUIRE(way < assoc_);
     return unpack_line(tags_[way], meta_[way]);
-  }
-
-  /// Recency rank (0 == MRU).
-  [[nodiscard]] std::uint32_t rank_of(WayIndex way) const noexcept {
-    SNUG_REQUIRE(way < assoc_);
-    return repl::rank_of(kind_, repl_, assoc_, way);
   }
 
   [[nodiscard]] std::uint32_t valid_count() const noexcept {
@@ -236,16 +185,6 @@ class CacheSet {
   }
 
   [[nodiscard]] std::uint32_t cc_count() const noexcept { return *cc_count_; }
-
-  /// Calls fn(way, line) for every valid line.  Statically dispatched —
-  /// fn inlines into the scan (the old std::function version boxed the
-  /// callable and paid an indirect call per line).
-  template <typename Fn>
-  void for_each_valid(Fn&& fn) const {
-    for (WayIndex w = 0; w < assoc_; ++w) {
-      if ((meta_[w] & kMetaValid) != 0) fn(w, unpack_line(tags_[w], meta_[w]));
-    }
-  }
 
  private:
   /// Bitmask of ways whose tag equals `tag` (validity not yet checked).
@@ -274,22 +213,18 @@ class CacheSet {
   std::uint64_t* occ_;
   std::uint16_t* cc_count_;
   std::uint32_t assoc_;
-  ReplacementKind kind_;
-  Rng* rng_;
 };
 
 /// An owning single set: the harness unit tests and micro-experiments use
 /// when they want CacheSet mechanics without building a whole cache.
 class SoloSet {
  public:
-  explicit SoloSet(std::uint32_t assoc,
-                   ReplacementKind kind = ReplacementKind::kLru,
-                   Rng* rng = nullptr);
+  explicit SoloSet(std::uint32_t assoc);
 
   /// The view; valid as long as this SoloSet is alive.
   [[nodiscard]] CacheSet set() noexcept {
     return {tags_.data(), meta_.data(), repl_.data(), &occ_, &cc_count_,
-            static_cast<std::uint32_t>(tags_.size()), kind_, rng_};
+            static_cast<std::uint32_t>(tags_.size())};
   }
 
  private:
@@ -298,8 +233,6 @@ class SoloSet {
   std::vector<std::uint8_t> repl_;
   std::uint64_t occ_ = 0;
   std::uint16_t cc_count_ = 0;
-  ReplacementKind kind_;
-  Rng* rng_;
 };
 
 }  // namespace snug::cache

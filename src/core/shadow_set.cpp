@@ -8,10 +8,6 @@
 
 namespace snug::core {
 
-namespace {
-constexpr auto kLru = cache::ReplacementKind::kLru;
-}  // namespace
-
 ShadowSetArray::ShadowSetArray(std::uint32_t num_sets, std::uint32_t assoc)
     : num_sets_(num_sets), assoc_(assoc) {
   SNUG_REQUIRE_MSG(num_sets >= 1, "shadow array needs at least one set");
@@ -26,7 +22,7 @@ ShadowSetArray::ShadowSetArray(std::uint32_t num_sets, std::uint32_t assoc)
       (reinterpret_cast<std::uintptr_t>(arena_storage_.data()) + 63) &
       ~std::uintptr_t{63});
   for (std::uint32_t s = 0; s < num_sets; ++s) {
-    cache::repl::init(kLru, ranks(s), assoc_);
+    cache::repl::init(ranks(s), assoc_);
   }
 }
 
@@ -46,17 +42,17 @@ void ShadowSetArray::insert(SetIndex set, std::uint64_t tag) {
   std::uint8_t* rank = ranks(set);
   WayIndex w = find(set, tag);
   if (w != kInvalidWay) {
-    cache::repl::on_access(kLru, rank, assoc_, w);  // refresh
+    cache::repl::rank_touch(rank, assoc_, w);  // refresh
     return;
   }
   // Prefer an invalid way; otherwise replace the shadow LRU entry.
   std::uint64_t* valid = valid_word(set);
   const std::uint64_t empty = ~*valid & low_mask(assoc_);
   w = empty != 0 ? static_cast<WayIndex>(std::countr_zero(empty))
-                 : cache::repl::victim(kLru, rank, assoc_, nullptr);
+                 : cache::repl::rank_victim(rank, assoc_);
   tags(set)[w] = tag;
   *valid |= std::uint64_t{1} << w;
-  cache::repl::on_fill(kLru, rank, assoc_, w);
+  cache::repl::rank_touch(rank, assoc_, w);
 }
 
 bool ShadowSetArray::probe_and_remove(SetIndex set, std::uint64_t tag) {

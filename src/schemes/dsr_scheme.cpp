@@ -23,27 +23,6 @@ DsrScheme::DsrScheme(const PrivateConfig& cfg, const DsrConfig& dsr,
   controller_ = std::make_unique<core::SnugController>(dsr.epochs);
   controller_->on_identify_end = [this] { harvest_roles(); };
   controller_->on_group_end = [this] { counting_ = true; };
-
-  // Set-dueling ablation variant.
-  SNUG_ENSURE(dsr.psel_bits >= 4 && dsr.psel_bits <= 20);
-  psel_max_ = (1U << dsr.psel_bits) - 1;
-  psel_.assign(cfg.num_cores, (psel_max_ + 1) / 2);
-  leaders_.assign(cfg.num_cores,
-                  std::vector<LeaderKind>(num_sets, LeaderKind::kNone));
-  if (dsr.use_set_dueling) {
-    SNUG_ENSURE(dsr.leader_sets * 2 <= num_sets);
-    for (CoreId c = 0; c < cfg.num_cores; ++c) {
-      Rng leader_rng(Rng::derive_seed("dsr-leaders", c));
-      std::uint32_t placed = 0;
-      while (placed < dsr.leader_sets * 2) {
-        const auto s = static_cast<SetIndex>(leader_rng.below(num_sets));
-        if (leaders_[c][s] != LeaderKind::kNone) continue;
-        leaders_[c][s] = placed < dsr.leader_sets ? LeaderKind::kSpill
-                                                  : LeaderKind::kReceive;
-        ++placed;
-      }
-    }
-  }
 }
 
 void DsrScheme::harvest_roles() {
@@ -58,32 +37,7 @@ void DsrScheme::harvest_roles() {
 
 DsrScheme::Role DsrScheme::role_of(CoreId c) const {
   SNUG_REQUIRE(c < roles_.size());
-  if (dsr_.use_set_dueling) {
-    return psel_[c] > (psel_max_ + 1) / 2 ? Role::kReceiver
-                                          : Role::kSpiller;
-  }
   return roles_[c];
-}
-
-DsrScheme::Role DsrScheme::role_of(CoreId c, SetIndex s) const {
-  SNUG_REQUIRE(c < roles_.size());
-  SNUG_REQUIRE(s < leaders_[c].size());
-  if (dsr_.use_set_dueling) {
-    switch (leaders_[c][s]) {
-      case LeaderKind::kSpill:
-        return Role::kSpiller;
-      case LeaderKind::kReceive:
-        return Role::kReceiver;
-      case LeaderKind::kNone:
-        break;
-    }
-  }
-  return role_of(c);
-}
-
-std::uint32_t DsrScheme::psel(CoreId c) const {
-  SNUG_REQUIRE(c < psel_.size());
-  return psel_[c];
 }
 
 void DsrScheme::on_local_hit(CoreId c, SetIndex /*set*/) {
@@ -99,18 +53,6 @@ void DsrScheme::on_local_miss(CoreId c, SetIndex set, std::uint64_t tag) {
   if (counting_ && shadow_hit) {
     app_counter_[c].increment();
     if (divider_[c].tick()) app_counter_[c].decrement();
-  }
-  if (dsr_.use_set_dueling) {
-    switch (leaders_[c][set]) {
-      case LeaderKind::kSpill:
-        if (psel_[c] < psel_max_) ++psel_[c];
-        break;
-      case LeaderKind::kReceive:
-        if (psel_[c] > 0) --psel_[c];
-        break;
-      case LeaderKind::kNone:
-        break;
-    }
   }
 }
 
@@ -158,7 +100,6 @@ void DsrScheme::save_warm_state(StateWriter& w) const {
   }
   w.vec(roles);
   w.pod(static_cast<std::uint8_t>(counting_));
-  w.vec(psel_);
   w.pod(static_cast<std::uint8_t>(controller_->stage()));
   w.pod(controller_->next_boundary());
   w.pod(controller_->periods_completed());
@@ -188,21 +129,19 @@ void DsrScheme::load_warm_state(StateReader& r) {
     roles_[c] = static_cast<Role>(roles[c]);
   }
   counting_ = r.pod<std::uint8_t>() != 0;
-  psel_ = r.vec<std::uint32_t>();
-  SNUG_ENSURE(psel_.size() == cfg_.num_cores);
   const auto stage = static_cast<core::Stage>(r.pod<std::uint8_t>());
   const auto boundary = r.pod<Cycle>();
   const auto periods = r.pod<std::uint64_t>();
   controller_->restore(stage, boundary, periods);
 }
 
-void DsrScheme::maybe_spill(CoreId c, Addr victim_addr, SetIndex set,
+void DsrScheme::maybe_spill(CoreId c, Addr victim_addr, SetIndex /*set*/,
                             Cycle now, int chain_budget) {
   if (!controller_->spilling_allowed()) {
     ++stats_.spill_blocked_stage();
     return;
   }
-  if (role_of(c, set) != Role::kSpiller) {
+  if (roles_[c] != Role::kSpiller) {
     ++stats_.spill_blocked_role();
     return;
   }
@@ -213,7 +152,7 @@ void DsrScheme::maybe_spill(CoreId c, Addr victim_addr, SetIndex set,
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
     const CoreId peer = (start + i) % cfg_.num_cores;
     if (peer == c) continue;
-    if (role_of(peer, set) != Role::kReceiver) continue;
+    if (roles_[peer] != Role::kReceiver) continue;
     place_spill(c, peer, victim_addr, /*flipped=*/false, now,
                 chain_budget);
     return;

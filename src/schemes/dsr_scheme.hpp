@@ -11,8 +11,7 @@
 // keeps the sensing identical between DSR and SNUG, so any performance
 // difference between the two schemes is attributable purely to the
 // *granularity* of the classification and the flipping-based grouping —
-// exactly the comparison the paper makes.  (The set-dueling variant
-// remains available via DsrConfig::use_set_dueling for ablations.)
+// exactly the comparison the paper makes.
 #pragma once
 
 #include <memory>
@@ -38,10 +37,6 @@ struct DsrConfig {
   /// mod-p-divided hit denominator — the sigma_app > 1/p compare is
   /// unchanged.  1 = exact.
   std::uint32_t sample_period = 1;
-  // --- set-dueling ablation variant ---
-  bool use_set_dueling = false;
-  std::uint32_t leader_sets = 32;  ///< per role, per cache
-  std::uint32_t psel_bits = 10;
 };
 
 class DsrScheme final : public PrivateSchemeBase {
@@ -59,21 +54,14 @@ class DsrScheme final : public PrivateSchemeBase {
     return controller_->next_boundary();
   }
 
-  /// The cache-wide role (leader sets override it under set dueling).
+  /// The cache-wide role: every set of a cache shares it.
   [[nodiscard]] Role role_of(CoreId c) const;
-  /// Effective role for one set (differs from role_of(c) only for leader
-  /// sets in the set-dueling variant).
-  [[nodiscard]] Role role_of(CoreId c, SetIndex s) const;
-
-  [[nodiscard]] std::uint32_t psel(CoreId c) const;
   [[nodiscard]] core::Stage stage() const noexcept {
     return controller_->stage();
   }
 
   /// Base warm state + the classification machinery (sampler windows,
-  /// shadow arrays, app counters, dividers, roles, PSELs, epoch
-  /// controller).  Leader placement is construction-deterministic and
-  /// not serialized.
+  /// shadow arrays, app counters, dividers, roles, epoch controller).
   void save_warm_state(StateWriter& w) const override;
   void load_warm_state(StateReader& r) override;
 
@@ -88,8 +76,6 @@ class DsrScheme final : public PrivateSchemeBase {
                          std::uint64_t tag) override;
 
  private:
-  enum class LeaderKind : std::uint8_t { kNone, kSpill, kReceive };
-
   void harvest_roles();
 
   DsrConfig dsr_;
@@ -97,17 +83,12 @@ class DsrScheme final : public PrivateSchemeBase {
   /// it causes are adjacent events of the same core, so they share a
   /// window except at the edges.
   core::WindowSampler sampler_;
-  // Monitor-based classification (default).
   std::vector<core::ShadowSetArray> shadows_;  // [cache](set)
   std::vector<core::SaturatingCounter> app_counter_;
   std::vector<core::ModPCounter> divider_;
   std::vector<Role> roles_;
   std::unique_ptr<core::SnugController> controller_;
   bool counting_ = true;
-  // Set-dueling variant state.
-  std::uint32_t psel_max_ = 0;
-  std::vector<std::uint32_t> psel_;
-  std::vector<std::vector<LeaderKind>> leaders_;  // [cache][set]
 };
 
 }  // namespace snug::schemes

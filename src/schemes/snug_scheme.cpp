@@ -18,9 +18,7 @@ SnugScheme::SnugScheme(const PrivateConfig& cfg, const SnugConfig& snug,
   controller_->on_identify_end = [this] { harvest_and_regroup(); };
   controller_->on_group_end = [this] {
     // A new sampling period begins: counters start counting again.
-    if (!snug_.monitor_always) {
-      for (auto& m : monitors_) m->set_counting(true);
-    }
+    for (auto& m : monitors_) m->set_counting(true);
   };
 }
 
@@ -50,7 +48,7 @@ void SnugScheme::on_local_eviction(CoreId c, SetIndex set,
 void SnugScheme::harvest_and_regroup() {
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     monitors_[c]->harvest(gts_[c]);
-    if (!snug_.monitor_always) monitors_[c]->set_counting(false);
+    monitors_[c]->set_counting(false);
     // Flush cooperative lines that regrouping made unreachable: retrieval
     // only searches giver sets, so guests in now-taker sets must go.
     cache::SetAssocCache& l2 = slice(c);

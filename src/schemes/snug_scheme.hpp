@@ -35,8 +35,7 @@ namespace snug::schemes {
 struct SnugConfig {
   core::MonitorConfig monitor;
   core::EpochConfig epochs;
-  bool flip_enabled = true;   ///< ablation: disable index-bit flipping
-  bool monitor_always = false;  ///< ablation: count in both stages
+  bool flip_enabled = true;  ///< ablation: disable index-bit flipping
 };
 
 class SnugScheme final : public PrivateSchemeBase {

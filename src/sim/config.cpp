@@ -89,20 +89,19 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
       u(cfg.scheme_ctx.priv.lat.remote_lookup_cc),
       u(cfg.scheme_ctx.priv.lat.remote_lookup_snug),
       u(cfg.scheme_ctx.priv.lat.l2s_remote));
+  // "a0" and the DSR "/0/32/10" tail are retired knobs (SNUG's
+  // monitor-always ablation, DSR's set-dueling variant) written as their
+  // former defaults, so no published eval-cache key moves.
   descriptor += strf(
-      "|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d/a%d|dsr=%u/%u/%d/%u/%u"
+      "|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d/a0|dsr=%u/%u/0/32/10"
       "|warm=%llu|meas=%llu|phase=%llu",
       u(cfg.scheme_ctx.snug.epochs.identify_cycles),
       u(cfg.scheme_ctx.snug.epochs.group_cycles),
       cfg.scheme_ctx.snug.monitor.k_bits, cfg.scheme_ctx.snug.monitor.p,
       cfg.scheme_ctx.snug.monitor.num_sets,
       cfg.scheme_ctx.snug.monitor.taker_biased ? 1 : 0,
-      cfg.scheme_ctx.snug.flip_enabled ? 1 : 0,
-      cfg.scheme_ctx.snug.monitor_always ? 1 : 0,
-      cfg.scheme_ctx.dsr.k_bits, cfg.scheme_ctx.dsr.p,
-      cfg.scheme_ctx.dsr.use_set_dueling ? 1 : 0,
-      cfg.scheme_ctx.dsr.leader_sets, cfg.scheme_ctx.dsr.psel_bits,
-      u(scale.warmup_cycles), u(scale.measure_cycles),
+      cfg.scheme_ctx.snug.flip_enabled ? 1 : 0, cfg.scheme_ctx.dsr.k_bits,
+      cfg.scheme_ctx.dsr.p, u(scale.warmup_cycles), u(scale.measure_cycles),
       u(scale.phase_period_refs));
   descriptor += strf("|dsre=%llu/%llu",
                      u(cfg.scheme_ctx.dsr.epochs.identify_cycles),

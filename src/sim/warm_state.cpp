@@ -40,7 +40,7 @@ std::uint64_t warm_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   //   * the core's LSQ depth — the functional cursor replays ROB
   //     back-pressure only;
   //   * another scheme's knobs — SNUG's monitor/epoch/flip block and
-  //     DSR's dueling block enter only for their own scheme, so e.g.
+  //     DSR's classifier block enter only for their own scheme, so e.g.
   //     CC(30%) points running under different `monitor-sample=`
   //     settings share one checkpoint.
   // Everything else — topology and geometries, the core cadence inputs,
@@ -80,17 +80,16 @@ std::uint64_t warm_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   }
   if (spec.kind == schemes::SchemeKind::kSNUG) {
     const auto& snug = cfg.scheme_ctx.snug;
-    d += strf("|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d/a%d/s%u|rlat=%llu",
+    d += strf("|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d/s%u|rlat=%llu",
               u(snug.epochs.identify_cycles), u(snug.epochs.group_cycles),
               snug.monitor.k_bits, snug.monitor.p, snug.monitor.num_sets,
               snug.monitor.taker_biased ? 1 : 0, snug.flip_enabled ? 1 : 0,
-              snug.monitor_always ? 1 : 0, snug.monitor.sample_period,
+              snug.monitor.sample_period,
               u(cfg.scheme_ctx.priv.lat.remote_lookup_snug));
   }
   if (spec.kind == schemes::SchemeKind::kDSR) {
     const auto& dsr = cfg.scheme_ctx.dsr;
-    d += strf("|dsr=%u/%u/%d/%u/%u/s%u|dsre=%llu/%llu", dsr.k_bits, dsr.p,
-              dsr.use_set_dueling ? 1 : 0, dsr.leader_sets, dsr.psel_bits,
+    d += strf("|dsr=%u/%u/s%u|dsre=%llu/%llu", dsr.k_bits, dsr.p,
               dsr.sample_period, u(dsr.epochs.identify_cycles),
               u(dsr.epochs.group_cycles));
   }

@@ -37,7 +37,8 @@ class WarmStateBank {
   /// v2: a 32-byte header with a u64 byte count and payload CRC-32C.
   /// v3: the shared 24-byte blob-store header (u32 byte count); v2
   /// files are stale by version and left in place.
-  static constexpr std::uint32_t kVersion = 3;
+  /// v4: DSR's blob drops the set-dueling PSEL vector.
+  static constexpr std::uint32_t kVersion = 4;
   /// Hard upper bound on a plausible checkpoint (a 16-core paper-scale
   /// system is a few hundred MB of arenas); the header's u32 count
   /// caps it, and anything larger is treated as corruption.

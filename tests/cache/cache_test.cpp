@@ -142,16 +142,6 @@ TEST(Cache, TotalCcLines) {
   EXPECT_EQ(c.total_cc_lines(), 3U);
 }
 
-TEST(Cache, InvalidateAll) {
-  SetAssocCache c("l2", small_geo());
-  const auto& g = c.geometry();
-  c.fill_local(make_addr(g, 1, 0), false, 0);
-  c.insert_cc(make_addr(g, 2, 3), 1, false);
-  c.invalidate_all();
-  EXPECT_FALSE(c.probe_local(make_addr(g, 1, 0)).hit);
-  EXPECT_FALSE(c.lookup_cc(make_addr(g, 2, 3)).found);
-}
-
 TEST(Cache, LocalAccessNeverHitsCcLine) {
   // A cooperative copy belongs to a peer; the local core must treat the
   // address as a miss and go through the retrieve protocol.

@@ -2,43 +2,32 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
 #include <set>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace snug::cache {
 namespace {
 
-/// Owning harness for one set's flat policy-state bytes.
-struct PolicyState {
-  explicit PolicyState(ReplacementKind k, std::uint32_t a,
-                       Rng* r = nullptr)
-      : kind(k), assoc(a), rng(r), state(a, 0) {
-    repl::init(kind, state.data(), assoc);
+/// Owning harness for one set's flat LRU rank bytes.
+struct LruState {
+  explicit LruState(std::uint32_t a) : assoc(a), state(a, 0) {
+    repl::init(state.data(), assoc);
   }
-  void on_access(WayIndex w) {
-    repl::on_access(kind, state.data(), assoc, w);
+  void on_access(WayIndex w) { repl::rank_touch(state.data(), assoc, w); }
+  [[nodiscard]] WayIndex victim() const {
+    return repl::rank_victim(state.data(), assoc);
   }
-  void on_fill(WayIndex w) { repl::on_fill(kind, state.data(), assoc, w); }
-  [[nodiscard]] WayIndex victim() {
-    return repl::victim(kind, state.data(), assoc, rng);
-  }
-  void demote(WayIndex w) { repl::demote(kind, state.data(), assoc, w); }
-  void place_at(WayIndex w, std::uint32_t rank) {
-    repl::place_at(kind, state.data(), assoc, w, rank);
-  }
-  [[nodiscard]] std::uint32_t rank_of(WayIndex w) const {
-    return repl::rank_of(kind, state.data(), assoc, w);
-  }
+  [[nodiscard]] std::uint32_t rank_of(WayIndex w) const { return state[w]; }
 
-  ReplacementKind kind;
   std::uint32_t assoc;
-  Rng* rng;
   std::vector<std::uint8_t> state;
 };
 
 TEST(Lru, VictimIsLeastRecentlyUsed) {
-  PolicyState lru(ReplacementKind::kLru, 4);
+  LruState lru(4);
   lru.on_access(0);
   lru.on_access(1);
   lru.on_access(2);
@@ -49,7 +38,7 @@ TEST(Lru, VictimIsLeastRecentlyUsed) {
 }
 
 TEST(Lru, RanksArePermutation) {
-  PolicyState lru(ReplacementKind::kLru, 8);
+  LruState lru(8);
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     lru.on_access(static_cast<WayIndex>(rng.below(8)));
@@ -62,21 +51,14 @@ TEST(Lru, RanksArePermutation) {
 }
 
 TEST(Lru, AccessMakesMru) {
-  PolicyState lru(ReplacementKind::kLru, 4);
+  LruState lru(4);
   lru.on_access(2);
   EXPECT_EQ(lru.rank_of(2), 0U);
 }
 
-TEST(Lru, DemoteMakesVictim) {
-  PolicyState lru(ReplacementKind::kLru, 4);
-  for (WayIndex w = 0; w < 4; ++w) lru.on_access(w);
-  lru.demote(3);  // most recent becomes LRU
-  EXPECT_EQ(lru.victim(), 3U);
-}
-
 TEST(Lru, MimicsReferenceStack) {
   // Compare against an explicit list-based LRU model.
-  PolicyState lru(ReplacementKind::kLru, 4);
+  LruState lru(4);
   // Initial ranks are the identity: way 0 is MRU, way 3 is LRU.
   std::vector<WayIndex> model{0, 1, 2, 3};  // MRU front
   Rng rng(17);
@@ -90,124 +72,6 @@ TEST(Lru, MimicsReferenceStack) {
     }
     EXPECT_EQ(lru.victim(), model.back());
   }
-}
-
-TEST(Fifo, EvictsInFillOrder) {
-  PolicyState fifo(ReplacementKind::kFifo, 4);
-  fifo.on_fill(2);
-  fifo.on_fill(0);
-  fifo.on_fill(1);
-  fifo.on_fill(3);
-  EXPECT_EQ(fifo.victim(), 2U);
-  fifo.on_fill(2);  // refill
-  EXPECT_EQ(fifo.victim(), 0U);
-}
-
-TEST(Fifo, AccessDoesNotChangeOrder) {
-  PolicyState fifo(ReplacementKind::kFifo, 2);
-  fifo.on_fill(0);
-  fifo.on_fill(1);
-  fifo.on_access(0);
-  EXPECT_EQ(fifo.victim(), 0U);
-}
-
-TEST(Fifo, RankOfCountsNewerFills) {
-  PolicyState fifo(ReplacementKind::kFifo, 4);
-  fifo.on_fill(2);
-  fifo.on_fill(0);
-  fifo.on_fill(1);
-  fifo.on_fill(3);
-  EXPECT_EQ(fifo.rank_of(3), 0U);  // newest
-  EXPECT_EQ(fifo.rank_of(1), 1U);
-  EXPECT_EQ(fifo.rank_of(0), 2U);
-  EXPECT_EQ(fifo.rank_of(2), 3U);  // oldest
-}
-
-TEST(Fifo, DemoteOnFreshStateMakesDemotedWayTheVictim) {
-  // Regression: the old sequence-number representation set a demoted
-  // way's order to oldest-1, but pinned it at 0 when the oldest sequence
-  // was already 0 — duplicating the oldest order, so victim() (a min
-  // scan) returned the lowest-indexed tied way instead of the demoted
-  // one.  The rank representation keeps a permutation by construction.
-  PolicyState fifo(ReplacementKind::kFifo, 4);
-  fifo.demote(1);
-  EXPECT_EQ(fifo.victim(), 1U);
-}
-
-TEST(Fifo, RepeatedDemotionsStayDistinguishable) {
-  // Second half of the regression: two demotions in a row must leave the
-  // most recently demoted way as the unique oldest and the earlier one
-  // right behind it, never two indistinguishable ways.
-  PolicyState fifo(ReplacementKind::kFifo, 4);
-  for (WayIndex w = 0; w < 4; ++w) fifo.on_fill(w);
-  fifo.demote(1);
-  fifo.demote(2);
-  EXPECT_EQ(fifo.victim(), 2U);
-  fifo.on_fill(2);  // evict + refill the victim way
-  EXPECT_EQ(fifo.victim(), 1U);
-  std::set<std::uint32_t> ranks;
-  for (WayIndex w = 0; w < 4; ++w) ranks.insert(fifo.rank_of(w));
-  EXPECT_EQ(ranks.size(), 4U);  // still a permutation
-}
-
-TEST(Random, VictimInRangeAndCoversAllWays) {
-  Rng rng(23);
-  PolicyState r(ReplacementKind::kRandom, 4, &rng);
-  std::set<WayIndex> seen;
-  for (int i = 0; i < 200; ++i) {
-    const WayIndex v = r.victim();
-    EXPECT_LT(v, 4U);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 4U);
-}
-
-TEST(Random, DemotePinsNextVictim) {
-  Rng rng(29);
-  PolicyState r(ReplacementKind::kRandom, 8, &rng);
-  r.demote(5);
-  EXPECT_EQ(r.victim(), 5U);
-}
-
-TEST(TreePlru, VictimAvoidsRecentlyUsed) {
-  PolicyState plru(ReplacementKind::kTreePlru, 4);
-  plru.on_access(0);
-  const WayIndex v = plru.victim();
-  EXPECT_NE(v, 0U);
-}
-
-TEST(TreePlru, FillingAllWaysCyclesVictims) {
-  PolicyState plru(ReplacementKind::kTreePlru, 8);
-  std::set<WayIndex> victims;
-  for (int i = 0; i < 8; ++i) {
-    const WayIndex v = plru.victim();
-    victims.insert(v);
-    plru.on_access(v);
-  }
-  // Tree-PLRU touring: touching each victim visits all ways.
-  EXPECT_EQ(victims.size(), 8U);
-}
-
-TEST(TreePlru, DemoteMakesVictim) {
-  PolicyState plru(ReplacementKind::kTreePlru, 8);
-  for (WayIndex w = 0; w < 8; ++w) plru.on_access(w);
-  plru.demote(3);
-  EXPECT_EQ(plru.victim(), 3U);
-}
-
-TEST(Dispatch, EveryKindInitialisesAndPicksInRangeVictims) {
-  Rng rng(1);
-  for (const auto kind :
-       {ReplacementKind::kLru, ReplacementKind::kFifo,
-        ReplacementKind::kRandom, ReplacementKind::kTreePlru}) {
-    PolicyState s(kind, 16, &rng);
-    EXPECT_LT(s.victim(), 16U) << to_string(kind);
-  }
-}
-
-TEST(Dispatch, ToStringNames) {
-  EXPECT_STREQ(to_string(ReplacementKind::kLru), "lru");
-  EXPECT_STREQ(to_string(ReplacementKind::kTreePlru), "tree-plru");
 }
 
 }  // namespace

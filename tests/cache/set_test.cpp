@@ -36,7 +36,6 @@ TEST(CacheSet, FindLocalIgnoresCcLines) {
   set.fill(0, cc_line(7, false));
   EXPECT_EQ(set.find_local(7), kInvalidWay);
   EXPECT_EQ(set.find_cc(7, false), 0U);
-  EXPECT_EQ(set.find_any(7), 0U);
 }
 
 TEST(CacheSet, FindCcMatchesFlipFlagExactly) {
@@ -86,18 +85,6 @@ TEST(CacheSet, FillReturnsDisplaced) {
   EXPECT_EQ(d.tag, 1U);
 }
 
-TEST(CacheSet, FillDemotedIsNextVictim) {
-  SoloSet solo(4);
-  const CacheSet set = solo.set();
-  for (std::uint64_t t = 1; t <= 4; ++t) {
-    set.fill(set.choose_victim(), local_line(t));
-  }
-  // Demote-insert a cc block; it must be chosen before older local lines.
-  const WayIndex v = set.choose_victim();
-  set.fill_demoted(v, cc_line(99, false));
-  EXPECT_EQ(set.choose_victim(), set.find_cc(99, false));
-}
-
 TEST(CacheSet, InvalidateFreesWay) {
   SoloSet solo(2);
   const CacheSet set = solo.set();
@@ -116,21 +103,6 @@ TEST(CacheSet, CcCount) {
   set.fill(2, cc_line(3, true));
   EXPECT_EQ(set.cc_count(), 2U);
   EXPECT_EQ(set.valid_count(), 3U);
-}
-
-TEST(CacheSet, ForEachValidVisitsAll) {
-  SoloSet solo(4);
-  const CacheSet set = solo.set();
-  set.fill(0, local_line(1));
-  set.fill(2, local_line(3));
-  int visits = 0;
-  std::uint64_t tag_sum = 0;
-  set.for_each_valid([&](WayIndex, const CacheLine& l) {
-    ++visits;
-    tag_sum += l.tag;
-  });
-  EXPECT_EQ(visits, 2);
-  EXPECT_EQ(tag_sum, 4U);
 }
 
 TEST(CacheSet, DirtyBitSurvivesFillAndDisplace) {

@@ -167,23 +167,5 @@ TEST(DSR, AtMostOneCooperativeCopy) {
   }
 }
 
-TEST(DSR, SetDuelingVariantConstructs) {
-  bus::SnoopBus bus{bus::BusConfig{}};
-  dram::DramModel dram{dram::DramConfig{}};
-  const SchemeBuildContext ctx = small_context();
-  DsrConfig dcfg;
-  dcfg.use_set_dueling = true;
-  dcfg.leader_sets = 4;
-  DsrScheme scheme(ctx.priv, dcfg, bus, dram);
-  // With PSEL at its midpoint, followers are spillers and exactly the
-  // receive-leader sets are receivers.
-  int receivers = 0;
-  for (SetIndex s = 0; s < 32; ++s) {
-    if (scheme.role_of(0, s) == DsrScheme::Role::kReceiver) ++receivers;
-  }
-  EXPECT_EQ(receivers, 4);
-  EXPECT_EQ(scheme.psel(0), 512U);
-}
-
 }  // namespace
 }  // namespace snug::schemes

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -71,8 +72,43 @@ TEST(EvalCache, RunFingerprintCoversFullTopology) {
   EXPECT_NE(fp, run_fingerprint(cfg, scale, combo, snug));
 
   cfg = base;
-  cfg.scheme_ctx.dsr.use_set_dueling = true;
+  cfg.scheme_ctx.snug.monitor.p = 4;
   EXPECT_NE(fp, run_fingerprint(cfg, scale, combo, snug));
+
+  cfg = base;
+  cfg.scheme_ctx.snug.monitor.taker_biased = false;
+  EXPECT_NE(fp, run_fingerprint(cfg, scale, combo, snug));
+
+  cfg = base;
+  cfg.scheme_ctx.snug.epochs.identify_cycles *= 2;
+  EXPECT_NE(fp, run_fingerprint(cfg, scale, combo, snug));
+}
+
+TEST(EvalCache, PaperFingerprintsArePinned) {
+  // Every published eval-cache entry at the default scale (SNUG_FULL_SCALE
+  // unset) is keyed by these values.  They are literals, not
+  // recomputations, so a descriptor edit that moves any key fails here
+  // instead of silently cold-starting every cache.
+  const SystemConfig cfg = paper_system_config();
+  const RunScale scale;
+  EXPECT_EQ(config_fingerprint(cfg, scale), 0x75BF827E0857C24EULL);
+
+  const trace::WorkloadCombo& combo = trace::all_combos().front();
+  ASSERT_EQ(combo.name, "4xammp");
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"L2P", 0x6C4369951F326AC2ULL},      {"L2S", 0x34846C8DCD45D569ULL},
+      {"CC(0%)", 0x7B185E1F72A1B8AFULL},   {"CC(25%)", 0x1BB542CCF18DB01AULL},
+      {"CC(50%)", 0xDF60065FB1FBA4E7ULL},  {"CC(75%)", 0xF8CA0D2A15EC0561ULL},
+      {"CC(100%)", 0xF1338B17A2093FB6ULL}, {"DSR", 0xE451F81768BA7933ULL},
+      {"SNUG", 0xB9C5E62830D7C44DULL},
+  };
+  const std::vector<schemes::SchemeSpec> grid = schemes::paper_scheme_grid();
+  ASSERT_EQ(grid.size(), want.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(grid[i].id(), want[i].first);
+    EXPECT_EQ(run_fingerprint(cfg, scale, combo, grid[i]), want[i].second)
+        << combo.name << "/" << grid[i].id();
+  }
 }
 
 TEST(EvalCache, RunFingerprintIsStableAndSensitive) {

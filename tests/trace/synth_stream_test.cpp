@@ -342,5 +342,39 @@ TEST(SynthStream, BandWeightsRespected) {
   EXPECT_NEAR(shallow, 410, 12);
 }
 
+TEST(WritableFootprint, DeterministicPerBlock) {
+  trace::StreamConfig cfg;
+  cfg.stream_seed = 3;
+  trace::SyntheticStream stream(trace::profile_for("ammp"), cfg);
+  for (Addr block = 0; block < 64 * 100; block += 64) {
+    EXPECT_EQ(stream.writable_block(block), stream.writable_block(block));
+  }
+}
+
+TEST(WritableFootprint, FractionRoughlyMatchesProfile) {
+  trace::StreamConfig cfg;
+  cfg.stream_seed = 3;
+  trace::SyntheticStream stream(trace::profile_for("ammp"), cfg);
+  const double target = trace::profile_for("ammp").writable_fraction;
+  int writable = 0;
+  constexpr int kBlocks = 20000;
+  for (int i = 0; i < kBlocks; ++i) {
+    if (stream.writable_block(static_cast<Addr>(i) * 64)) ++writable;
+  }
+  EXPECT_NEAR(static_cast<double>(writable) / kBlocks, target, 0.02);
+}
+
+TEST(WritableFootprint, StoresOnlyTargetWritableBlocks) {
+  trace::StreamConfig cfg;
+  cfg.stream_seed = 5;
+  trace::SyntheticStream stream(trace::profile_for("parser"), cfg);
+  for (int i = 0; i < 100'000; ++i) {
+    const trace::Instr instr = stream.next();
+    if (instr.kind == trace::InstrKind::kStore) {
+      EXPECT_TRUE(stream.writable_block(instr.addr & ~Addr{63}));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace snug::trace
