@@ -2,7 +2,7 @@
 // p controls how much hit-rate gain a set must promise before it may
 // spill (paper Section 3.1.2 uses p = 8); the reset point decides whether
 // unclassified sets default to giver (paper) or taker (this build's
-// robust default — see DESIGN.md).
+// robust default — see README.md, "Modelling substitutions").
 #include <cstdio>
 
 #include "common/cli.hpp"

@@ -108,22 +108,10 @@ int main(int argc, char** argv) {
   for (const auto& cores : split(cores_list, ',')) {
     sim::ScenarioSpec scenario;
     std::string error;
-    // 16-core topologies run the 1-in-8 sampled capacity monitors: at
-    // that scale the exact monitors dominate the per-access cost while
-    // the measured IPC is unchanged: the retired sensitivity record
-    // (`git show 4f7d399:BENCH_warmup.json`) shows a zero per-core delta
-    // on all six classes, and tests/core/monitor_sampling_test.cpp pins
-    // that sampling leaves the harvested G/T decisions unchanged — the
-    // counters saturate long before harvest either way.  --scenario
-    // overrides still win: `extra` is appended after, and later keys
-    // take precedence.
-    const std::string sampling =
-        cores == "16" ? "monitor-sample=8 " : "";
     const std::string directives =
-        strf("name=%sc cores=%s workload=%s variants=%lld %s%s",
+        strf("name=%sc cores=%s workload=%s variants=%lld %s",
              cores.c_str(), cores.c_str(), mix.c_str(),
-             static_cast<long long>(variants), sampling.c_str(),
-             extra.c_str());
+             static_cast<long long>(variants), extra.c_str());
     if (!sim::parse_scenario(directives, scenario, error)) {
       std::fprintf(stderr, "bad topology cores=%s: %s\n", cores.c_str(),
                    error.c_str());

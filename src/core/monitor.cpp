@@ -7,20 +7,16 @@ namespace snug::core {
 CapacityMonitor::CapacityMonitor(const MonitorConfig& cfg)
     : cfg_(cfg), shadows_(cfg.num_sets, cfg.assoc) {
   SNUG_REQUIRE_MSG(cfg.num_sets >= 2, "monitor needs at least two sets");
-  SNUG_REQUIRE_MSG(cfg.sample_period >= 1,
-                   "monitor sample period must be >= 1");
   counters_.reserve(cfg.num_sets);
   dividers_.reserve(cfg.num_sets);
   for (std::uint32_t s = 0; s < cfg.num_sets; ++s) {
     counters_.emplace_back(cfg.k_bits, cfg.taker_biased);
     dividers_.emplace_back(cfg.p);
   }
-  sampler_ = WindowSampler(cfg.num_sets, cfg.sample_period);
 }
 
 void CapacityMonitor::on_local_hit(SetIndex set) {
   SNUG_REQUIRE(set < cfg_.num_sets);
-  if (cfg_.sample_period != 1 && !sampler_.sampled(set)) return;
   if (!counting_) return;
   ++stats_.real_hits();
   if (dividers_[set].tick()) counters_[set].decrement();
@@ -28,10 +24,8 @@ void CapacityMonitor::on_local_hit(SetIndex set) {
 
 bool CapacityMonitor::on_local_miss(SetIndex set, std::uint64_t tag) {
   SNUG_REQUIRE(set < cfg_.num_sets);
-  if (cfg_.sample_period != 1 && !sampler_.sampled(set)) return false;
   // Shadow upkeep must run even when not counting so exclusivity with the
-  // real set is preserved across stage boundaries (approximately, when
-  // sampling — see MonitorConfig::sample_period).
+  // real set is preserved across stage boundaries.
   const bool shadow_hit = shadows_.probe_and_remove(set, tag);
   if (!counting_) return shadow_hit;
   if (shadow_hit) {
@@ -44,7 +38,6 @@ bool CapacityMonitor::on_local_miss(SetIndex set, std::uint64_t tag) {
 
 void CapacityMonitor::on_local_eviction(SetIndex set, std::uint64_t tag) {
   SNUG_REQUIRE(set < cfg_.num_sets);
-  if (cfg_.sample_period != 1 && !sampler_.sampled(set)) return;
   shadows_.insert(set, tag);
   ++stats_.shadow_inserts();
 }
@@ -68,7 +61,6 @@ void CapacityMonitor::reset() {
   for (auto& c : counters_) c.reset();
   for (auto& d : dividers_) d.reset();
   stats_.reset();
-  sampler_.reset();
 }
 
 void CapacityMonitor::save_state(StateWriter& w) const {
@@ -85,7 +77,6 @@ void CapacityMonitor::save_state(StateWriter& w) const {
   }
   w.vec(values);
   w.pod(static_cast<std::uint8_t>(counting_));
-  w.vec(sampler_.event_indices());
 }
 
 void CapacityMonitor::load_state(StateReader& r) {
@@ -103,7 +94,6 @@ void CapacityMonitor::load_state(StateReader& r) {
     dividers_[s].set_count(values[s]);
   }
   counting_ = r.pod<std::uint8_t>() != 0;
-  sampler_.set_event_indices(r.vec<std::uint32_t>());
 }
 
 }  // namespace snug::core

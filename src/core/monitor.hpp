@@ -20,7 +20,6 @@
 #include "core/gt_vector.hpp"
 #include "core/saturating_counter.hpp"
 #include "core/shadow_set.hpp"
-#include "core/window_sampler.hpp"
 #include "stats/counters.hpp"
 
 namespace snug::core {
@@ -33,21 +32,6 @@ struct MonitorConfig {
   /// Counter reset point: true (default) starts at 2^(k-1) so sets with
   /// no evidence stay takers (safe); false is the paper's 2^(k-1)-1.
   bool taker_biased = true;
-  /// 1-in-N monitor event sampling (1 = exact, the default).  With N > 1
-  /// each set's monitor events (hit, miss probe, eviction insert) are
-  /// processed only during 1 out of every N windows of
-  /// WindowSampler::kWindow consecutive events — sampling in TIME, not
-  /// per-event (see core/window_sampler.hpp for why pairing matters).
-  /// Because the thinning is uniform across the numerator (shadow hits)
-  /// and the denominator (real + shadow hits, via the mod-p divider) of
-  /// the paper's sigma > 1/p test, the 1/N factor cancels out of the
-  /// threshold compare — the harvested G/T decision estimates the same
-  /// quantity from 1/N as many samples
-  /// (tests/core/monitor_sampling_test pins the distribution).  Shadow
-  /// exclusivity with the real set becomes approximate when sampling: a
-  /// skipped miss probe can leave a stale shadow entry behind, which a
-  /// later sampled probe retires.
-  std::uint32_t sample_period = 1;
 };
 
 /// Monitor event counters as SoA words (stats/counters.hpp).
@@ -91,10 +75,10 @@ class CapacityMonitor {
   void reset();
 
   /// Warm-state serialization: shadow tags, counter values, divider
-  /// phases, the counting flag and the sampler cursors round-trip
-  /// bit-exactly for a monitor of identical MonitorConfig (guarded by
-  /// the warm-state bank fingerprint).  Event stats are NOT saved — the
-  /// measurement boundary resets them in both the save and restore path.
+  /// phases and the counting flag round-trip bit-exactly for a monitor
+  /// of identical MonitorConfig (guarded by the warm-state bank
+  /// fingerprint).  Event stats are NOT saved — the measurement boundary
+  /// resets them in both the save and restore path.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
@@ -105,7 +89,6 @@ class CapacityMonitor {
   std::vector<ModPCounter> dividers_;
   MonitorStats stats_;
   bool counting_ = true;
-  WindowSampler sampler_;  ///< per-set lanes (MonitorConfig::sample_period)
 };
 
 }  // namespace snug::core

@@ -26,7 +26,8 @@ class SaturatingCounter {
   /// attract the whole CMP's spill traffic.  The biased variant starts at
   /// 2^(k-1) (MSB set): a set must produce hit evidence to become a
   /// giver, which is the safe default.  Both are available; the SNUG
-  /// scheme uses the biased one (see DESIGN.md).
+  /// scheme uses the biased one (see README.md, "Modelling
+  /// substitutions").
   explicit SaturatingCounter(std::uint32_t k_bits = 4,
                              bool taker_biased = false)
       : k_(k_bits), taker_biased_(taker_biased) {

@@ -6,11 +6,9 @@ namespace snug::schemes {
 
 DsrScheme::DsrScheme(const PrivateConfig& cfg, const DsrConfig& dsr,
                      bus::SnoopBus& bus, dram::DramModel& dram)
-    : PrivateSchemeBase("DSR", cfg, bus, dram), dsr_(dsr) {
+    : PrivateSchemeBase("DSR", cfg, bus, dram) {
   const std::uint32_t num_sets = cfg.l2.num_sets();
 
-  SNUG_ENSURE(dsr.sample_period >= 1);
-  sampler_ = core::WindowSampler(cfg.num_cores, dsr.sample_period);
   shadows_.reserve(cfg.num_cores);
   for (CoreId c = 0; c < cfg.num_cores; ++c) {
     shadows_.emplace_back(num_sets, cfg.l2.associativity());
@@ -41,13 +39,11 @@ DsrScheme::Role DsrScheme::role_of(CoreId c) const {
 }
 
 void DsrScheme::on_local_hit(CoreId c, SetIndex /*set*/) {
-  if (dsr_.sample_period != 1 && !sampler_.sampled(c)) return;
   if (!counting_) return;
   if (divider_[c].tick()) app_counter_[c].decrement();
 }
 
 void DsrScheme::on_local_miss(CoreId c, SetIndex set, std::uint64_t tag) {
-  if (dsr_.sample_period != 1 && !sampler_.sampled(c)) return;
   // Shadow upkeep always (exclusivity); counting only during Stage I.
   const bool shadow_hit = shadows_[c].probe_and_remove(set, tag);
   if (counting_ && shadow_hit) {
@@ -58,7 +54,6 @@ void DsrScheme::on_local_miss(CoreId c, SetIndex set, std::uint64_t tag) {
 
 void DsrScheme::on_local_eviction(CoreId c, SetIndex set,
                                   std::uint64_t tag) {
-  if (dsr_.sample_period != 1 && !sampler_.sampled(c)) return;
   shadows_[c].insert(set, tag);
 }
 
@@ -79,7 +74,6 @@ RemoteResult DsrScheme::probe_peers(CoreId c, Addr addr,
 
 void DsrScheme::save_warm_state(StateWriter& w) const {
   PrivateSchemeBase::save_warm_state(w);
-  w.vec(sampler_.event_indices());
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     std::vector<std::byte> shadow(shadows_[c].state_bytes());
     shadows_[c].export_state(shadow.data());
@@ -107,7 +101,6 @@ void DsrScheme::save_warm_state(StateWriter& w) const {
 
 void DsrScheme::load_warm_state(StateReader& r) {
   PrivateSchemeBase::load_warm_state(r);
-  sampler_.set_event_indices(r.vec<std::uint32_t>());
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     const auto shadow = r.vec<std::byte>();
     SNUG_ENSURE(shadow.size() == shadows_[c].state_bytes());

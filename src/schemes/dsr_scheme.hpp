@@ -4,14 +4,15 @@
 // *receiver* (giver application: can host peers' victims), and spilling
 // only flows from spillers to receivers, always into the same-index set.
 //
-// Classification substitution (see DESIGN.md): Qureshi learns the roles
-// with set dueling; we learn them with the same shadow-tag capacity
-// monitor SNUG uses, aggregated to ONE saturating counter per cache
-// (sigma_app = shadow hits / all hits > 1/p  =>  taker/spiller).  This
-// keeps the sensing identical between DSR and SNUG, so any performance
-// difference between the two schemes is attributable purely to the
-// *granularity* of the classification and the flipping-based grouping —
-// exactly the comparison the paper makes.
+// Classification substitution (see README.md, "Modelling
+// substitutions"): Qureshi learns the roles with set dueling; we learn
+// them with the same shadow-tag capacity monitor SNUG uses, aggregated
+// to ONE saturating counter per cache (sigma_app = shadow hits / all
+// hits > 1/p  =>  taker/spiller).  This keeps the sensing identical
+// between DSR and SNUG, so any performance difference between the two
+// schemes is attributable purely to the *granularity* of the
+// classification and the flipping-based grouping — exactly the
+// comparison the paper makes.
 #pragma once
 
 #include <memory>
@@ -21,7 +22,6 @@
 #include "core/monitor.hpp"
 #include "core/saturating_counter.hpp"
 #include "core/shadow_set.hpp"
-#include "core/window_sampler.hpp"
 #include "schemes/private_base.hpp"
 
 namespace snug::schemes {
@@ -30,13 +30,6 @@ struct DsrConfig {
   std::uint32_t k_bits = 8;  ///< app-level counter width (events/epoch big)
   std::uint32_t p = 8;       ///< same 1/p threshold as SNUG (Table 2)
   core::EpochConfig epochs;  ///< synchronised with SNUG's epochs
-  /// 1-in-N monitor event sampling, same semantics (and same scenario
-  /// knob) as MonitorConfig::sample_period: window sampling in time, so
-  /// the eviction -> re-miss pairing survives, and the 1/N thinning
-  /// applies uniformly to the shadow-hit numerator and the
-  /// mod-p-divided hit denominator — the sigma_app > 1/p compare is
-  /// unchanged.  1 = exact.
-  std::uint32_t sample_period = 1;
 };
 
 class DsrScheme final : public PrivateSchemeBase {
@@ -60,8 +53,8 @@ class DsrScheme final : public PrivateSchemeBase {
     return controller_->stage();
   }
 
-  /// Base warm state + the classification machinery (sampler windows,
-  /// shadow arrays, app counters, dividers, roles, epoch controller).
+  /// Base warm state + the classification machinery (shadow arrays,
+  /// app counters, dividers, roles, epoch controller).
   void save_warm_state(StateWriter& w) const override;
   void load_warm_state(StateReader& r) override;
 
@@ -78,11 +71,6 @@ class DsrScheme final : public PrivateSchemeBase {
  private:
   void harvest_roles();
 
-  DsrConfig dsr_;
-  /// Per-core lanes (DsrConfig::sample_period): a miss and the eviction
-  /// it causes are adjacent events of the same core, so they share a
-  /// window except at the edges.
-  core::WindowSampler sampler_;
   std::vector<core::ShadowSetArray> shadows_;  // [cache](set)
   std::vector<core::SaturatingCounter> app_counter_;
   std::vector<core::ModPCounter> divider_;

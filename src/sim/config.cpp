@@ -106,18 +106,9 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
   descriptor += strf("|dsre=%llu/%llu",
                      u(cfg.scheme_ctx.dsr.epochs.identify_cycles),
                      u(cfg.scheme_ctx.dsr.epochs.group_cycles));
-  // Monitor sampling changes simulated behaviour only when enabled, so
-  // the descriptor gains the knob only then — every exact (N=1) config
-  // keeps its pre-knob fingerprint and the eval cache stays warm.
-  if (cfg.scheme_ctx.snug.monitor.sample_period != 1 ||
-      cfg.scheme_ctx.dsr.sample_period != 1) {
-    descriptor += strf("|msample=%u/%u",
-                       cfg.scheme_ctx.snug.monitor.sample_period,
-                       cfg.scheme_ctx.dsr.sample_period);
-  }
-  // Same conditional-suffix rule for the warm-up mode: timing (the
-  // default) keeps its pre-knob fingerprint, functional warm-up changes
-  // simulated history and gets its own cache lineage.
+  // The warm-up mode extends the descriptor only when non-default:
+  // timing (the default) keeps its pre-knob fingerprint, functional
+  // warm-up changes simulated history and gets its own cache lineage.
   if (scale.warmup_mode == WarmupMode::kFunctional) {
     descriptor += "|wmode=f";
   }

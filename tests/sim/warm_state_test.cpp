@@ -115,19 +115,20 @@ TEST(WarmFingerprint, IgnoresKnobsTheWarmupNeverReads) {
   wbb.scheme_ctx.priv.wbb.drain_interval *= 2;
   EXPECT_EQ(fp, warm_fingerprint(wbb, scale, combo, cc));
 
-  // Monitor sampling is a SNUG/DSR knob: CC checkpoints ignore it...
-  SystemConfig sampled = cfg;
-  sampled.scheme_ctx.snug.monitor.sample_period = 8;
-  sampled.scheme_ctx.dsr.sample_period = 8;
-  EXPECT_EQ(fp, warm_fingerprint(sampled, scale, combo, cc));
+  // The SNUG monitor threshold and the DSR counter width are SNUG/DSR
+  // knobs: CC checkpoints ignore them...
+  SystemConfig tuned = cfg;
+  tuned.scheme_ctx.snug.monitor.p = 16;
+  tuned.scheme_ctx.dsr.k_bits = 6;
+  EXPECT_EQ(fp, warm_fingerprint(tuned, scale, combo, cc));
 
-  // ...while the owning schemes rightly key on it.
+  // ...while the owning schemes rightly key on them.
   const schemes::SchemeSpec snug{schemes::SchemeKind::kSNUG, 0.0};
   const schemes::SchemeSpec dsr{schemes::SchemeKind::kDSR, 0.0};
   EXPECT_NE(warm_fingerprint(cfg, scale, combo, snug),
-            warm_fingerprint(sampled, scale, combo, snug));
+            warm_fingerprint(tuned, scale, combo, snug));
   EXPECT_NE(warm_fingerprint(cfg, scale, combo, dsr),
-            warm_fingerprint(sampled, scale, combo, dsr));
+            warm_fingerprint(tuned, scale, combo, dsr));
 
   // Distinct organisations and distinct CC thresholds stay distinct:
   // their warm-up evolution genuinely diverges (per-scheme RNG streams
@@ -295,7 +296,7 @@ TEST(WarmBankRunner, CcThresholdsHitTheBankAcrossWarmIrrelevantKnobs) {
   // ISSUE 7 satellite pin: a CC(x%) checkpoint banked by one runner is
   // found — and restored bit-identically — by a runner whose config
   // differs only in knobs the warm-up never reads (measurement length,
-  // monitor sampling, WBB depth), for more than one spill threshold.
+  // SNUG/DSR monitor knobs, WBB depth), for more than one spill threshold.
   TempBankDir tmp("snug_warm_bank_cc_share_test");
   RunScale scale;
   scale.warmup_cycles = 250'000;
@@ -308,8 +309,8 @@ TEST(WarmBankRunner, CcThresholdsHitTheBankAcrossWarmIrrelevantKnobs) {
   RunScale other_scale = scale;
   other_scale.measure_cycles *= 2;
   SystemConfig other_cfg = cfg;
-  other_cfg.scheme_ctx.snug.monitor.sample_period = 8;
-  other_cfg.scheme_ctx.dsr.sample_period = 8;
+  other_cfg.scheme_ctx.snug.monitor.p = 16;
+  other_cfg.scheme_ctx.dsr.k_bits = 6;
   other_cfg.scheme_ctx.priv.wbb.entries *= 2;
 
   for (const double prob : {0.25, 0.75}) {

@@ -88,7 +88,7 @@ TEST(SynthStream, MeasuredDemandMatchesConfiguredDemand) {
   // Feed the stream's L2 references into a stack profiler: the measured
   // block_required(S) must equal the generator's demand_of(S) for sets
   // with enough traffic.  This is the load-bearing property for the whole
-  // reproduction (DESIGN.md key decision 1).
+  // reproduction (README.md, "Modelling substitutions").
   StreamConfig cfg = small_cfg();
   cfg.phase_period_refs = 10'000'000;  // stay in phase 0 throughout
   SyntheticStream stream(profile_for("ammp"), cfg);
