@@ -25,15 +25,13 @@
 namespace snug::bench {
 
 /// The robustness knobs every campaign bench shares: checkpoint journal,
-/// deterministic fault-injection plan, transient-failure retry policy and
-/// the wedged-worker watchdog deadline.
+/// deterministic fault-injection plan and transient-failure retry policy.
 struct RobustnessOpts {
   std::string journal;          ///< --journal= checkpoint file ("" = off)
   std::string fault_plan_text;  ///< --fault-plan= source text ("" = off)
   fault::FaultPlan plan;        ///< parsed from fault_plan_text
   std::int64_t retry_attempts = 3;
   std::int64_t backoff_ms = 10;
-  std::int64_t watchdog_ms = 0;
 
   /// Installs the parsed plan into `scoped` for that guard's lifetime
   /// (no-op without --fault-plan).  Emplace-in-place because the guard
@@ -45,7 +43,7 @@ struct RobustnessOpts {
 };
 
 /// Registers --journal / --fault-plan / --retry-attempts /
-/// --retry-backoff-ms / --watchdog-ms and parses the fault plan.
+/// --retry-backoff-ms and parses the fault plan.
 /// Returns false (after printing a one-line diagnostic) when the plan
 /// text does not parse; the caller should exit non-zero.
 inline bool parse_robustness_flags(CliArgs& args, RobustnessOpts& r) {
@@ -63,10 +61,6 @@ inline bool parse_robustness_flags(CliArgs& args, RobustnessOpts& r) {
   r.backoff_ms = args.get_int(
       "retry-backoff-ms", 10,
       "first retry backoff in ms, doubling per attempt (no jitter)");
-  r.watchdog_ms = args.get_int(
-      "watchdog-ms", 0,
-      "flag (never kill) a worker holding one task longer than this many "
-      "ms, with a diagnostic dump (0 = off)");
   if (args.help_requested() || r.fault_plan_text.empty()) return true;
   std::string error;
   if (!fault::FaultPlan::parse(r.fault_plan_text, r.plan, error)) {
@@ -84,8 +78,6 @@ inline void apply_robustness(const RobustnessOpts& r,
       r.retry_attempts > 0 ? static_cast<unsigned>(r.retry_attempts) : 1;
   engine.retry.backoff_ms =
       r.backoff_ms > 0 ? static_cast<std::uint64_t>(r.backoff_ms) : 0;
-  engine.set_watchdog_ms(
-      r.watchdog_ms > 0 ? static_cast<std::uint64_t>(r.watchdog_ms) : 0);
 }
 
 /// One stderr line of recovery/retry counters after a campaign: printed
@@ -100,7 +92,7 @@ inline void print_robustness_summary(const sim::CampaignEngine& engine,
   const sim::WarmStateBank::Recovery warm = runner.warm_recovery();
   const fault::FaultStats faults = fault::installed_stats();
   const std::uint64_t noteworthy =
-      s.replayed + s.retries + s.watchdog_flags +
+      s.replayed + s.retries +
       s.journal_discarded_bytes + s.journal_append_failures +
       s.journal_stale_reaped + (s.journal_reset_stale ? 1 : 0) +
       cache.quarantined + cache.reaped_temps + cache.quarantine_trimmed +
@@ -109,14 +101,13 @@ inline void print_robustness_summary(const sim::CampaignEngine& engine,
   if (!force && noteworthy == 0) return;
   std::fprintf(
       stderr,
-      "robustness: %llu replayed, %llu retries, %llu watchdog flag(s); "
+      "robustness: %llu replayed, %llu retries; "
       "cache %llu quarantined / %llu temps reaped / %llu quarantine "
       "trimmed, warm bank %llu quarantined / %llu temps reaped; journal "
       "%llu torn byte(s) discarded, %llu append failure(s), %llu stale "
       "reaped%s; %llu fault(s) injected\n",
       static_cast<unsigned long long>(s.replayed),
       static_cast<unsigned long long>(s.retries),
-      static_cast<unsigned long long>(s.watchdog_flags),
       static_cast<unsigned long long>(cache.quarantined),
       static_cast<unsigned long long>(cache.reaped_temps),
       static_cast<unsigned long long>(cache.quarantine_trimmed),
@@ -198,15 +189,9 @@ inline bool handle_grid_listings(CliArgs& args,
       } else {
         std::printf("fault plan: %s\n", robust->plan.summary().c_str());
       }
-      std::printf("retry: %lld attempt(s), backoff %lld ms doubling; "
-                  "watchdog: %s\n",
+      std::printf("retry: %lld attempt(s), backoff %lld ms doubling\n",
                   static_cast<long long>(robust->retry_attempts),
-                  static_cast<long long>(robust->backoff_ms),
-                  robust->watchdog_ms > 0
-                      ? strf("%lld ms",
-                             static_cast<long long>(robust->watchdog_ms))
-                            .c_str()
-                      : "off");
+                  static_cast<long long>(robust->backoff_ms));
     }
   }
   return list_schemes || list_combos || dry_run;

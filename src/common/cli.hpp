@@ -30,7 +30,7 @@ class CliArgs {
   /// Registers the conventional `--jobs=N` flag shared by every campaign
   /// binary: N > 0 means exactly N workers, 0 (the default) means one per
   /// hardware thread.  The raw request is returned; resolution to a
-  /// worker count happens in the executor (sim/executor.hpp).
+  /// worker count happens in sim::resolve_jobs (sim/campaign.hpp).
   std::int64_t get_jobs();
 
   /// True when --help was passed; callers should print usage() and exit.

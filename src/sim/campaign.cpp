@@ -1,6 +1,8 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <mutex>
 
@@ -10,13 +12,51 @@
 #include "sim/journal.hpp"
 
 namespace snug::sim {
+namespace {
+
+/// Runs fn(t) for every t in [0, n), with the ordering, threading and
+/// exception contract CampaignEngine::run documents.
+template <typename Fn>
+void for_each_index(unsigned jobs, std::size_t n, const Fn& fn) {
+  if (jobs == 1) {
+    for (std::size_t t = 0; t < n; ++t) fn(t);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  {
+    const std::size_t n_workers = std::min<std::size_t>(jobs, n);
+    std::vector<std::jthread> workers;
+    workers.reserve(n_workers);
+    while (workers.size() < n_workers) {
+      workers.emplace_back([&] {
+        for (std::size_t t;
+             (t = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+          try {
+            fn(t);
+          } catch (...) {
+            const std::lock_guard<std::mutex> lock(error_mu);
+            if (!first_error) first_error = std::current_exception();
+            next.store(n, std::memory_order_relaxed);  // abandon the rest
+          }
+        }
+      });
+    }
+  }  // ~jthread joins every worker
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace
+
+unsigned resolve_jobs(std::int64_t requested) noexcept {
+  if (requested > 0) return static_cast<unsigned>(requested);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
 
 CampaignSpec CampaignSpec::paper() {
   return {ScenarioSpec::paper(), schemes::paper_scheme_grid()};
-}
-
-CampaignSpec CampaignSpec::single(trace::WorkloadCombo combo) {
-  return grid({std::move(combo)}, schemes::paper_scheme_grid());
 }
 
 CampaignSpec CampaignSpec::grid(std::vector<trace::WorkloadCombo> combos,
@@ -65,7 +105,7 @@ std::string describe_grid(const CampaignSpec& spec) {
 }
 
 CampaignEngine::CampaignEngine(ExperimentRunner& runner, unsigned jobs)
-    : runner_(runner), exec_(jobs) {}
+    : runner_(runner), jobs_(resolve_jobs(jobs)) {}
 
 CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   // The scenario must describe the machine this engine's runner was
@@ -85,7 +125,6 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   const std::size_t n_tasks = combos.size() * n_schemes;
   SNUG_REQUIRE(n_tasks > 0);
   stats_ = Stats{};
-  const std::uint64_t flags_before = exec_.watchdog_flagged();
 
   // Per-cell run fingerprints: the journal keys, covering everything
   // that affects the simulated IPCs.
@@ -114,42 +153,23 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   // Task i = (combo i / n_schemes, scheme i % n_schemes); slots are
   // per-index so workers never contend on result storage.
   std::vector<RunResult> slots(n_tasks);
-  std::vector<std::unique_ptr<std::atomic<std::size_t>>> remaining;
-  remaining.reserve(combos.size());
-  for (std::size_t c = 0; c < combos.size(); ++c) {
-    remaining.push_back(
-        std::make_unique<std::atomic<std::size_t>>(n_schemes));
-  }
 
   std::mutex hook_mu;
   std::size_t done = 0;
 
-  // Shared post-result bookkeeping: journal checkpoint, progress hook,
-  // per-combo countdown, combo-completion hook — for simulated and
-  // journal-replayed cells alike.
+  // Shared post-result bookkeeping: journal checkpoint and progress
+  // hook, for simulated and journal-replayed cells alike.
   const auto finish_task = [&](std::size_t i) {
-    const std::size_t c = i / n_schemes;
-    const auto& combo = combos[c];
-    // Checkpoint before the hooks fire: a campaign killed right after a
+    // Checkpoint before the hook fires: a campaign killed right after a
     // progress tick must still replay that cell on resume.
     if (journal && !slots[i].replayed) {
       journal->append(fps[i], slots[i].ipc);
     }
     if (on_progress) {
       const std::lock_guard<std::mutex> lock(hook_mu);
-      on_progress({++done, n_tasks, combo.name,
+      on_progress({++done, n_tasks, combos[i / n_schemes].name,
                    spec.schemes[i % n_schemes].id(), slots[i].cached,
                    slots[i].replayed});
-    }
-    // acq_rel: the last decrementer observes every sibling's slot write.
-    if (remaining[c]->fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        on_combo_done) {
-      ComboResults combo_results;
-      for (std::size_t s = 0; s < n_schemes; ++s) {
-        combo_results[spec.schemes[s].id()] = slots[c * n_schemes + s];
-      }
-      const std::lock_guard<std::mutex> lock(hook_mu);
-      on_combo_done(combo, combo_results);
     }
   };
 
@@ -169,29 +189,14 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     }
   }
 
-  // Name tasks for the watchdog: a flag line must identify the wedged
-  // CELL (combo/scheme + run fingerprint), not just the worker index.
-  // The label fn captures locals of this run(), so it is cleared before
-  // they go out of scope.
-  const auto cell_label = [&](std::size_t i) {
-    return strf("(%s/%s fp=%016llx)", combos[i / n_schemes].name.c_str(),
-                spec.schemes[i % n_schemes].id().c_str(),
-                static_cast<unsigned long long>(fps[i]));
-  };
-  struct LabelGuard {
-    ParallelExecutor& exec;
-    ~LabelGuard() { exec.task_label = nullptr; }
-  } label_guard{exec_};
-
   std::vector<std::size_t> todo;
   todo.reserve(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
     if (pending[i]) todo.push_back(i);
   }
-  exec_.task_label = [&](std::size_t t) { return cell_label(todo[t]); };
   // Transient failures retry with deterministic exponential backoff.
   std::atomic<std::uint64_t> retries{0};
-  exec_.run_indexed(todo.size(), [&](std::size_t t) {
+  for_each_index(jobs_, todo.size(), [&](std::size_t t) {
     const std::size_t i = todo[t];
     run_with_retry(
         retry,
@@ -203,7 +208,6 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     finish_task(i);
   });
   stats_.retries = retries.load(std::memory_order_relaxed);
-  stats_.watchdog_flags = exec_.watchdog_flagged() - flags_before;
   if (journal) {
     stats_.journal_append_failures = journal->append_failures();
   }

@@ -1,13 +1,11 @@
 // Campaign — a declarative (workload combo x scheme) experiment grid plus
-// the engine that executes it, serially or fanned out across a thread
-// pool (sim/executor.hpp).
+// the engine that executes it, serially or fanned out across worker
+// threads.
 //
 // The grid is flattened combo-major into index-addressed tasks; every
 // task's result lands in its own slot, so the assembled CampaignResults
 // map is deterministic and bit-identical whether the campaign ran with
-// one job or sixteen.  Aggregation hooks let callers stream per-combo
-// summaries (e.g. figure rows) as combos complete instead of waiting for
-// the whole grid.
+// one job or sixteen.
 #pragma once
 
 #include <chrono>
@@ -19,7 +17,6 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "sim/executor.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 
@@ -30,6 +27,10 @@ using ComboResults = ExperimentRunner::ComboResults;
 
 /// Per-combo results for a whole campaign, keyed by combo name.
 using CampaignResults = std::map<std::string, ComboResults>;
+
+/// Maps a --jobs request to a worker count: n > 0 is taken literally,
+/// anything else (0 = "auto") resolves to the hardware thread count.
+[[nodiscard]] unsigned resolve_jobs(std::int64_t requested) noexcept;
 
 /// A declarative experiment grid: one scenario (topology + scale +
 /// workload) crossed with a scheme list — every combo the scenario
@@ -50,9 +51,6 @@ struct CampaignSpec {
   /// The paper's evaluation campaign: all 21 Table-8 combos under the
   /// full 9-scheme grid (Figs. 9-11) on the Table 4 quad-core machine.
   [[nodiscard]] static CampaignSpec paper();
-
-  /// One combo under the full paper scheme grid.
-  [[nodiscard]] static CampaignSpec single(trace::WorkloadCombo combo);
 
   /// An explicit combo list on the paper machine (tests, ad-hoc grids).
   [[nodiscard]] static CampaignSpec grid(
@@ -124,7 +122,6 @@ class CampaignEngine {
     std::uint64_t journal_append_failures = 0;
     /// Dead writers' `.stale.<pid>` journal siblings reaped at open.
     std::uint64_t journal_stale_reaped = 0;
-    std::uint64_t watchdog_flags = 0;  ///< stuck-worker flags this run
     bool journal_reset_stale = false;  ///< foreign journal moved aside
   };
 
@@ -140,12 +137,6 @@ class CampaignEngine {
   /// Transient-failure retry discipline (see RetryPolicy).
   RetryPolicy retry;
 
-  /// Wedged-worker watchdog deadline forwarded to the executor; 0
-  /// disables (see ParallelExecutor::watchdog_ms).
-  void set_watchdog_ms(std::uint64_t ms) noexcept {
-    exec_.watchdog_ms = ms;
-  }
-
   /// Counters of the most recent run().
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -154,23 +145,21 @@ class CampaignEngine {
   /// parallel execution — only the final results map is ordered.
   std::function<void(const CampaignProgress&)> on_progress;
 
-  /// Aggregation hook, fired once per combo when its last scheme finishes
-  /// (serialised like on_progress).  Lets figure assembly / CSV streaming
-  /// start while the rest of the grid is still simulating.
-  std::function<void(const trace::WorkloadCombo&, const ComboResults&)>
-      on_combo_done;
-
   /// Executes the grid and returns results keyed by combo name.  Every
   /// entry is bit-identical to what a serial run would produce.  The
   /// spec's scenario must describe the same machine the runner was
-  /// built from (checked by fingerprint).
+  /// built from (checked by fingerprint).  With one job the cells run
+  /// in grid order on the calling thread; otherwise up to jobs() worker
+  /// threads claim them from a shared counter.  The first exception a
+  /// cell throws abandons the cells nobody has claimed yet and is
+  /// rethrown here once the workers have joined.
   [[nodiscard]] CampaignResults run(const CampaignSpec& spec);
 
-  [[nodiscard]] unsigned jobs() const noexcept { return exec_.jobs(); }
+  [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
  private:
   ExperimentRunner& runner_;
-  ParallelExecutor exec_;
+  unsigned jobs_;
   Stats stats_;
 };
 

@@ -3,7 +3,7 @@
 // share one simulation campaign instead of repeating it.
 //
 // The runner is concurrency-safe: any number of threads may call run()
-// on the same instance (the campaign executor in sim/executor.hpp does
+// on the same instance (the campaign engine in sim/campaign.hpp does
 // exactly that), and concurrent processes may share one cache directory
 // (sim/blob_store.hpp publishes atomically and validates every load).
 #pragma once

@@ -1,17 +1,16 @@
-// Lease-based worker supervision for the campaign service (ISSUE 9).
+// Lease-based worker supervision for the campaign service.
 //
-// PR 8's watchdog can only FLAG a wedged worker — fine for a one-shot
-// campaign, fatal for a long-lived service where one stuck cell would
-// pin a backlog entry forever.  The service upgrades supervision to
-// leases: a worker must ACQUIRE a lease on a task before running it and
-// HEARTBEAT while it runs; the supervisor SCANs for leases whose last
-// renewal is older than the lease interval and hands the task back to
-// the backlog (deterministic reassignment through the engine's existing
-// retry/backoff machinery).  A task whose lease has been granted
-// max_holds times is POISONED instead of reassigned — the quarantine
-// that caps a crash/reassign/crash loop, turning "this cell wedges
-// every worker that touches it" into an explicit error answer rather
-// than an infinite loop.
+// A long-lived service cannot let one stuck cell pin a backlog entry
+// forever, so its workers run under leases: a worker must ACQUIRE a
+// lease on a task before running it and HEARTBEAT while it runs; the
+// supervisor SCANs for leases whose last renewal is older than the
+// lease interval and hands the task back to the backlog (deterministic
+// reassignment through the engine's existing retry/backoff machinery).
+// A task whose lease has been granted max_holds times is POISONED
+// instead of reassigned — the quarantine that caps a
+// crash/reassign/crash loop, turning "this cell wedges every worker
+// that touches it" into an explicit error answer rather than an
+// infinite loop.
 //
 // Time is injected (every call takes now_ms) so expiry tests are exact,
 // and the grant/renewal paths consult fault::maybe_deny_lease /

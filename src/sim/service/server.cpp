@@ -565,13 +565,7 @@ std::size_t CampaignServer::poll_once() {
   progress += publish();
   // A long-lived server keeps answers/ bounded as it serves, at one
   // directory listing per kAnswerKeepCap file-wire answers.
-  if (fresh_answers_.size() >= kAnswerKeepCap) {
-    const std::uint64_t reaped = reap_acked_answers();
-    if (cfg_.verbose && reaped > 0) {
-      std::fprintf(stderr, "snug: campaignd: reaped %llu acked answers\n",
-                   static_cast<unsigned long long>(reaped));
-    }
-  }
+  if (fresh_answers_.size() >= kAnswerKeepCap) reap_acked_answers();
   return progress;
 }
 

@@ -120,7 +120,6 @@ struct ServiceConfig {
   std::uint64_t retry_after_ms = 250;  ///< backoff hint on shed queries
   std::size_t ring_capacity = 1024;    ///< SubmitRing slots (power of two)
   RetryPolicy retry;                ///< TransientError retry/backoff
-  bool verbose = false;             ///< supervision log lines to stderr
   /// Test seam: runs on the worker thread right after a simulated cell
   /// is completed and indexed, before the worker claims its next
   /// cell.  Lets a test stop a server at an exact backlog position

@@ -1,13 +1,15 @@
-// Campaign engine tests: the ISSUE-1 acceptance property — a parallel
-// campaign is bit-identical to the serial one — plus warm-cache reruns,
-// the progress / per-combo aggregation hooks, and (ISSUE 2) the same
-// equivalence on 2-, 4- and 8-core scenarios.
+// Campaign engine tests: a parallel campaign is bit-identical to the
+// serial one, on the paper's quad-core machine and on 2-, 4- and 8-core
+// scenarios; warm-cache reruns; the progress hook; and --jobs
+// resolution.
 #include "sim/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/str.hpp"
 
@@ -60,6 +62,13 @@ void expect_identical(const CampaignResults& a, const CampaignResults& b) {
       }
     }
   }
+}
+
+TEST(Campaign, ResolveJobs) {
+  EXPECT_EQ(resolve_jobs(1), 1U);
+  EXPECT_EQ(resolve_jobs(7), 7U);
+  EXPECT_GE(resolve_jobs(0), 1U);   // auto: at least one worker
+  EXPECT_GE(resolve_jobs(-3), 1U);  // nonsense degrades to auto
 }
 
 TEST(Campaign, PaperSpecCoversFullGrid) {
@@ -154,46 +163,35 @@ TEST(Campaign, WarmCacheRerunSkipsAllSimulation) {
 
 TEST(Campaign, ProgressTicksOncePerTask) {
   const CampaignSpec spec = small_grid();
-  ExperimentRunner runner(spec.scenario, "");
-  CampaignEngine engine(runner, 3);
-  std::set<std::pair<std::string, std::string>> seen;
-  std::size_t max_done = 0;
-  engine.on_progress = [&](const CampaignProgress& p) {
-    EXPECT_EQ(p.total, spec.size());
-    seen.insert({p.combo, p.scheme});
-    max_done = std::max(max_done, p.done);
-  };
-  (void)engine.run(spec);
-  EXPECT_EQ(seen.size(), spec.size());  // every (combo, scheme) reported
-  EXPECT_EQ(max_done, spec.size());     // done counter reaches the end
-}
-
-TEST(Campaign, ComboDoneHookFiresOncePerComboWithFullResults) {
-  const CampaignSpec spec = small_grid();
-  ExperimentRunner runner(spec.scenario, "");
-  CampaignEngine engine(runner, 4);
-  std::map<std::string, std::size_t> fired;
-  engine.on_combo_done = [&](const trace::WorkloadCombo& combo,
-                             const ComboResults& results) {
-    ++fired[combo.name];
-    EXPECT_EQ(results.size(), spec.schemes.size());
-    for (const auto& [scheme, result] : results) {
-      EXPECT_EQ(result.ipc.size(), 4U) << scheme;
+  using Cell = std::pair<std::string, std::string>;  // (combo, scheme)
+  std::vector<Cell> grid_order;  // combo-major, as the grid is indexed
+  for (const auto& combo : spec.combos()) {
+    for (const auto& scheme : spec.schemes) {
+      grid_order.emplace_back(combo.name, scheme.id());
     }
-  };
-  const CampaignResults all = engine.run(spec);
-  EXPECT_EQ(fired.size(), spec.combos().size());
-  for (const auto& [name, count] : fired) EXPECT_EQ(count, 1U) << name;
-  EXPECT_EQ(all.size(), spec.combos().size());
-}
+  }
+  std::vector<Cell> every_cell = grid_order;
+  std::sort(every_cell.begin(), every_cell.end());
 
-TEST(Campaign, SingleSpecWrapsOneCombo) {
-  const trace::WorkloadCombo combo{"solo", 2, {"ammp", "ammp", "ammp",
-                                               "ammp"}};
-  const CampaignSpec spec = CampaignSpec::single(combo);
-  EXPECT_EQ(spec.combos().size(), 1U);
-  EXPECT_EQ(spec.schemes.size(), 9U);
-  EXPECT_EQ(spec.combos()[0].name, "solo");
+  for (const unsigned jobs : {1U, 3U}) {
+    ExperimentRunner runner(spec.scenario, "");
+    CampaignEngine engine(runner, jobs);
+    std::vector<Cell> ticks;
+    std::size_t max_done = 0;
+    engine.on_progress = [&](const CampaignProgress& p) {
+      EXPECT_EQ(p.total, spec.size());
+      ticks.emplace_back(p.combo, p.scheme);
+      max_done = std::max(max_done, p.done);
+    };
+    (void)engine.run(spec);
+    // One job runs on the calling thread in grid order.
+    if (jobs == 1) {
+      EXPECT_EQ(ticks, grid_order);
+    }
+    std::sort(ticks.begin(), ticks.end());
+    EXPECT_EQ(ticks, every_cell) << "jobs=" << jobs;  // each cell once
+    EXPECT_EQ(max_done, spec.size());  // done counter reaches the end
+  }
 }
 
 TEST(Campaign, ListingsDescribeTheGrid) {

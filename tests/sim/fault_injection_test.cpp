@@ -2,9 +2,9 @@
 // (common/fault.hpp) and the recovery behaviour it forces out of the
 // stores and the campaign engine — short writes, poisoned reads and
 // torn renames self-heal, injected transient task failures retry, a
-// seeded faulty campaign is bit-identical to a clean one, a crash
-// clause ends the process at a task start fixed by the plan, and a
-// wedged worker is flagged (not killed) by the executor watchdog.
+// seeded faulty campaign is bit-identical to a clean one, a failure
+// thrown inside a parallel worker reaches the caller, and a crash clause
+// ends the process at a task start fixed by the plan.
 #include "common/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -14,11 +14,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/campaign.hpp"
-#include "sim/executor.hpp"
 #include "sim/runner.hpp"
 #include "sim/warm_state.hpp"
 
@@ -447,56 +445,21 @@ TEST(FaultInjection, RetryGivesUpAfterMaxAttempts) {
   EXPECT_EQ(scoped.stats().task_failures, 2u);  // attempts, then give up
 }
 
-// ---- executor watchdog -------------------------------------------------
-
-// The wedged task in these tests stays wedged until the watchdog has
-// flagged it — an event, not a guessed sleep — so the flag can never be
-// missed however the host schedules the monitor thread.  The deadline
-// is long enough that the trivial second task cannot plausibly hold its
-// claim past it.
-constexpr std::uint64_t kWatchdogTestMs = 250;
-
-void wedge_until_flagged(const sim::ParallelExecutor& exec) {
-  while (exec.watchdog_flagged() == 0) std::this_thread::yield();
-}
-
-TEST(Watchdog, FlagsButNeverKillsAWedgedWorker) {
-  sim::ParallelExecutor exec(2);
-  exec.watchdog_ms = kWatchdogTestMs;
-  std::atomic<int> completed{0};
-  exec.run_indexed(2, [&](std::size_t i) {
-    if (i == 0) wedge_until_flagged(exec);
-    completed.fetch_add(1);
-  });
-  // The slow task was flagged (possibly more than once is impossible:
-  // one claim, one dump) and still ran to completion.
-  EXPECT_EQ(exec.watchdog_flagged(), 1u);
-  EXPECT_EQ(completed.load(), 2);
-}
-
-TEST(Watchdog, FlagLineNamesTheWedgedTask) {
-  sim::ParallelExecutor exec(2);
-  exec.watchdog_ms = kWatchdogTestMs;
-  exec.task_label = [](std::size_t i) {
-    return i == 0 ? std::string("mixB/CC(50%)") : std::string("fast");
-  };
-  testing::internal::CaptureStderr();
-  exec.run_indexed(2, [&](std::size_t i) {
-    if (i == 0) wedge_until_flagged(exec);
-  });
-  const std::string err = testing::internal::GetCapturedStderr();
-  // An operator reading the flag must learn WHICH cell wedged and for
-  // how long, not just a bare task index.
-  EXPECT_NE(err.find("mixB/CC(50%)"), std::string::npos) << err;
-  EXPECT_NE(err.find("ms"), std::string::npos) << err;
-  EXPECT_EQ(exec.watchdog_flagged(), 1u);
-}
-
-TEST(Watchdog, QuietWhenTasksBeatTheDeadline) {
-  sim::ParallelExecutor exec(2);
-  exec.watchdog_ms = 60'000;
-  exec.run_indexed(8, [](std::size_t) {});
-  EXPECT_EQ(exec.watchdog_flagged(), 0u);
+TEST(FaultInjection, ParallelWorkerFailureReachesTheCaller) {
+  const sim::CampaignSpec spec = small_grid();
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::FaultPlan::parse("seed=1; fail@task:match=mixA/SNUG",
+                                      plan, error))
+      << error;
+  fault::ScopedFaultPlan scoped(plan);
+  sim::ExperimentRunner runner(spec.scenario, "");
+  sim::CampaignEngine engine(runner, 4);
+  engine.retry.max_attempts = 1;
+  // The failing cell runs on a worker thread; its error must be
+  // rethrown on the calling thread once every worker has joined.
+  EXPECT_THROW((void)engine.run(spec), fault::TransientError);
+  EXPECT_EQ(scoped.stats().task_failures, 1u);
 }
 
 }  // namespace

@@ -113,10 +113,13 @@ BatchPart only_part(const ServiceBatchAnswer& a) {
 }
 
 /// Waits for the one-part answer to `id`; fails the test on a timeout.
-BatchPart wait_part(const std::string& root, const std::string& id,
+/// Takes a client that outlives the wait: a client that has waited
+/// holds an answers/ watch, and closing one blocks for 15-20 ms, so a
+/// test keeps one client per service root.
+BatchPart wait_part(const ServiceClient& client, const std::string& id,
                     std::uint64_t timeout_ms) {
   ServiceBatchAnswer a;
-  if (!ServiceClient(root).wait_batch(id, a, timeout_ms)) {
+  if (!client.wait_batch(id, a, timeout_ms)) {
     ADD_FAILURE() << "no answer for " << id << " within " << timeout_ms
                   << " ms";
     return {};
@@ -232,20 +235,21 @@ TEST(CampaignServerTest, FullBacklogShedsWithRetryAfter) {
   std::jthread serving(
       [&server] { server.serve(/*idle_exit_polls=*/0, /*poll_ms=*/1); });
 
-  const BatchPart shed = wait_part(cfg.root, "burst", /*timeout_ms=*/10'000);
+  const ServiceClient client(cfg.root);
+  const BatchPart shed = wait_part(client, "burst", /*timeout_ms=*/10'000);
   EXPECT_EQ(shed.status, AnswerStatus::kRetryAfter);
   EXPECT_EQ(shed.retry_after_ms, 123u);
   EXPECT_TRUE(shed.cells.empty());
 
   // The wedged query still completes; shedding degraded, it didn't drop.
-  const BatchPart slow = wait_part(cfg.root, "slow", /*timeout_ms=*/30'000);
+  const BatchPart slow = wait_part(client, "slow", /*timeout_ms=*/30'000);
   EXPECT_EQ(slow.status, AnswerStatus::kOk) << slow.error;
   EXPECT_EQ(server.stats().queries_shed, 1u);
 
   // The backlog has drained: resubmitting the shed query now succeeds.
   ASSERT_TRUE(submit(cfg.root, "burst2", kScenarioB, "SNUG"));
   const BatchPart retry =
-      wait_part(cfg.root, "burst2", /*timeout_ms=*/30'000);
+      wait_part(client, "burst2", /*timeout_ms=*/30'000);
   EXPECT_EQ(retry.status, AnswerStatus::kOk) << retry.error;
   server.request_stop();
   serving.join();
@@ -504,6 +508,7 @@ TEST(CampaignServerTest, EntriesPublishedAfterOpenAnswerOverRingAndFileWire) {
   const ServiceConfig cfg = small_config(tmp);
   CampaignServer server(cfg);
   const ServingThread serving(server, /*poll_ms=*/1);
+  const ServiceClient client(cfg.root);
   // Both entries land after the server's one directory scan.
   const std::vector<AnswerCell> ring_cells =
       publish_from_another_writer(cfg.cache_dir, kScenarioA, "L2P");
@@ -513,7 +518,7 @@ TEST(CampaignServerTest, EntriesPublishedAfterOpenAnswerOverRingAndFileWire) {
   expect_cells_equal(ring_query(server, "ring", kScenarioA, "L2P"),
                      ring_cells);
   ASSERT_TRUE(submit(cfg.root, "file", kScenarioB, "L2P"));
-  const BatchPart f = wait_part(cfg.root, "file", /*timeout_ms=*/30'000);
+  const BatchPart f = wait_part(client, "file", /*timeout_ms=*/30'000);
   ASSERT_EQ(f.status, AnswerStatus::kOk) << f.error;
   expect_cells_equal(f.cells, file_cells);
 
@@ -662,7 +667,8 @@ TEST(CampaignServerTest, MemoisedPartsAreBitIdenticalToThePerCellPath) {
   // The file wire serves the memo too, to the same bytes.
   ASSERT_TRUE(submit_batch(cfg.root, "file", items));
   ServiceBatchAnswer file;
-  ASSERT_TRUE(ServiceClient(cfg.root).wait_batch("file", file, 30'000));
+  const ServiceClient client(cfg.root);
+  ASSERT_TRUE(client.wait_batch("file", file, 30'000));
   ServiceBatchAnswer expect = cold;
   expect.id = "file";
   EXPECT_EQ(file_bytes(answer_path(cfg.root, "file")),
@@ -692,9 +698,10 @@ TEST(CampaignServerTest, PartsWithAPendingCellAreNeverMemoised) {
   EXPECT_EQ(server.stats().parts_from_memo, 0u);
 
   const ServingThread serving(server, /*poll_ms=*/1);
+  const ServiceClient client(cfg.root);
   const std::vector<AnswerCell> want = direct_cells(kScenarioA, "SNUG");
   for (const char* id : {"first", "pending"}) {
-    const BatchPart part = wait_part(cfg.root, id, /*timeout_ms=*/30'000);
+    const BatchPart part = wait_part(client, id, /*timeout_ms=*/30'000);
     ASSERT_EQ(part.status, AnswerStatus::kOk) << part.error;
     expect_cells_equal(part.cells, want);
   }
