@@ -4,8 +4,8 @@
 // backlog.  Clients drop ScenarioSpec x scheme query files into
 // <dir>/submit/ (wire protocol: src/sim/service/wire.hpp) and poll
 // <dir>/answers/; cache-resident queries are answered immediately,
-// misses are deduplicated into the backlog and simulated by
-// lease-supervised workers.  A finished cell's cache entry is its only
+// misses are deduplicated into the backlog and each simulated exactly
+// once by a worker thread.  A finished cell's cache entry is its only
 // durable record, so a cache dir is required.  Kill -9 this process at
 // any moment and restart it with the same flags: the surviving submit
 // files re-supply every unanswered query, finished cells answer from
@@ -59,15 +59,8 @@ int main(int argc, char** argv) {
       args.get_int("workers", 2, "simulation worker threads"));
   cfg.max_backlog = static_cast<std::size_t>(args.get_int(
       "max-backlog", 256,
-      "admission control: pending+leased cell bound; queries whose fresh "
+      "admission control: pending+running cell bound; queries whose fresh "
       "cells would exceed it answer status=retry-after (0 = unbounded)"));
-  cfg.lease_ms = static_cast<std::uint64_t>(args.get_int(
-      "lease-ms", 10'000,
-      "worker lease: a task whose lease goes unrenewed this long is "
-      "reassigned to another worker"));
-  cfg.max_holds = static_cast<std::uint32_t>(args.get_int(
-      "max-holds", 3,
-      "poison a task after this many lease grants (caps reassign loops)"));
   cfg.retry.max_attempts = static_cast<unsigned>(args.get_int(
       "retry-attempts", 3,
       "max attempts per cell on an injected transient failure"));
@@ -78,19 +71,18 @@ int main(int argc, char** argv) {
       "retry-after-ms", 250, "backoff hint sent with shed queries"));
   const std::int64_t poll_ms =
       args.get_int("poll-ms", 20,
-                   "backstop wait of the serving loop: paces lease "
-                   "supervision, and the file wire where the filesystem "
-                   "raises no events (a query file, a finished cell or a "
-                   "ring op wakes it at once)");
+                   "backstop wait of the serving loop: paces the file "
+                   "wire where the filesystem raises no events (a query "
+                   "file, a finished cell or a ring op wakes it at once)");
   const std::int64_t idle_exit = args.get_int(
       "idle-exit-polls", 0,
       "exit after this many consecutive idle polls — no new queries, "
-      "empty backlog, no live lease (0 = serve until SIGINT/SIGTERM)");
+      "no pending or running cell (0 = serve until SIGINT/SIGTERM)");
   const std::string fault_plan_text = args.get_string(
       "fault-plan", "",
       "deterministic fault-injection plan (grammar in src/common/fault.hpp; "
-      "service ops: fail@lease, fail@heartbeat; crash@task:after=N exits "
-      "at the (N+1)-th task start, for kill-resume tests)");
+      "fail@task is retried, then poisons its cell; crash@task:after=N "
+      "exits at the (N+1)-th task start, for kill-resume tests)");
   const std::string ring_queries_file = args.get_string(
       "ring-queries", "",
       "submit the '<scheme>|<scenario>' lines of this file as ONE "
@@ -170,10 +162,9 @@ int main(int argc, char** argv) {
     if (!quiet) {
       std::fprintf(stderr,
                    "campaignd: serving %s (cache %s, %u worker(s), backlog "
-                   "cap %zu, lease %llu ms, %s)\n",
+                   "cap %zu, %s)\n",
                    cfg.root.c_str(), cfg.cache_dir.c_str(), cfg.workers,
                    cfg.max_backlog,
-                   static_cast<unsigned long long>(cfg.lease_ms),
                    idle_exit > 0 ? "drain-and-exit" : "until signalled");
     }
     if (!ring_batch.items.empty()) {
@@ -208,8 +199,7 @@ int main(int argc, char** argv) {
         stderr,
         "campaignd: %zu poll(s): %llu ingested, %llu answered (%llu "
         "rejected, %llu shed); cells %llu cached / %llu simulated, %llu "
-        "retries; leases %llu granted / %llu denied / %llu expired (%llu "
-        "reassigned, %llu poisoned)\n",
+        "retries, %llu poisoned\n",
         passes, static_cast<unsigned long long>(s.queries_ingested),
         static_cast<unsigned long long>(s.queries_answered),
         static_cast<unsigned long long>(s.queries_rejected),
@@ -217,11 +207,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.cells_from_cache),
         static_cast<unsigned long long>(s.cells_simulated),
         static_cast<unsigned long long>(s.retries),
-        static_cast<unsigned long long>(s.leases.granted),
-        static_cast<unsigned long long>(s.leases.denied),
-        static_cast<unsigned long long>(s.leases_expired),
-        static_cast<unsigned long long>(s.reassignments),
-        static_cast<unsigned long long>(s.leases.poisoned));
+        static_cast<unsigned long long>(s.backlog.poisoned));
     std::fprintf(
         stderr,
         "campaignd: ring %llu submit(s) (%llu inline, %llu backlogged); "

@@ -177,8 +177,6 @@ class Injector {
     s.stalls = stalls_.load(std::memory_order_relaxed);
     s.read_failures = read_failures_.load(std::memory_order_relaxed);
     s.task_failures = task_failures_.load(std::memory_order_relaxed);
-    s.lease_denials = lease_denials_.load(std::memory_order_relaxed);
-    s.heartbeat_drops = heartbeat_drops_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -203,20 +201,8 @@ class Injector {
       case Kind::kCrash:
         break;  // never fires through fire(): see crash_due()
       case Kind::kFail:
-        switch (op) {
-          case Op::kTask:
-            task_failures_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case Op::kLease:
-            lease_denials_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case Op::kHeartbeat:
-            heartbeat_drops_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          default:
-            read_failures_.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
+        (op == Op::kTask ? task_failures_ : read_failures_)
+            .fetch_add(1, std::memory_order_relaxed);
         break;
     }
   }
@@ -234,8 +220,6 @@ class Injector {
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> read_failures_{0};
   std::atomic<std::uint64_t> task_failures_{0};
-  std::atomic<std::uint64_t> lease_denials_{0};
-  std::atomic<std::uint64_t> heartbeat_drops_{0};
 };
 
 void flip_one_bit(std::byte* data, std::size_t n, std::uint64_t salt) {
@@ -401,8 +385,6 @@ const char* op_name(Op op) {
     case Op::kWrite: return "write";
     case Op::kRename: return "rename";
     case Op::kTask: return "task";
-    case Op::kLease: return "lease";
-    case Op::kHeartbeat: return "heartbeat";
   }
   return "?";
 }
@@ -420,8 +402,7 @@ bool kind_from_name(const std::string& s, Kind& kind) {
 }
 
 bool op_from_name(const std::string& s, Op& op) {
-  for (const Op o : {Op::kRead, Op::kWrite, Op::kRename, Op::kTask,
-                     Op::kLease, Op::kHeartbeat}) {
+  for (const Op o : {Op::kRead, Op::kWrite, Op::kRename, Op::kTask}) {
     if (s == op_name(o)) {
       op = o;
       return true;
@@ -440,8 +421,7 @@ bool op_allowed(Kind kind, Op op) {
     case Kind::kBitFlip:
       return op == Op::kRead || op == Op::kWrite;
     case Kind::kFail:
-      return op == Op::kRead || op == Op::kTask || op == Op::kLease ||
-             op == Op::kHeartbeat;
+      return op == Op::kRead || op == Op::kTask;
     case Kind::kStall:
       return true;
     case Kind::kCrash:
@@ -488,7 +468,7 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
                                        : colon - at - 1));
     if (!op_from_name(op_text, clause.op)) {
       error = "unknown op in '" + clause_text +
-              "' (read, write, rename, task, lease, heartbeat)";
+              "' (read, write, rename, task)";
       return false;
     }
     if (!op_allowed(clause.kind, clause.op)) {
@@ -651,29 +631,6 @@ void maybe_fail_task(const std::string& label) {
   if (inj->fire(Kind::kFail, Op::kTask, label)) {
     throw TransientError("injected transient failure: " + label);
   }
-}
-
-namespace {
-
-/// Shared shape of the two supervision hooks: stall, then fail-or-not.
-bool supervision_fault(Op op, const std::string& label) {
-  Injector* inj = g_task_injector.load(std::memory_order_acquire);
-  if (inj == nullptr) return false;
-  std::uint64_t ms = 0;
-  if (inj->fire(Kind::kStall, op, label, nullptr, &ms) && ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  }
-  return inj->fire(Kind::kFail, op, label);
-}
-
-}  // namespace
-
-bool maybe_deny_lease(const std::string& label) {
-  return supervision_fault(Op::kLease, label);
-}
-
-bool maybe_drop_heartbeat(const std::string& label) {
-  return supervision_fault(Op::kHeartbeat, label);
 }
 
 bool plan_installed() noexcept {

@@ -21,13 +21,6 @@
 //   fail@read           the read errors outright
 //   fail@task           the simulation cell itself throws TransientError
 //                       (retried by the campaign engine's backoff loop)
-//   fail@lease          the service lease grant is denied (the scheduler
-//                       hands the task back and retries later)
-//   fail@heartbeat      a worker's lease renewal is silently dropped —
-//                       the worker believes it renewed, the supervisor
-//                       sees the lease expire (the classic lost-heartbeat
-//                       partition; see src/sim/service/lease.hpp)
-//   stall@lease/heartbeat  the supervision call sleeps ms= first
 //   crash@task          the process _exits (status 137, as after kill -9)
 //                       at the (after+1)-th matching task start, counted
 //                       process-wide — a kill at a point fixed by the
@@ -50,7 +43,7 @@
 //   clause  := 'seed=' N | kind '@' op [':' key '=' val (',' key '=' val)*]
 //   kind    := short-write | enospc | torn-rename | bit-flip | stall | fail
 //              | crash
-//   op      := read | write | rename | task | lease | heartbeat
+//   op      := read | write | rename | task
 //   keys    := p=<0..1>       fire probability (default 1)
 //              first=N        only the first N matching occurrences fire
 //              every=N        every Nth matching occurrence fires
@@ -77,8 +70,6 @@ enum class Op : std::uint8_t {
   kWrite,
   kRename,
   kTask,
-  kLease,      ///< service lease grants (src/sim/service/lease.hpp)
-  kHeartbeat,  ///< service lease renewals
 };
 enum class Kind : std::uint8_t {
   kShortWrite,
@@ -126,12 +117,10 @@ struct FaultStats {
   std::uint64_t stalls = 0;
   std::uint64_t read_failures = 0;
   std::uint64_t task_failures = 0;
-  std::uint64_t lease_denials = 0;    ///< fail@lease grants refused
-  std::uint64_t heartbeat_drops = 0;  ///< fail@heartbeat renewals lost
 
   [[nodiscard]] std::uint64_t total() const noexcept {
     return short_writes + enospc + torn_renames + bit_flips + stalls +
-           read_failures + task_failures + lease_denials + heartbeat_drops;
+           read_failures + task_failures;
   }
 };
 
@@ -205,19 +194,6 @@ class ScopedFaultPlan {
 /// plan is installed — zero cost on the production path beyond one
 /// relaxed atomic load.
 void maybe_fail_task(const std::string& label);
-
-/// Consults the installed plan's @lease clauses for one lease grant
-/// (keyed by the task's label): stall clauses sleep, fail clauses deny
-/// the grant (return true).  The caller hands the task back to the
-/// backlog instead of running it.  No-op (false) without a plan.
-[[nodiscard]] bool maybe_deny_lease(const std::string& label);
-
-/// Consults the installed plan's @heartbeat clauses for one lease
-/// renewal: stall clauses sleep, fail clauses drop the renewal (return
-/// true) — the worker is NOT told (it believes the heartbeat landed),
-/// which is exactly how a lost heartbeat partitions worker from
-/// supervisor.  No-op (false) without a plan.
-[[nodiscard]] bool maybe_drop_heartbeat(const std::string& label);
 
 /// True when a ScopedFaultPlan is currently installed.
 [[nodiscard]] bool plan_installed() noexcept;

@@ -35,7 +35,7 @@ SystemConfig paper_system_config() {
       cfg.scheme_ctx.priv.l2.associativity();
   cfg.scheme_ctx.snug.monitor.k_bits = 4;
   cfg.scheme_ctx.snug.monitor.p = 8;
-  // See core::EpochConfig: 2 M identify / 10 M group at default scale;
+  // See core::EpochConfig: 1.5 M identify / 6 M group at default scale;
   // SNUG_FULL_SCALE=1 restores the paper's 5 M / 100 M epochs.
   cfg.scheme_ctx.snug.epochs = core::EpochConfig{};
   if (const char* env = std::getenv("SNUG_FULL_SCALE");

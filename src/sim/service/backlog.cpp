@@ -40,38 +40,19 @@ bool BacklogScheduler::next_pending(BacklogCell& out) {
   const std::uint64_t fp = queue_.front();
   queue_.pop_front();
   Entry& e = entries_.at(fp);
-  e.state = State::kLeased;
-  ++leased_;
+  e.state = State::kRunning;
+  ++running_;
   out = e.cell;
   return true;
 }
 
-void BacklogScheduler::requeue(std::uint64_t fp) {
+void BacklogScheduler::complete(std::uint64_t fp) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(fp);
-  if (it == entries_.end() || it->second.state != State::kLeased) return;
-  it->second.state = State::kPending;
-  --leased_;
-  queue_.push_back(fp);
-  ++counters_.requeued;
-}
-
-bool BacklogScheduler::complete(std::uint64_t fp) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(fp);
-  if (it == entries_.end() || it->second.state == State::kPoisoned) {
-    // A reassigned straggler finished after its replacement (or after
-    // the cell was poisoned): ignore it so a cell never counts twice.
-    ++counters_.duplicate_completions;
-    return false;
-  }
-  // kPending here is a straggler too: its lease expired, the cell was
-  // requeued, and the original worker finished before anyone re-claimed
-  // it.
-  unqueue_locked(fp, it->second.state);
+  if (it == entries_.end() || it->second.state != State::kRunning) return;
+  --running_;
   entries_.erase(it);
   ++counters_.completed;
-  return true;
 }
 
 void BacklogScheduler::poison(std::uint64_t fp, const std::string& error) {
@@ -88,8 +69,8 @@ void BacklogScheduler::poison(std::uint64_t fp, const std::string& error) {
 }
 
 void BacklogScheduler::unqueue_locked(std::uint64_t fp, State state) {
-  if (state == State::kLeased) {
-    --leased_;
+  if (state == State::kRunning) {
+    --running_;
     return;
   }
   const auto q = std::find(queue_.begin(), queue_.end(), fp);

@@ -1,6 +1,6 @@
 // Backlog scheduler for the campaign service.
 //
-// The backlog tracks the cells that are not finished: pending, leased
+// The backlog tracks the cells that are not finished: pending, running
 // or poisoned.  Cells are keyed by their run_fingerprint (which covers
 // everything that affects the simulated IPCs), so identical cells from
 // different queries deduplicate into one backlog entry.  A finished
@@ -11,7 +11,7 @@
 // and a cell whose cache entry was lost re-simulates to the same bytes.
 //
 // Admission control: the backlog is bounded.  admit() refuses a query
-// whose FRESH cells would push the pending+leased population past
+// whose FRESH cells would push the pending+running population past
 // max_pending — nothing is enqueued and the server answers
 // status=retry-after — so a flooded service degrades to an explicit
 // backpressure signal instead of an unbounded queue.
@@ -42,7 +42,7 @@ class BacklogScheduler {
   enum class State : std::uint8_t {
     kUnknown,   ///< never admitted, or finished
     kPending,   ///< queued, waiting for a worker
-    kLeased,    ///< handed to a worker (lease live)
+    kRunning,   ///< claimed by a worker, which runs it exactly once
     kPoisoned,  ///< failed terminally — error available
   };
 
@@ -50,13 +50,11 @@ class BacklogScheduler {
     std::uint64_t admitted = 0;       ///< fresh cells enqueued
     std::uint64_t deduplicated = 0;   ///< cells already known at admit
     std::uint64_t shed = 0;           ///< admit() refusals (admission cap)
-    std::uint64_t requeued = 0;       ///< lease-expiry reassignments
     std::uint64_t completed = 0;
     std::uint64_t poisoned = 0;
-    std::uint64_t duplicate_completions = 0;  ///< late completes ignored
   };
 
-  /// `max_pending` bounds pending+leased cells (0 = unbounded).
+  /// `max_pending` bounds pending+running cells (0 = unbounded).
   explicit BacklogScheduler(std::size_t max_pending);
 
   BacklogScheduler(const BacklogScheduler&) = delete;
@@ -70,45 +68,39 @@ class BacklogScheduler {
   [[nodiscard]] bool admit(const std::vector<BacklogCell>& cells,
                            std::vector<std::uint64_t>* newly_pending);
 
-  /// Pops the oldest pending cell into `out` and marks it kLeased.
+  /// Pops the oldest pending cell into `out` and marks it kRunning.
   /// False when nothing is pending.
   [[nodiscard]] bool next_pending(BacklogCell& out);
 
-  /// Returns a leased cell to the back of the pending queue (lease
-  /// expired or grant denied).  No-op unless currently kLeased.
-  void requeue(std::uint64_t fp);
+  /// Completes a running cell: it leaves the backlog.  No-op unless
+  /// the cell is kRunning.
+  void complete(std::uint64_t fp);
 
-  /// Completes a pending/leased cell: it leaves the backlog.  False
-  /// (counted as a duplicate) when no live entry exists — the cell is
-  /// already finished or poisoned, and a reassigned-then-finished
-  /// straggler must not count twice.
-  [[nodiscard]] bool complete(std::uint64_t fp);
-
-  /// Terminally fails a pending/leased cell with a diagnostic.
+  /// Terminally fails a pending/running cell with a diagnostic.
   void poison(std::uint64_t fp, const std::string& error);
 
   [[nodiscard]] State state(std::uint64_t fp) const;
   /// Diagnostic of a kPoisoned cell ("" otherwise).
   [[nodiscard]] std::string poison_error(std::uint64_t fp) const;
 
-  /// Pending + leased population (the admission-control quantity).
+  /// Pending + running population (the admission-control quantity).
   [[nodiscard]] std::size_t backlog() const;
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] Counters counters() const;
 
  private:
-  /// An unfinished cell: pending, leased or poisoned.
+  /// An unfinished cell: pending, running or poisoned.
   struct Entry {
     State state = State::kUnknown;
-    BacklogCell cell;   ///< kPending / kLeased (cleared when poisoned)
+    BacklogCell cell;   ///< kPending / kRunning (cleared when poisoned)
     std::string error;  ///< kPoisoned
   };
 
-  /// Drops a kPending or kLeased entry's place in the queue or the
-  /// leased count (mu_ held).
+  /// Drops a kPending or kRunning entry's place in the queue or the
+  /// running count (mu_ held).
   void unqueue_locked(std::uint64_t fp, State state);
   [[nodiscard]] std::size_t backlog_unlocked() const {
-    return queue_.size() + leased_;
+    return queue_.size() + running_;
   }
 
   const std::size_t max_pending_;
@@ -116,7 +108,7 @@ class BacklogScheduler {
   mutable std::mutex mu_;
   std::map<std::uint64_t, Entry> entries_;
   std::deque<std::uint64_t> queue_;  ///< pending fps, FIFO
-  std::size_t leased_ = 0;           ///< cells currently in State::kLeased
+  std::size_t running_ = 0;          ///< cells currently in State::kRunning
   Counters counters_;
 };
 

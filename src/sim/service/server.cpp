@@ -52,9 +52,7 @@ void drain_eventfd(int fd) {
 CampaignServer::CampaignServer(ServiceConfig cfg)
     : cfg_(normalize(std::move(cfg))),
       env_(&fault::env()),
-      start_(std::chrono::steady_clock::now()),
       backlog_(cfg_.max_backlog),
-      lease_(cfg_.lease_ms, cfg_.max_holds),
       index_(cfg_.cache_dir),
       ring_(cfg_.ring_capacity),
       wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
@@ -66,7 +64,7 @@ CampaignServer::CampaignServer(ServiceConfig cfg)
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back(
-        [this, i](const std::stop_token& stop) { worker_loop(stop, i); });
+        [this](const std::stop_token& stop) { worker_loop(stop); });
   }
   ring_thread_ = std::jthread(
       [this](const std::stop_token& stop) { ring_loop(stop); });
@@ -93,13 +91,6 @@ CampaignServer::~CampaignServer() {
     }
   }
   ::close(wake_fd_);
-}
-
-std::uint64_t CampaignServer::now_ms() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
 }
 
 void CampaignServer::gc_answers() {
@@ -257,7 +248,7 @@ CampaignServer::TrackedPart CampaignServer::build_part(const BatchItem& item) {
     part.cells.push_back(std::move(cell));
   }
   if (all_resolved) {
-    // No pending, leased or poisoned cell: memoise the answer part for
+    // No pending, running or poisoned cell: memoise the answer part for
     // the item's later queries.  Racing callers store equal parts.
     auto memo = std::make_shared<BatchPart>();
     memo->cells.reserve(part.cells.size());
@@ -351,7 +342,7 @@ bool CampaignServer::collect_answer(const TrackedQuery& tq,
             break;
           }
           default:
-            return false;  // still pending or leased
+            return false;  // still pending or running
         }
       }
     }
@@ -498,44 +489,6 @@ std::size_t CampaignServer::ingest() {
   return progress;
 }
 
-std::size_t CampaignServer::supervise() {
-  const std::vector<LeaseTable::Expiry> expiries = lease_.scan(now_ms());
-  for (const LeaseTable::Expiry& e : expiries) {
-    leases_expired_.fetch_add(1, std::memory_order_relaxed);
-    if (e.poisoned) {
-      // Quarantine: this cell has wedged max_holds workers — stop
-      // reassigning and turn it into an explicit error answer.
-      backlog_.poison(
-          e.fp, strf("%s: poisoned after %u lease grants (worker %u held "
-                     "%llu ms past a %llu ms lease)",
-                     e.label.c_str(), e.holds, e.worker,
-                     static_cast<unsigned long long>(e.held_ms),
-                     static_cast<unsigned long long>(lease_.lease_ms())));
-      forget_work(e.fp);
-      std::fprintf(stderr,
-                   "snug: campaignd: poisoning %s fp=%016llx after %u "
-                   "lease grants (worker %u held %llu ms)\n",
-                   e.label.c_str(),
-                   static_cast<unsigned long long>(e.fp), e.holds,
-                   e.worker,
-                   static_cast<unsigned long long>(e.held_ms));
-    } else {
-      backlog_.requeue(e.fp);
-      reassignments_.fetch_add(1, std::memory_order_relaxed);
-      std::fprintf(stderr,
-                   "snug: campaignd: lease expired on %s fp=%016llx "
-                   "(worker %u, held %llu ms, grant %u/%u) — "
-                   "reassigning\n",
-                   e.label.c_str(),
-                   static_cast<unsigned long long>(e.fp), e.worker,
-                   static_cast<unsigned long long>(e.held_ms), e.holds,
-                   cfg_.max_holds);
-    }
-  }
-  if (!expiries.empty()) wake_workers();
-  return expiries.size();
-}
-
 std::size_t CampaignServer::publish() {
   std::vector<TrackedQuery> snapshot;
   {
@@ -561,7 +514,6 @@ std::size_t CampaignServer::publish() {
 std::size_t CampaignServer::poll_once() {
   std::size_t progress = 0;
   progress += ingest();
-  progress += supervise();
   progress += publish();
   // A long-lived server keeps answers/ bounded as it serves, at one
   // directory listing per kAnswerKeepCap file-wire answers.
@@ -590,7 +542,7 @@ std::size_t CampaignServer::serve(std::size_t idle_exit_polls,
     const std::size_t progress = poll_once();
     ++passes;
     bool is_idle = progress == 0 && backlog_.backlog() == 0 &&
-                   lease_.live() == 0 && ring_.size_approx() == 0;
+                   ring_.size_approx() == 0;
     if (is_idle) {
       const std::lock_guard<std::mutex> lock(state_mu_);
       is_idle = tracked_.empty();
@@ -736,37 +688,24 @@ void CampaignServer::handle_ring_op(RingOp* op) {
   wake_publish();
 }
 
-void CampaignServer::worker_loop(const std::stop_token& stop,
-                                 unsigned wid) {
+void CampaignServer::worker_loop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
     {
-      // Admissions and lease expiries notify under wake_mu_
-      // (wake_workers); the timeout is the backstop for requeues by a
-      // denied lease grant, which notify nobody.
+      // Every admission notifies under wake_mu_ (wake_workers).
       std::unique_lock<std::mutex> lock(wake_mu_);
-      (void)wake_cv_.wait_for(lock, stop, std::chrono::milliseconds(5),
-                              [&] { return backlog_.pending() > 0; });
+      (void)wake_cv_.wait(lock, stop,
+                          [&] { return backlog_.pending() > 0; });
     }
     if (stop.stop_requested()) return;
-    if (backlog_.pending() == 0) continue;
     BacklogCell cell;
     if (!backlog_.next_pending(cell)) continue;
-    if (!lease_.acquire(cell.fp, cell.label, wid, now_ms())) {
-      // Grant denied (fail@lease, or a racing live lease): hand the
-      // cell back and back off — never run without a lease.
-      backlog_.requeue(cell.fp);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(cfg_.retry.backoff_ms));
-      continue;
-    }
-    run_cell(wid, cell);
+    run_cell(cell);
     // Every run_cell exit leaves the cell finished or poisoned.
     wake_publish();
-    lease_.release(cell.fp, wid);
   }
 }
 
-void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
+void CampaignServer::run_cell(const BacklogCell& cell) {
   WorkItem item;
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
@@ -780,25 +719,14 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
   try {
     RunResult r;
     run_with_retry(
-        cfg_.retry,
-        [&] {
-          (void)lease_.heartbeat(cell.fp, wid, now_ms());
-          r = item.runner->run(item.combo, item.scheme);
-          (void)lease_.heartbeat(cell.fp, wid, now_ms());
-        },
-        [&] {
-          retries_.fetch_add(1, std::memory_order_relaxed);
-          (void)lease_.heartbeat(cell.fp, wid, now_ms());
-        });
-    // complete() is the dedup point: a straggler whose lease expired
-    // mid-run may land after its replacement — only the first counts.
-    // It runs before the insert makes the cell answerable, so
-    // cells_simulated never lags a client's answer; a straggler's
-    // insert is a no-op (same fp, same IPCs).
-    const bool first = backlog_.complete(cell.fp);
+        cfg_.retry, [&] { r = item.runner->run(item.combo, item.scheme); },
+        [&] { retries_.fetch_add(1, std::memory_order_relaxed); });
+    // complete() runs before the insert makes the cell answerable, so
+    // cells_simulated never lags a client's answer.
+    backlog_.complete(cell.fp);
     index_.insert(cell.fp, r.ipc);
     forget_work(cell.fp);
-    if (first && cfg_.on_cell_completed) cfg_.on_cell_completed();
+    if (cfg_.on_cell_completed) cfg_.on_cell_completed();
   } catch (const fault::TransientError& e) {
     backlog_.poison(cell.fp, strf("%s: %s (gave up after %u attempts)",
                                   cell.label.c_str(), e.what(),
@@ -812,7 +740,7 @@ void CampaignServer::run_cell(unsigned wid, const BacklogCell& cell) {
 
 void CampaignServer::forget_work(std::uint64_t fp) {
   // Erased only once the cell is terminal (done or poisoned), so no
-  // worker can claim it again; a straggler still running holds a copy.
+  // worker can claim it again.
   const std::lock_guard<std::mutex> lock(state_mu_);
   work_.erase(fp);
 }
@@ -826,15 +754,12 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.cells_from_cache = cells_from_cache_.load(std::memory_order_relaxed);
   s.parts_from_memo = parts_from_memo_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
-  s.leases_expired = leases_expired_.load(std::memory_order_relaxed);
-  s.reassignments = reassignments_.load(std::memory_order_relaxed);
   s.publish_failures = publish_failures_.load(std::memory_order_relaxed);
   s.backlog = backlog_.counters();
   // Workers complete cells only after simulating them, and before the
   // index insert that makes a cell answerable — so a client holding an
   // answer always sees its cell counted.
   s.cells_simulated = s.backlog.completed;
-  s.leases = lease_.counters();
   s.parts_total = parts_total_.load(std::memory_order_relaxed);
   s.parts_rejected = parts_rejected_.load(std::memory_order_relaxed);
   s.parts_shed = parts_shed_.load(std::memory_order_relaxed);

@@ -39,10 +39,6 @@
 //              proceeds.  A malformed file answers one status=error
 //              part; a submit whose answer file already exists is
 //              retired without answering again.
-//   supervise  the lease table (sim/service/lease.hpp) is scanned:
-//              expired leases hand their cells back to the backlog;
-//              a cell that has burned max_holds leases is poisoned and
-//              its parts answer status=error for that cell.
 //   publish    queries whose parts are all resolved get their answer
 //              published (a file for wire clients; an in-memory
 //              completion — plus optionally a file — for ring
@@ -58,8 +54,7 @@
 // <root>/submit/ (an inotify watch, sim/service/wire.hpp), a worker
 // finishes a cell or the ring thread starts tracking an op; it waits on
 // all of them in one poll(2).  poll_ms is only the backstop: the pace
-// of lease supervision, and of the file wire on a filesystem that
-// raises no events.
+// of the file wire on a filesystem that raises no events.
 //
 // Answer parts are memoised.  Once every cell of a (scenario, scheme)
 // item has resolved from the index or a by-name probe, its whole
@@ -69,22 +64,24 @@
 // deterministic), so the memo is never stale; a part with a pending,
 // shed or poisoned cell is never memoised.
 //
-// Worker threads drain the backlog under lease + heartbeat, running
-// cells through per-machine ExperimentRunners that share one cache
-// directory, with the campaign engine's deterministic retry/backoff for
-// TransientErrors.  A worker completes a cell in the backlog, then
-// inserts it into the index; a query waiting on it resolves through the
-// index.  Kill -9 the server at any moment: on restart the submit dir
-// re-supplies every unanswered query, finished cells answer from the
-// cache, and a cell whose entry was lost re-simulates (simulation is
-// deterministic) — no query lost, none answered twice, answers
-// bit-identical to an uninterrupted run (pinned by
-// tests/sim/service_server_test.cpp and the CI chaos soaks).  A
-// leftover <root>/backlog.journal from an older build is ignored.
+// Worker threads drain the backlog, each admitted cell running exactly
+// once on the worker that claimed it, through per-machine
+// ExperimentRunners that share one cache directory.  A TransientError
+// goes through the campaign engine's deterministic retry/backoff and
+// poisons the cell (status=error) once the attempts run out; a wedged
+// process is recovered by killing and restarting it.  A worker
+// completes a cell in the backlog, then inserts it into the index; a
+// query waiting on it resolves through the index.  Kill -9 the server
+// at any moment: on restart the submit dir re-supplies every
+// unanswered query, finished cells answer from the cache, and a cell
+// whose entry was lost re-simulates (simulation is deterministic) — no
+// query lost, none answered twice, answers bit-identical to an
+// uninterrupted run (pinned by tests/sim/service_server_test.cpp and
+// the CI chaos soaks).  A leftover <root>/backlog.journal from an
+// older build is ignored.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <cstdint>
@@ -102,7 +99,6 @@
 #include "sim/runner.hpp"
 #include "sim/service/backlog.hpp"
 #include "sim/service/index.hpp"
-#include "sim/service/lease.hpp"
 #include "sim/service/ring.hpp"
 #include "sim/service/wire.hpp"
 
@@ -115,8 +111,6 @@ struct ServiceConfig {
   std::string cache_dir;
   unsigned workers = 2;
   std::size_t max_backlog = 256;    ///< admission-control bound (0 = off)
-  std::uint64_t lease_ms = 10'000;  ///< unrenewed leases expire after this
-  std::uint32_t max_holds = 3;      ///< lease grants before poisoning
   std::uint64_t retry_after_ms = 250;  ///< backoff hint on shed queries
   std::size_t ring_capacity = 1024;    ///< SubmitRing slots (power of two)
   RetryPolicy retry;                ///< TransientError retry/backoff
@@ -155,11 +149,8 @@ class CampaignServer {
     std::uint64_t parts_from_memo = 0;
     std::uint64_t cells_simulated = 0;   ///< == backlog.completed
     std::uint64_t retries = 0;           ///< TransientError re-attempts
-    std::uint64_t leases_expired = 0;
-    std::uint64_t reassignments = 0;     ///< expiries requeued
     std::uint64_t publish_failures = 0;  ///< answer writes retried
     BacklogScheduler::Counters backlog;
-    LeaseTable::Counters leases;
     // Batching, ring and index telemetry.
     std::uint64_t parts_total = 0;       ///< query parts seen (incl. ring)
     /// Per-part status=error at ingest (a malformed file is one part).
@@ -185,17 +176,17 @@ class CampaignServer {
   CampaignServer(const CampaignServer&) = delete;
   CampaignServer& operator=(const CampaignServer&) = delete;
 
-  /// One ingest + supervise + publish (+ reap) pass; returns how much happened
-  /// (queries ingested + expiries handled + answers published) so a
-  /// caller can detect idleness.  Thread-safe against the workers but
+  /// One ingest + publish (+ reap) pass; returns how much happened
+  /// (queries ingested + answers published) so a caller can detect
+  /// idleness.  Thread-safe against the workers but
   /// meant to be driven from one serving thread.
   std::size_t poll_once();
 
   /// Drives poll_once() — at once after a query file lands in submit/,
   /// a cell finishes or a ring op is tracked, else after poll_ms — until
   /// request_stop(), or — when idle_exit_polls > 0 — until that many
-  /// consecutive passes saw no progress, no tracked query, no pending
-  /// cell and no live lease (campaignd's drain-and-exit mode for
+  /// consecutive passes saw no progress, no tracked query and no pending
+  /// or running cell (campaignd's drain-and-exit mode for
   /// scripted/CI use; 0 serves forever).  Returns the number of passes.
   std::size_t serve(std::size_t idle_exit_polls, std::uint64_t poll_ms);
 
@@ -215,9 +206,6 @@ class CampaignServer {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const AnswerIndex& index() const noexcept { return index_; }
-
-  /// Milliseconds since construction — the lease clock.  Monotonic.
-  [[nodiscard]] std::uint64_t now_ms() const;
 
  private:
   /// A simulation cell's runnable identity (the backlog stores only
@@ -273,12 +261,11 @@ class CampaignServer {
   };
 
   std::size_t ingest();
-  std::size_t supervise();
   std::size_t publish();
-  void worker_loop(const std::stop_token& stop, unsigned wid);
+  void worker_loop(const std::stop_token& stop);
   void ring_loop(const std::stop_token& stop);
   void handle_ring_op(RingOp* op);
-  void run_cell(unsigned wid, const BacklogCell& cell);
+  void run_cell(const BacklogCell& cell);
   ExperimentRunner& runner_for(const ScenarioSpec& spec,
                                std::uint64_t runner_key);
   [[nodiscard]] std::shared_ptr<const ResolvedItem> resolve_item(
@@ -316,10 +303,8 @@ class CampaignServer {
 
   const ServiceConfig cfg_;
   const fault::Env* env_;
-  const std::chrono::steady_clock::time_point start_;
 
   BacklogScheduler backlog_;
-  LeaseTable lease_;
   AnswerIndex index_;
   SubmitRing ring_;
 
@@ -350,8 +335,6 @@ class CampaignServer {
   std::atomic<std::uint64_t> cells_from_cache_{0};
   std::atomic<std::uint64_t> parts_from_memo_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> leases_expired_{0};
-  std::atomic<std::uint64_t> reassignments_{0};
   std::atomic<std::uint64_t> publish_failures_{0};
   std::atomic<std::uint64_t> queries_ingested_{0};
   std::atomic<std::uint64_t> queries_answered_{0};

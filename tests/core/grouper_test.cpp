@@ -80,7 +80,9 @@ TEST(Grouper, SearchCoversExactlyTheLegalPlacements) {
       gt.set_taker(3, buddy_taker);
       const SpillPlacement placement = choose_spill_placement(gt, 2);
       const RetrieveSearch search = retrieve_search(gt, 2);
-      if (placement == SpillPlacement::kSame) EXPECT_TRUE(search.same);
+      if (placement == SpillPlacement::kSame) {
+        EXPECT_TRUE(search.same);
+      }
       if (placement == SpillPlacement::kFlipped) {
         EXPECT_TRUE(search.flipped);
       }

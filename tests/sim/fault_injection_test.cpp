@@ -62,54 +62,15 @@ TEST(FaultPlan, ParsesClausesSeedAndKeys) {
   EXPECT_EQ(again.summary(), plan.summary());
 }
 
-TEST(FaultPlan, ParsesLeaseAndHeartbeatOps) {
+TEST(FaultPlan, RetiredSupervisionOpsAreRejected) {
   fault::FaultPlan plan;
   std::string error;
-  ASSERT_TRUE(fault::FaultPlan::parse(
-      "seed=4; fail@lease:first=2; stall@heartbeat:ms=3; "
-      "fail@heartbeat:match=mixA/SNUG",
-      plan, error))
-      << error;
-  ASSERT_EQ(plan.clauses.size(), 3u);
-  EXPECT_EQ(plan.clauses[0].op, fault::Op::kLease);
-  EXPECT_EQ(plan.clauses[0].first, 2u);
-  EXPECT_EQ(plan.clauses[1].op, fault::Op::kHeartbeat);
-  EXPECT_EQ(plan.clauses[1].stall_ms, 3u);
-  EXPECT_EQ(plan.clauses[2].match, "mixA/SNUG");
-  // The summary round-trips through the parser.
-  fault::FaultPlan again;
-  ASSERT_TRUE(fault::FaultPlan::parse(plan.summary(), again, error))
-      << plan.summary() << ": " << error;
-  EXPECT_EQ(again.summary(), plan.summary());
-}
-
-TEST(FaultPlan, LeaseAndHeartbeatOpsOnlyAdmitFailAndStall) {
-  fault::FaultPlan plan;
-  std::string error;
-  // Lease grants and heartbeats are supervision calls, not byte
-  // streams: the store-corruption kinds make no sense on them.
-  EXPECT_FALSE(fault::FaultPlan::parse("short-write@lease", plan, error));
+  // The service runs each cell once and has no lease grants or
+  // heartbeats to fault: their ops are unknown to the grammar.
+  EXPECT_FALSE(fault::FaultPlan::parse("fail@lease", plan, error));
   EXPECT_NE(error.find("lease"), std::string::npos) << error;
-  EXPECT_FALSE(fault::FaultPlan::parse("bit-flip@heartbeat", plan, error));
-  EXPECT_FALSE(fault::FaultPlan::parse("torn-rename@lease", plan, error));
-  EXPECT_FALSE(fault::FaultPlan::parse("enospc@heartbeat", plan, error));
-}
-
-TEST(FaultPlan, LeaseDenialsAndHeartbeatDropsFoldIntoTheTotal) {
-  fault::FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(fault::FaultPlan::parse(
-      "seed=8; fail@lease:first=1; fail@heartbeat:first=1", plan, error))
-      << error;
-  fault::ScopedFaultPlan scoped(plan);
-  EXPECT_TRUE(fault::maybe_deny_lease("mixA/SNUG"));
-  EXPECT_FALSE(fault::maybe_deny_lease("mixA/SNUG")) << "first=1 spent";
-  EXPECT_TRUE(fault::maybe_drop_heartbeat("mixA/SNUG"));
-  EXPECT_FALSE(fault::maybe_drop_heartbeat("mixA/SNUG"));
-  const fault::FaultStats stats = scoped.stats();
-  EXPECT_EQ(stats.lease_denials, 1u);
-  EXPECT_EQ(stats.heartbeat_drops, 1u);
-  EXPECT_EQ(stats.total(), 2u);
+  EXPECT_FALSE(fault::FaultPlan::parse("stall@heartbeat:ms=3", plan, error));
+  EXPECT_NE(error.find("heartbeat"), std::string::npos) << error;
 }
 
 TEST(FaultPlan, RejectsBadClausesWithNamedErrors) {

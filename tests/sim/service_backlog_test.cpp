@@ -1,7 +1,6 @@
 // BacklogScheduler tests: FIFO dispatch with fingerprint dedup,
 // admission control that sheds whole queries atomically, completion
-// that removes a cell from the backlog (also for a straggler finishing
-// a requeued cell), duplicate-completion suppression, and the poisoned
+// that removes a running cell from the backlog, and the poisoned
 // terminal state.
 #include "sim/service/backlog.hpp"
 
@@ -39,8 +38,8 @@ TEST(BacklogScheduler, FifoDispatchWithDedup) {
   EXPECT_EQ(out.fp, 1u);
   ASSERT_TRUE(sched.next_pending(out));
   EXPECT_EQ(out.fp, 2u);
-  EXPECT_EQ(sched.state(2), BacklogScheduler::State::kLeased);
-  EXPECT_EQ(sched.backlog(), 3u) << "pending + leased";
+  EXPECT_EQ(sched.state(2), BacklogScheduler::State::kRunning);
+  EXPECT_EQ(sched.backlog(), 3u) << "pending + running";
   ASSERT_TRUE(sched.next_pending(out));
   EXPECT_EQ(out.fp, 3u);
   EXPECT_FALSE(sched.next_pending(out));
@@ -60,54 +59,23 @@ TEST(BacklogScheduler, AdmissionCapShedsTheWholeQuery) {
   // Draining the backlog reopens admission.
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
-  ASSERT_TRUE(sched.complete(out.fp));
+  sched.complete(out.fp);
   EXPECT_TRUE(sched.admit({cell(3)}, nullptr));
 }
 
-TEST(BacklogScheduler, RequeueOnlyMovesLeasedCells) {
+TEST(BacklogScheduler, CompletionLeavesTheBacklog) {
   BacklogScheduler sched(0);
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
-  sched.requeue(1);  // pending, not leased: no-op
-  EXPECT_EQ(sched.counters().requeued, 0u);
-
+  sched.complete(2);  // pending, not running: no-op
+  EXPECT_EQ(sched.state(2), BacklogScheduler::State::kPending);
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
   ASSERT_EQ(out.fp, 1u);
-  sched.requeue(1);  // lease expired: back of the queue
-  EXPECT_EQ(sched.counters().requeued, 1u);
-  ASSERT_TRUE(sched.next_pending(out));
-  EXPECT_EQ(out.fp, 2u) << "requeued cell goes to the back";
-  ASSERT_TRUE(sched.next_pending(out));
-  EXPECT_EQ(out.fp, 1u);
-}
-
-TEST(BacklogScheduler, DuplicateCompletionsAreSuppressed) {
-  BacklogScheduler sched(0);
-  ASSERT_TRUE(sched.admit({cell(1)}, nullptr));
-  BacklogCell out;
-  ASSERT_TRUE(sched.next_pending(out));
-  ASSERT_TRUE(sched.complete(1));
+  sched.complete(1);
   EXPECT_EQ(sched.state(1), BacklogScheduler::State::kUnknown)
       << "a finished cell leaves the backlog";
-  // A reassigned straggler lands late: ignored, counted once.
-  EXPECT_FALSE(sched.complete(1));
   EXPECT_EQ(sched.counters().completed, 1u);
-  EXPECT_EQ(sched.counters().duplicate_completions, 1u);
-}
-
-TEST(BacklogScheduler, StragglerCompletingARequeuedCellLeavesTheQueue) {
-  BacklogScheduler sched(0);
-  ASSERT_TRUE(sched.admit({cell(1)}, nullptr));
-  BacklogCell out;
-  ASSERT_TRUE(sched.next_pending(out));
-  // The lease expires and the cell goes back to the queue, but the
-  // original worker finishes before anyone re-claims it.
-  sched.requeue(1);
-  ASSERT_EQ(sched.state(1), BacklogScheduler::State::kPending);
-  EXPECT_TRUE(sched.complete(1));
-  EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_EQ(sched.backlog(), 0u);
-  EXPECT_FALSE(sched.next_pending(out)) << "nobody re-runs a finished cell";
+  EXPECT_EQ(sched.backlog(), 1u);
 }
 
 TEST(BacklogScheduler, PoisonIsTerminalAndCarriesTheDiagnostic) {
@@ -115,10 +83,13 @@ TEST(BacklogScheduler, PoisonIsTerminalAndCarriesTheDiagnostic) {
   ASSERT_TRUE(sched.admit({cell(1), cell(2)}, nullptr));
   BacklogCell out;
   ASSERT_TRUE(sched.next_pending(out));
-  sched.poison(1, "mixA/SNUG: wedged past max_holds");
+  sched.poison(1, "mixA/SNUG: gave up after 3 attempts");
   EXPECT_EQ(sched.state(1), BacklogScheduler::State::kPoisoned);
-  EXPECT_EQ(sched.poison_error(1), "mixA/SNUG: wedged past max_holds");
-  EXPECT_FALSE(sched.complete(1)) << "poison is terminal";
+  EXPECT_EQ(sched.poison_error(1), "mixA/SNUG: gave up after 3 attempts");
+  sched.complete(1);
+  EXPECT_EQ(sched.state(1), BacklogScheduler::State::kPoisoned)
+      << "poison is terminal";
+  EXPECT_EQ(sched.counters().completed, 0u);
   EXPECT_EQ(sched.backlog(), 1u) << "the healthy cell is unaffected";
   // Poisoning a pending cell removes it from the queue too.
   sched.poison(2, "also bad");
