@@ -1,8 +1,9 @@
 // Extending the framework: implement your own cooperative-caching policy
 // by subclassing PrivateSchemeBase — here, a "ring" policy that always
-// spills clean victims to the next core and retrieves over the snoop bus,
-// with no demand awareness at all (a deliberately naive strawman between
-// L2P and CC).
+// spills clean victims to the next core, with no demand awareness at all
+// (a deliberately naive strawman between L2P and CC).  It overrides only
+// the spill decision, maybe_spill: the base class already retrieves a
+// spilled block on a later miss, exactly as it does for CC.
 //
 //   $ ./custom_spill_policy
 #include <cstdio>
@@ -24,20 +25,6 @@ class RingSpillScheme final : public schemes::PrivateSchemeBase {
       : PrivateSchemeBase("Ring", cfg, bus, dram) {}
 
  protected:
-  schemes::RemoteResult probe_peers(CoreId c, Addr addr,
-                                    Cycle request_done) override {
-    for (std::uint32_t i = 1; i < cfg_.num_cores; ++i) {
-      const CoreId peer = (c + i) % cfg_.num_cores;
-      const cache::CcLocation loc = slice(peer).lookup_cc(addr);
-      if (!loc.found) continue;
-      slice(peer).forward_and_invalidate(loc);
-      const bus::BusGrant data = bus_.transact(
-          request_done + cfg_.lat.remote_lookup_cc, bus::BusOp::kDataBlock);
-      return {true, data.finished};
-    }
-    return {};
-  }
-
   void maybe_spill(CoreId c, Addr victim_addr, SetIndex /*set*/, Cycle now,
                    int chain_budget) override {
     const CoreId neighbour = (c + 1) % cfg_.num_cores;

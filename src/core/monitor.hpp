@@ -1,8 +1,9 @@
 // CapacityMonitor — the per-slice demand-identification hardware
-// (paper Section 3.1): one shadow set + one k-bit saturating counter + one
-// mod-p divider per L2 set.
+// (paper Section 3.1): one shadow set per L2 set, plus k-bit saturating
+// counters with mod-p dividers at one of two granularities: one per set
+// (SNUG) or one for the whole cache (DSR's application-level roles).
 //
-// Event wiring (driven by the SNUG scheme):
+// Event wiring (driven by schemes/classifying_base.cpp):
 //   local L2 hit            -> on_local_hit(set)
 //   local L2 miss           -> on_local_miss(set, tag)   [probes shadow]
 //   local line evicted      -> on_local_eviction(set, tag)
@@ -34,6 +35,12 @@ struct MonitorConfig {
   bool taker_biased = true;
 };
 
+/// How many sets one saturating counter and its divider cover.
+enum class Granularity : std::uint8_t {
+  kSet,    ///< one counter per set: SNUG's set-level G/T classification
+  kCache,  ///< one counter for every set: DSR's spiller/receiver role
+};
+
 /// Monitor event counters as SoA words (stats/counters.hpp).
 struct MonitorStats final : stats::CounterWords<MonitorStats, 3> {
   enum : std::size_t { kShadowHits, kShadowInserts, kRealHits };
@@ -46,7 +53,8 @@ struct MonitorStats final : stats::CounterWords<MonitorStats, 3> {
 
 class CapacityMonitor {
  public:
-  explicit CapacityMonitor(const MonitorConfig& cfg);
+  explicit CapacityMonitor(const MonitorConfig& cfg,
+                           Granularity granularity = Granularity::kSet);
 
   /// Enables/disables counter updates (Stage I only; shadow-tag upkeep
   /// continues regardless so exclusivity never lapses).
@@ -62,11 +70,17 @@ class CapacityMonitor {
   void on_local_eviction(SetIndex set, std::uint64_t tag);
 
   /// Harvests the G/T classification from the counter MSBs into `out` and
-  /// resets the counters for the next sampling period.
+  /// resets the counters for the next sampling period.  Under
+  /// Granularity::kCache every set receives the one counter's bit.
   void harvest(GtVector& out);
 
   [[nodiscard]] const MonitorStats& stats() const noexcept { return stats_; }
+  /// The counter that classifies `set` (the same one for every set
+  /// under Granularity::kCache).
   [[nodiscard]] const SaturatingCounter& counter(SetIndex set) const;
+  [[nodiscard]] Granularity granularity() const noexcept {
+    return counter_mask_ == 0 ? Granularity::kCache : Granularity::kSet;
+  }
   [[nodiscard]] const ShadowSetArray& shadows() const noexcept {
     return shadows_;
   }
@@ -76,15 +90,20 @@ class CapacityMonitor {
 
   /// Warm-state serialization: shadow tags, counter values, divider
   /// phases and the counting flag round-trip bit-exactly for a monitor
-  /// of identical MonitorConfig (guarded by the warm-state bank
-  /// fingerprint).  Event stats are NOT saved — the measurement boundary
-  /// resets them in both the save and restore path.
+  /// of identical MonitorConfig and granularity (guarded by the
+  /// warm-state bank fingerprint).  Event stats are NOT saved, and
+  /// nothing resets them: they stay cumulative across
+  /// CmpSystem::begin_measurement, so a window count is the difference
+  /// of a read before the boundary and one after it.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
  private:
   MonitorConfig cfg_;
   ShadowSetArray shadows_;
+  /// `set & counter_mask_` indexes counters_ and dividers_: all ones
+  /// for one counter per set, zero for one counter per cache.
+  SetIndex counter_mask_;
   std::vector<SaturatingCounter> counters_;
   std::vector<ModPCounter> dividers_;
   MonitorStats stats_;

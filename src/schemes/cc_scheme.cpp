@@ -10,23 +10,6 @@ CcScheme::CcScheme(const PrivateConfig& cfg, double spill_prob,
                         cfg, bus, dram),
       spill_prob_(spill_prob) {}
 
-RemoteResult CcScheme::probe_peers(CoreId c, Addr addr,
-                                   Cycle request_done) {
-  // All peers snooped the broadcast in parallel; at most one holds the
-  // cooperative copy.
-  for (std::uint32_t i = 1; i < cfg_.num_cores; ++i) {
-    const CoreId peer = (c + i) % cfg_.num_cores;
-    const cache::CcLocation loc = slice(peer).lookup_cc(addr);
-    if (!loc.found) continue;
-    slice(peer).forward_and_invalidate(loc);
-    const Cycle lookup_done = request_done + cfg_.lat.remote_lookup_cc;
-    const bus::BusGrant data =
-        abus().transact(lookup_done, bus::BusOp::kDataBlock);
-    return {true, data.finished};
-  }
-  return {};
-}
-
 void CcScheme::maybe_spill(CoreId c, Addr victim_addr, SetIndex /*set*/,
                            Cycle now, int chain_budget) {
   if (!rng_.chance(spill_prob_)) return;

@@ -21,8 +21,6 @@ class CcScheme final : public PrivateSchemeBase {
   [[nodiscard]] double spill_prob() const noexcept { return spill_prob_; }
 
  protected:
-  RemoteResult probe_peers(CoreId c, Addr addr,
-                           Cycle request_done) override;
   void maybe_spill(CoreId c, Addr victim_addr, SetIndex set, Cycle now,
                    int chain_budget) override;
 

@@ -1,5 +1,6 @@
 // L2P — the baseline: strictly private L2 slices, no capacity sharing.
-// Misses go straight to DRAM; clean victims are dropped.
+// Misses go straight to DRAM without snooping the peers; clean victims
+// are dropped.
 #pragma once
 
 #include "schemes/private_base.hpp"
@@ -10,6 +11,9 @@ class L2P final : public PrivateSchemeBase {
  public:
   L2P(const PrivateConfig& cfg, bus::SnoopBus& bus, dram::DramModel& dram)
       : PrivateSchemeBase("L2P", cfg, bus, dram) {}
+
+ protected:
+  [[nodiscard]] bool retrieves() const noexcept override { return false; }
 };
 
 }  // namespace snug::schemes

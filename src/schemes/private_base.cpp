@@ -59,6 +59,24 @@ void PrivateSchemeBase::drain(Cycle now) {
   drain_deadline_ = deadline;
 }
 
+cache::CcLocation PrivateSchemeBase::find_guest(CoreId peer,
+                                              Addr addr) const {
+  return slices_[peer].lookup_cc(addr);
+}
+
+std::optional<Cycle> PrivateSchemeBase::probe_peers(CoreId c, Addr addr,
+                                                    Cycle request_done) {
+  for (std::uint32_t i = 1; i < cfg_.num_cores; ++i) {
+    const CoreId peer = (c + i) % cfg_.num_cores;
+    const cache::CcLocation loc = find_guest(peer, addr);
+    if (!loc.found) continue;
+    slices_[peer].forward_and_invalidate(loc);
+    const Cycle lookup_done = request_done + peer_lookup_cycles();
+    return abus().transact(lookup_done, bus::BusOp::kDataBlock).finished;
+  }
+  return std::nullopt;
+}
+
 Cycle PrivateSchemeBase::install_fill(CoreId c, Addr addr, bool dirty,
                                       Cycle now) {
   const cache::Eviction ev = slices_[c].fill_local(addr, dirty, c);
@@ -159,10 +177,11 @@ Cycle PrivateSchemeBase::access(CoreId c, Addr addr, bool is_write,
   bus::SnoopBus& bus = abus();
   const bus::BusGrant req = bus.transact(now, bus::BusOp::kRequest);
   Cycle completion;
-  const RemoteResult remote = probe_peers(c, addr, req.finished);
-  if (remote.found) {
+  const std::optional<Cycle> remote =
+      retrieves() ? probe_peers(c, addr, req.finished) : std::nullopt;
+  if (remote) {
     ++stats_.remote_hits();
-    completion = remote.completion;
+    completion = *remote;
   } else {
     const Cycle data_ready = adram().read(req.finished);
     completion = bus.transact(data_ready, bus::BusOp::kDataBlock).finished;

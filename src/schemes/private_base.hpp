@@ -1,12 +1,18 @@
 // Shared machinery for the private-L2 organisations (L2P, CC, DSR, SNUG):
 // one L2 slice + write-back buffer per core, the common access flow
 // (local lookup -> WBB direct read -> remote retrieve -> DRAM -> fill),
-// and eviction routing.  Scheme-specific behaviour enters through four
-// hooks: monitoring callbacks, the remote-retrieve probe, and the spill
-// decision.
+// eviction routing, spill placement and the one retrieve: every
+// cooperative scheme's miss snoops the peers, forwards and invalidates
+// the guest copy it finds and books its data tenure in probe_peers.
+// Scheme-specific behaviour enters through hooks: the monitor events
+// (on_local_hit / on_local_miss / on_local_eviction), the per-peer guest
+// search and its lookup latency (find_guest / peer_lookup_cycles), and
+// the spill decision (maybe_spill).  SNUG and DSR share one
+// implementation of the monitor events and the spill decision in
+// schemes/classifying_base.hpp; L2P never retrieves.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/wbb.hpp"
@@ -20,12 +26,6 @@ struct PrivateConfig {
   cache::CacheGeometry l2{1 << 20, 16, 64};  ///< per-slice (Table 4)
   cache::WbbConfig wbb;
   LatencyConfig lat;
-};
-
-/// Outcome of a peer-retrieve probe.
-struct RemoteResult {
-  bool found = false;
-  Cycle completion = 0;
 };
 
 class PrivateSchemeBase : public L2Scheme {
@@ -69,17 +69,23 @@ class PrivateSchemeBase : public L2Scheme {
   static constexpr int kMaxSpillChain = 4;
 
   // ------------------------------------------------------------- hooks
-  /// A local hit occurred in slice c (SNUG: feed the monitor).
+  /// A local hit occurred in slice c (SNUG/DSR: feed the monitor).
   virtual void on_local_hit(CoreId /*c*/, SetIndex /*set*/) {}
-  /// A local miss occurred (SNUG: probe the shadow set).
+  /// A local miss occurred (SNUG/DSR: probe the shadow set).
   virtual void on_local_miss(CoreId /*c*/, SetIndex /*set*/,
                              std::uint64_t /*tag*/) {}
-  /// Attempt to serve the miss from a peer L2.  The retrieve request has
-  /// already been broadcast (it finished at `request_done`); on a hit the
-  /// implementation forward-invalidates and transacts the data return.
-  virtual RemoteResult probe_peers(CoreId /*c*/, Addr /*addr*/,
-                                   Cycle /*request_done*/) {
-    return {};
+  /// Whether a miss searches the peers at all (L2P: nothing ever spills
+  /// into a slice, so its misses go straight to memory).
+  [[nodiscard]] virtual bool retrieves() const noexcept { return true; }
+  /// Where, if anywhere, `peer`'s slice holds a guest copy of `addr`
+  /// that a retrieve may take.  Default: either placement (home set with
+  /// f = 0, buddy set with f = 1).
+  [[nodiscard]] virtual cache::CcLocation find_guest(CoreId peer,
+                                                     Addr addr) const;
+  /// Peer-side search time between the retrieve request and the data
+  /// tenure (Table 4: 2 cycles for a plain snoop).
+  [[nodiscard]] virtual Cycle peer_lookup_cycles() const noexcept {
+    return cfg_.lat.remote_lookup_cc;
   }
   /// A clean local victim left slice c; the scheme may spill it.
   /// `chain_budget` is decremented across cascade hops.
@@ -87,11 +93,18 @@ class PrivateSchemeBase : public L2Scheme {
                            SetIndex /*set*/, Cycle /*now*/,
                            int /*chain_budget*/) {}
   /// A local line (clean or dirty) was displaced from slice c's set
-  /// (SNUG: insert its tag into the shadow set).
+  /// (SNUG/DSR: insert its tag into the shadow set).
   virtual void on_local_eviction(CoreId /*c*/, SetIndex /*set*/,
                                  std::uint64_t /*tag*/) {}
 
   // -------------------------------------------------------- shared flow
+  /// The retrieve: serves core c's miss from a peer L2 if one holds a
+  /// guest copy.  The request has already been broadcast (it finished at
+  /// `request_done`); all peers snoop it in parallel and at most one
+  /// holds the copy, which it forwards and invalidates.  Returns the
+  /// data tenure's completion, or nothing when no peer responds.
+  std::optional<Cycle> probe_peers(CoreId c, Addr addr, Cycle request_done);
+
   /// Installs a fill into slice c and routes the displaced line.
   /// Returns the WBB stall (0 normally).
   Cycle install_fill(CoreId c, Addr addr, bool dirty, Cycle now);

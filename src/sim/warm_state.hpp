@@ -39,7 +39,9 @@ class WarmStateBank {
   /// files are stale by version and left in place.
   /// v4: DSR's blob drops the set-dueling PSEL vector.
   /// v5: the SNUG monitor and DSR blobs drop the sampler cursor vectors.
-  static constexpr std::uint32_t kVersion = 5;
+  /// v6: DSR saves SNUG's layout (one monitor + G/T vector per core, then
+  /// the controller), its monitor holding one counter and one divider.
+  static constexpr std::uint32_t kVersion = 6;
   /// Hard upper bound on a plausible checkpoint (a 16-core paper-scale
   /// system is a few hundred MB of arenas); the header's u32 count
   /// caps it, and anything larger is treated as corruption.

@@ -124,5 +124,47 @@ TEST(Monitor, ResetClearsEverything) {
   EXPECT_FALSE(m.on_local_miss(0, 1));  // shadow cleared
 }
 
+// ---- Granularity::kCache: one counter and one divider for every set.
+
+TEST(Monitor, OneCounterMovesOnEventsInAnySet) {
+  CapacityMonitor m(small_cfg(), Granularity::kCache);
+  EXPECT_EQ(m.granularity(), Granularity::kCache);
+  m.on_local_eviction(3, 1);
+  m.on_local_eviction(6, 2);
+  EXPECT_TRUE(m.on_local_miss(3, 1));
+  EXPECT_TRUE(m.on_local_miss(6, 2));
+  for (SetIndex s = 0; s < 8; ++s) {
+    EXPECT_EQ(m.counter(s).value(), 9U) << "set " << s;  // 7 + 2
+  }
+  // The divider is shared too: 8 hits spread over the sets make one
+  // decrement (the two shadow hits above counted as hits 1 and 2).
+  for (SetIndex s = 0; s < 6; ++s) m.on_local_hit(s);
+  EXPECT_EQ(m.counter(0).value(), 8U);
+}
+
+TEST(Monitor, OneCounterHarvestsOneBitIntoEverySet) {
+  // Taker-biased reset (MSB set): a reset inside the per-set harvest loop
+  // would hand every set after the first the taker reset value.
+  MonitorConfig cfg = small_cfg();
+  cfg.taker_biased = true;
+  CapacityMonitor m(cfg, Granularity::kCache);
+  for (int i = 0; i < 8 * 8; ++i) m.on_local_hit(static_cast<SetIndex>(i % 8));
+  ASSERT_FALSE(m.counter(0).msb());
+  GtVector gt(8);
+  gt.set_taker(5, true);
+  m.harvest(gt);
+  EXPECT_EQ(gt.taker_count(), 0U);
+  EXPECT_EQ(m.counter(0).value(), 8U);  // reset after every set read it
+
+  // And the other way: a taker counter marks every set taker.
+  for (SetIndex s = 0; s < 8; ++s) {
+    m.on_local_eviction(s, 100 + s);
+    m.on_local_miss(s, 100 + s);
+  }
+  ASSERT_TRUE(m.counter(0).msb());
+  m.harvest(gt);
+  EXPECT_EQ(gt.taker_count(), 8U);
+}
+
 }  // namespace
 }  // namespace snug::core

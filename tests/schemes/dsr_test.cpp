@@ -77,6 +77,23 @@ TEST(DSR, AppLevelClassification) {
   EXPECT_EQ(f.scheme->role_of(3), DsrScheme::Role::kReceiver);
 }
 
+TEST(DSR, RoleAgreesWithGtVectorAtEverySet) {
+  DsrFixture f;
+  f.train_taker_app(0);
+  f.train_giver_app(1);
+  f.train_giver_app(2);
+  f.train_taker_app(3);
+  f.finish_identify();
+  for (CoreId c = 0; c < 4; ++c) {
+    const bool spiller = f.scheme->role_of(c) == DsrScheme::Role::kSpiller;
+    EXPECT_EQ(spiller, c == 0 || c == 3) << "cache " << c;
+    const core::GtVector& gt = f.scheme->gt(c);
+    for (SetIndex s = 0; s < gt.num_sets(); ++s) {
+      EXPECT_EQ(gt.taker(s), spiller) << "cache " << c << " set " << s;
+    }
+  }
+}
+
 TEST(DSR, SpillerSpillsIntoReceiversSameIndex) {
   DsrFixture f;
   f.train_taker_app(0);

@@ -469,8 +469,8 @@ TEST_F(BlobStoreScan, V4SnugcByteLayoutLoadsBitEqual) {
 TEST_F(BlobStoreProbe, V2SnugwWithThirtyTwoByteHeaderIsStale) {
   // The v2 bank layout: u32 magic | u32 2 | u64 fp | u64 payload_bytes |
   // u32 CRC-32C | u32 reserved | payload.  Its files are merely stale
-  // under v5: left in place, never quarantined.
-  ASSERT_EQ(WarmStateBank::kVersion, 5u);
+  // under v6: left in place, never quarantined.
+  ASSERT_EQ(WarmStateBank::kVersion, 6u);
   const std::vector<std::byte> blob = BankView::payload(100);
   struct V2Header {
     std::uint32_t magic = WarmStateBank::kMagic;

@@ -141,6 +141,39 @@ TEST(System, MeasurementWindowResetsCounters) {
   EXPECT_EQ(sys.core(0).stats().retired, 0U);
 }
 
+// begin_measurement resets the scheme, cache, core, bus and DRAM stats
+// but not the capacity monitors': their event counts stay cumulative, so
+// a window count is a read after the window minus one taken before the
+// boundary (perfbench's monitor_base relies on this; a reset would wrap
+// its unsigned delta).
+TEST(System, MeasurementBoundaryLeavesMonitorStatsCumulative) {
+  ScenarioSpec scenario = ScenarioSpec::paper();
+  scenario.l2_slice_kb = 64;  // small slices: the monitors see evictions
+  CmpSystem sys(scenario.system_config(), {schemes::SchemeKind::kSNUG, 0},
+                mixed_combo(), tiny_scale());
+  const auto& snug = dynamic_cast<const schemes::SnugScheme&>(sys.scheme());
+  sys.run(200'000);
+  std::vector<core::MonitorStats> before;
+  for (CoreId c = 0; c < 4; ++c) before.push_back(snug.monitor(c).stats());
+  std::uint64_t inserts = 0;
+  for (const auto& st : before) inserts += st.shadow_inserts();
+  ASSERT_GT(inserts, 0U);
+
+  sys.begin_measurement();
+  EXPECT_EQ(sys.scheme().stats().l2_accesses(), 0U);
+  for (CoreId c = 0; c < 4; ++c) {
+    EXPECT_EQ(snug.monitor(c).stats().words(), before[c].words())
+        << "core " << c;
+  }
+  sys.run(100'000);
+  for (CoreId c = 0; c < 4; ++c) {
+    const auto& now = snug.monitor(c).stats();
+    EXPECT_GE(now.shadow_inserts(), before[c].shadow_inserts());
+    EXPECT_GE(now.real_hits(), before[c].real_hits());
+    EXPECT_GE(now.shadow_hits(), before[c].shadow_hits());
+  }
+}
+
 TEST(System, BusSeesTrafficUnderPrivateSchemes) {
   const SystemConfig cfg = paper_system_config();
   CmpSystem sys(cfg, {schemes::SchemeKind::kL2P, 0}, mixed_combo(),
